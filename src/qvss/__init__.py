@@ -36,6 +36,7 @@ from .parity import (
 )
 from .protocol import (
     AuditReport,
+    RegisterTable,
     SessionStore,
     ShareFile,
     audit_subset,

@@ -37,7 +37,6 @@ from .statevector import (
     StateVector,
     bits_to_index,
     index_to_bits,
-    measure_all,
     measure_shots,
     new_zero_state,
 )
@@ -259,20 +258,19 @@ def cmd_demo(args) -> int:
     session, shares = protocol.share_image(
         image, 3, protocol.BACKEND_STATEVECTOR, seed
     )
+    rendered = [_format_state(register) for register in session.registers]
+    recovered = protocol.recover_image(shares, session, seed)
     print(f"{'pixel':<7}{'state':<30}{'collapsed':<11}{'result':<8}color")
-    colors = []
-    for l in range(1, image.pixel_count + 1):
-        register = session.registers[l - 1]
-        rendered = _format_state(register)
-        outcome, collapsed = measure_all(register, protocol.pixel_rng(seed, l))
-        session.registers[l - 1] = collapsed
-        bit = protocol.recover_pixel(outcome)
-        colors.append(bit)
+    for l, state in enumerate(rendered, start=1):
+        collapsed = session.registers[l - 1]
+        outcome = index_to_bits(
+            int(np.argmax(np.abs(collapsed.amplitudes))), collapsed.num_qubits
+        )
+        bit = recovered.pixel(l)
         print(
-            f"{l:<7}{rendered:<30}|{_format_bits(outcome)}>     "
+            f"{l:<7}{state:<30}|{_format_bits(outcome)}>     "
             f"|{bit}>     {'black' if bit else 'white'}"
         )
-    recovered = BinaryImage(image.width, image.height, np.array(colors, dtype=np.uint8))
     match = recovered == image
     print(f"recovered image matches original: {'yes' if match else 'no'}")
     return EXIT_OK if match else 1

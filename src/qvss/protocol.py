@@ -2,10 +2,14 @@
 
 Two interchangeable backends:
 
-* ``statevector`` keeps one live quantum register per pixel inside the
+* ``statevector`` keeps every pixel's live quantum register inside the
   ``SessionStore`` (standing in for the joint quantum system, since qubits
-  cannot be copied); share files carry opaque handles into it, and
-  recovery measures each register and XOR-decodes the outcome.
+  cannot be copied).  A pixel is one of only two parity states, so the
+  store is a ``RegisterTable``: a few distinct registers plus one table
+  index per pixel.  Share files carry no payload (participant j's share is
+  qubit j of every register, fixed by the header), and recovery measures
+  all pixels of each distinct register in one draw and XOR-decodes the
+  outcomes.
 * ``sampled`` pre-measures at share time: each pixel's register is
   replaced by a uniformly drawn parity bitstring and participant j's share
   holds the j-th bit.  Every protocol step is a computational-basis
@@ -18,14 +22,19 @@ to parallelize.
 
 File formats (all integers little-endian):
 
-* Share (.qvs): magic ``QVSS``, version u8, backend id u8 (1=statevector,
-  2=sampled), n u16, participant u16, pixel count u32, width u32, height
-  u32, session id (16 bytes); payload: per pixel a handle (pixel id u32 +
-  qubit index u16) or packed sampled bits (MSB first); CRC32 trailer.
-* Session (.qvse): magic ``QVSE``, the same header fields with the
-  participant slot zeroed, then the master seed as u64, then per-pixel
-  register blobs (statevector: n u16 followed by 2^n re/im float64 pairs;
-  sampled: all outcome bits packed MSB first); CRC32 trailer.
+* Share (.qvs), version 2: magic ``QVSS``, version u8, backend id u8
+  (1=statevector, 2=sampled), n u16, participant u16, pixel count u32,
+  width u32, height u32, session id (16 bytes); payload: nothing
+  (statevector) or packed sampled bits (MSB first); CRC32 trailer.
+* Session (.qvse), version 2: magic ``QVSE``, the same header fields with
+  the participant slot zeroed, then the master seed as u64, then
+  - statevector: the register table length u32, each table entry as n u16
+    followed by 2^n re/im float64 pairs, then one table index per pixel
+    as u8, u16 or u32, the narrowest whose range holds the table length;
+  - sampled: all outcome bits packed MSB first;
+  then a CRC32 trailer.
+
+Version 1 files (per-pixel registers and handle payloads) are rejected.
 """
 
 from __future__ import annotations
@@ -40,13 +49,18 @@ from scipy.stats import chisquare
 
 from .errors import FormatError, IncompleteSharesError, IntegrityError
 from .image_io import BinaryImage
-from .parity import ParitySpec, prepare_parity_state_direct, xor_decode_classical
+from .parity import (
+    ParitySpec,
+    index_parities,
+    prepare_parity_state_direct,
+    xor_decode_classical,
+)
 from .statevector import (
     MAX_QUBITS,
     NORM_GUARD,
     StateVector,
+    _checked_probabilities,
     marginal_distribution,
-    measure_all,
 )
 
 BACKEND_STATEVECTOR = "statevector"
@@ -64,15 +78,18 @@ AUDIT_P_THRESHOLD = 0.001
 _BACKEND_IDS = {BACKEND_STATEVECTOR: 1, BACKEND_SAMPLED: 2}
 _BACKEND_NAMES = {v: k for k, v in _BACKEND_IDS.items()}
 
-_FORMAT_VERSION = 1
+_FORMAT_VERSION = 2
 _SHARE_MAGIC = b"QVSS"
 _SESSION_MAGIC = b"QVSE"
 
 _HEADER = struct.Struct("<4sBBHHIII16s")
 _SEED_FIELD = struct.Struct("<Q")
-_HANDLE = struct.Struct("<IH")
+_TABLE_LENGTH = struct.Struct("<I")
 _REGISTER_SIZE = struct.Struct("<H")
 _CRC = struct.Struct("<I")
+
+#: Session index widths, narrowest first.
+_INDEX_DTYPES = tuple(np.dtype(t) for t in ("<u1", "<u2", "<u4"))
 
 _MASK64 = (1 << 64) - 1
 
@@ -97,9 +114,78 @@ def _check_seed(seed: int) -> int:
     return seed
 
 
+def _index_dtype(table_length: int) -> np.dtype:
+    return next(d for d in _INDEX_DTYPES if table_length <= np.iinfo(d).max)
+
+
+class RegisterTable:
+    """Every pixel's n-qubit register, as distinct registers plus an index.
+
+    ``states`` holds the distinct registers; pixel i's register is
+    ``states[index[i]]``.  An entry is a ``StateVector`` or, once
+    measured, an int basis index whose one-hot state is built only when
+    read.  Indexing by pixel returns the shared entry, so callers must not
+    mutate it in place (statevector operations never do).  Assigning a
+    state matches it to an equal entry or appends it, then repoints the
+    pixel.
+    """
+
+    def __init__(self, n: int, states, index):
+        self.n = n
+        self.states = list(states)
+        self.index = np.array(index, dtype=np.int64).reshape(-1)
+
+    def __len__(self) -> int:
+        return len(self.index)
+
+    def state(self, entry: int) -> StateVector:
+        """Table entry ``entry`` as a ``StateVector``."""
+        value = self.states[entry]
+        if isinstance(value, StateVector):
+            return value
+        amplitudes = np.zeros(1 << self.n, dtype=np.complex128)
+        amplitudes[value] = 1.0
+        return StateVector(self.n, amplitudes)
+
+    def __getitem__(self, pixel: int) -> StateVector:
+        return self.state(int(self.index[pixel]))
+
+    def __iter__(self):
+        for entry in self.index.tolist():
+            yield self.state(entry)
+
+    def __setitem__(self, pixel: int, state: StateVector) -> None:
+        if state.num_qubits != self.n:
+            raise ValueError(
+                f"register has {state.num_qubits} qubits, table holds {self.n}"
+            )
+        for entry, value in enumerate(self.states):
+            if isinstance(value, StateVector) and np.array_equal(
+                value.amplitudes, state.amplitudes
+            ):
+                break
+        else:
+            entry = len(self.states)
+            self.states.append(state)
+        self.index[pixel] = entry
+
+    def counts(self) -> np.ndarray:
+        """Number of pixels pointing at each table entry."""
+        return np.bincount(self.index, minlength=len(self.states))
+
+    def collapse(self, outcomes: np.ndarray) -> None:
+        """Replace every pixel's register by its measured basis state."""
+        values, self.index = np.unique(outcomes, return_inverse=True)
+        self.states = values.tolist()
+
+
 @dataclass
 class SessionStore:
-    """Dealer-side store of every pixel's quantum register (or its sample)."""
+    """Dealer-side store of every pixel's quantum register (or its sample).
+
+    ``registers`` is a ``RegisterTable`` in the statevector backend and a
+    list of outcome bit tuples in the sampled backend.
+    """
 
     n: int
     backend: str
@@ -107,11 +193,15 @@ class SessionStore:
     width: int
     height: int
     session_id: bytes
-    registers: list = field(repr=False)
+    registers: RegisterTable | list = field(repr=False)
 
     def __post_init__(self):
         if self.backend not in _BACKEND_IDS:
             raise ValueError(f"unknown backend {self.backend!r}")
+        if self.backend == BACKEND_STATEVECTOR and not isinstance(
+            self.registers, RegisterTable
+        ):
+            raise ValueError("statevector registers must be a RegisterTable")
         if len(self.session_id) != 16:
             raise ValueError("session id must be 16 bytes")
         if len(self.registers) != self.pixel_count:
@@ -129,9 +219,9 @@ class SessionStore:
 class ShareFile:
     """Participant j's per-pixel payload, bound to one session.
 
-    Payload entries are qubit handles ``(pixel id, qubit index)`` in the
-    statevector backend or single bits in the sampled backend, one per
-    pixel in pixel order.
+    In the sampled backend the payload holds one bit per pixel in pixel
+    order.  In the statevector backend it is empty: participant j holds
+    qubit j of every pixel's register, which the header already fixes.
     """
 
     participant: int
@@ -149,25 +239,20 @@ class ShareFile:
             raise ValueError(
                 f"participant {self.participant} out of range 1..{self.n}"
             )
+        if self.backend == BACKEND_STATEVECTOR:
+            if self.payload:
+                raise ValueError(
+                    f"statevector share payload must be empty, got "
+                    f"{len(self.payload)} entries"
+                )
+            return
         if len(self.payload) != self.pixel_count:
             raise ValueError(
                 f"payload holds {len(self.payload)} entries for "
                 f"{self.pixel_count} pixels"
             )
-        if self.backend == BACKEND_STATEVECTOR:
-            for l, (pixel_id, qubit) in enumerate(self.payload, start=1):
-                if pixel_id != l:
-                    raise ValueError(
-                        f"handle {l} references pixel {pixel_id}, expected {l}"
-                    )
-                if qubit != self.participant:
-                    raise ValueError(
-                        f"handle {l} references qubit {qubit}; share "
-                        f"{self.participant} may only hold its own qubit"
-                    )
-        else:
-            if any(b not in (0, 1) for b in self.payload):
-                raise ValueError("sampled payload bits must be 0 or 1")
+        if any(b not in (0, 1) for b in self.payload):
+            raise ValueError("sampled payload bits must be 0 or 1")
 
     @property
     def pixel_count(self) -> int:
@@ -230,13 +315,15 @@ def share_image(
     _check_seed(seed)
 
     session_id = _derive_session_id(image, n, backend, seed)
-    registers: list = []
-    for l in range(1, image.pixel_count + 1):
-        b = image.pixel(l)
-        if backend == BACKEND_STATEVECTOR:
-            registers.append(prepare_parity_state_direct(ParitySpec(n, b)))
-        else:
-            registers.append(_draw_parity_bits(n, b, pixel_rng(seed, l)))
+    if backend == BACKEND_STATEVECTOR:
+        colors, index = np.unique(image.pixels, return_inverse=True)
+        states = [prepare_parity_state_direct(ParitySpec(n, int(b))) for b in colors]
+        registers = RegisterTable(n, states, index)
+    else:
+        registers = [
+            _draw_parity_bits(n, image.pixel(l), pixel_rng(seed, l))
+            for l in range(1, image.pixel_count + 1)
+        ]
 
     session = SessionStore(
         n=n,
@@ -250,7 +337,7 @@ def share_image(
     shares = []
     for j in range(1, n + 1):
         if backend == BACKEND_STATEVECTOR:
-            payload = tuple((l, j) for l in range(1, image.pixel_count + 1))
+            payload = ()
         else:
             payload = tuple(outcome[j - 1] for outcome in registers)
         shares.append(
@@ -309,22 +396,29 @@ def recover_image(
 
     Requires all n distinct shares bound to the session; anything less
     raises instead of guessing.  In the statevector backend the session's
-    registers collapse in place.
+    registers collapse in place: one generator seeded with ``seed`` draws
+    the outcomes of all pixels of each distinct register at once, in table
+    order and then pixel order.
     """
     by_participant = _check_share_set(shares, session)
     if seed is None:
         seed = int(np.random.SeedSequence().entropy) & _MASK64
     _check_seed(seed)
 
-    colors = np.empty(session.pixel_count, dtype=np.uint8)
     if session.backend == BACKEND_STATEVECTOR:
-        for l in range(1, session.pixel_count + 1):
-            outcome, collapsed = measure_all(
-                session.registers[l - 1], pixel_rng(seed, l)
-            )
-            session.registers[l - 1] = collapsed
-            colors[l - 1] = recover_pixel(outcome)
+        table = session.registers
+        rng = np.random.default_rng(seed)
+        outcomes = np.empty(session.pixel_count, dtype=np.int64)
+        for entry, count in enumerate(table.counts()):
+            if not count:
+                continue
+            state = table.state(entry)
+            probs = _checked_probabilities(state)
+            outcomes[table.index == entry] = rng.choice(state.dim, size=count, p=probs)
+        colors = index_parities(1 << table.n)[outcomes].astype(np.uint8)
+        table.collapse(outcomes)
     else:
+        colors = np.empty(session.pixel_count, dtype=np.uint8)
         rows = [by_participant[j].payload for j in range(1, session.n + 1)]
         for l in range(session.pixel_count):
             colors[l] = recover_pixel(row[l] for row in rows)
@@ -356,11 +450,16 @@ def audit_subset(session: SessionStore, subset) -> AuditReport:
     p_value = None
 
     if session.backend == BACKEND_STATEVECTOR:
+        # Pixels sharing a register share its marginal: one per entry,
+        # weighted by how many pixels point at it.
+        table = session.registers
         total = np.zeros(patterns)
         max_dev = 0.0
-        for register in session.registers:
-            marg = marginal_distribution(register, subset).probabilities
-            total += marg
+        for entry, count in enumerate(table.counts()):
+            if not count:
+                continue
+            marg = marginal_distribution(table.state(entry), subset).probabilities
+            total += count * marg
             max_dev = max(max_dev, float(np.abs(marg - uniform).max()))
         distribution = total / session.pixel_count
     else:
@@ -425,7 +524,7 @@ def serialize_share(share: ShareFile) -> bytes:
         share.session_id,
     )
     if share.backend == BACKEND_STATEVECTOR:
-        body = b"".join(_HANDLE.pack(l, q) for l, q in share.payload)
+        body = b""
     else:
         body = np.packbits(np.array(share.payload, dtype=np.uint8)).tobytes()
     return _crc_wrap(head + body)
@@ -438,23 +537,11 @@ def deserialize_share(data: bytes) -> ShareFile:
     )
     backend = _BACKEND_NAMES[backend_id]
     body = blob[_HEADER.size :]
-    if backend == BACKEND_STATEVECTOR:
-        expected = pixel_count * _HANDLE.size
-        if len(body) != expected:
-            raise FormatError(
-                f"share payload holds {len(body)} bytes, expected {expected}"
-            )
-        payload = tuple(
-            _HANDLE.unpack_from(body, i * _HANDLE.size) for i in range(pixel_count)
-        )
-    else:
-        expected = (pixel_count + 7) // 8
-        if len(body) != expected:
-            raise FormatError(
-                f"share payload holds {len(body)} bytes, expected {expected}"
-            )
-        bits = np.unpackbits(np.frombuffer(body, dtype=np.uint8))[:pixel_count]
-        payload = tuple(int(b) for b in bits)
+    expected = 0 if backend == BACKEND_STATEVECTOR else (pixel_count + 7) // 8
+    if len(body) != expected:
+        raise FormatError(f"share payload holds {len(body)} bytes, expected {expected}")
+    bits = np.unpackbits(np.frombuffer(body, dtype=np.uint8))[:pixel_count]
+    payload = tuple(int(b) for b in bits)
     try:
         return ShareFile(
             participant=participant,
@@ -483,18 +570,77 @@ def serialize_session(session: SessionStore) -> bytes:
     )
     parts = [head, _SEED_FIELD.pack(session.master_seed)]
     if session.backend == BACKEND_STATEVECTOR:
-        for register in session.registers:
+        # Only entries some pixel points at are written.
+        table = session.registers
+        used, index = np.unique(table.index, return_inverse=True)
+        parts.append(_TABLE_LENGTH.pack(len(used)))
+        for entry in used.tolist():
+            register = table.state(entry)
             buffer = np.empty(2 * register.dim, dtype="<f8")
             buffer[0::2] = register.amplitudes.real
             buffer[1::2] = register.amplitudes.imag
             parts.append(_REGISTER_SIZE.pack(register.num_qubits))
             parts.append(buffer.tobytes())
+        parts.append(index.astype(_index_dtype(len(used))).tobytes())
     else:
         bits = np.array(
             [b for outcome in session.registers for b in outcome], dtype=np.uint8
         )
         parts.append(np.packbits(bits).tobytes())
     return _crc_wrap(b"".join(parts))
+
+
+def _read_register_table(
+    blob: bytes, offset: int, n: int, pixel_count: int
+) -> RegisterTable:
+    """Parse a v2 register table plus index, checking every size first."""
+    if len(blob) < offset + _TABLE_LENGTH.size:
+        raise FormatError("truncated session file: missing register table length")
+    (length,) = _TABLE_LENGTH.unpack_from(blob, offset)
+    offset += _TABLE_LENGTH.size
+    entry_size = _REGISTER_SIZE.size + (1 << n) * 16
+    table_size, remaining = length * entry_size, len(blob) - offset
+    if table_size > remaining:
+        raise FormatError(
+            f"register table length {length} needs {table_size} bytes, "
+            f"only {remaining} remain"
+        )
+    dtype = _index_dtype(length)
+    index_size = pixel_count * dtype.itemsize
+    if remaining - table_size != index_size:
+        raise FormatError(
+            f"register index holds {remaining - table_size} bytes, expected "
+            f"{index_size} ({pixel_count} x {dtype.name})"
+        )
+
+    states = []
+    for entry in range(length):
+        (reg_n,) = _REGISTER_SIZE.unpack_from(blob, offset)
+        if reg_n != n:
+            raise FormatError(
+                f"register table entry {entry} declares {reg_n} qubits, "
+                f"session declares {n}"
+            )
+        raw = np.frombuffer(
+            blob, dtype="<f8", count=2 << n, offset=offset + _REGISTER_SIZE.size
+        )
+        amps = raw[0::2] + 1j * raw[1::2]
+        norm = float((np.abs(amps) ** 2).sum())
+        if abs(norm - 1.0) > NORM_GUARD:
+            raise FormatError(
+                f"register table entry {entry} norm deviates from 1 by "
+                f"{abs(norm - 1.0):.3e}"
+            )
+        states.append(StateVector(n, amps))
+        offset += entry_size
+
+    index = np.frombuffer(blob, dtype=dtype, count=pixel_count, offset=offset)
+    if pixel_count and int(index.max()) >= length:
+        raise FormatError(
+            f"register index value {int(index.max())} out of range for a "
+            f"table of {length} entries"
+        )
+    return RegisterTable(n, states, index)
 
 
 def deserialize_session(data: bytes) -> SessionStore:
@@ -509,29 +655,9 @@ def deserialize_session(data: bytes) -> SessionStore:
     (master_seed,) = _SEED_FIELD.unpack_from(blob, offset)
     offset += _SEED_FIELD.size
 
-    registers: list = []
     if backend == BACKEND_STATEVECTOR:
-        for l in range(1, pixel_count + 1):
-            if len(blob) < offset + _REGISTER_SIZE.size:
-                raise FormatError(f"truncated session file at register {l}")
-            (reg_n,) = _REGISTER_SIZE.unpack_from(blob, offset)
-            offset += _REGISTER_SIZE.size
-            if reg_n != n:
-                raise FormatError(
-                    f"register {l} declares {reg_n} qubits, session declares {n}"
-                )
-            nbytes = (1 << reg_n) * 16
-            if len(blob) < offset + nbytes:
-                raise FormatError(f"truncated session file at register {l}")
-            raw = np.frombuffer(blob, dtype="<f8", count=2 * (1 << reg_n), offset=offset)
-            amps = raw[0::2] + 1j * raw[1::2]
-            norm = float((np.abs(amps) ** 2).sum())
-            if abs(norm - 1.0) > NORM_GUARD:
-                raise FormatError(
-                    f"register {l} norm deviates from 1 by {abs(norm - 1.0):.3e}"
-                )
-            registers.append(StateVector(reg_n, amps.astype(np.complex128)))
-            offset += nbytes
+        registers = _read_register_table(blob, offset, n, pixel_count)
+        offset = len(blob)
     else:
         total_bits = pixel_count * n
         nbytes = (total_bits + 7) // 8

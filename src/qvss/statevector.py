@@ -24,8 +24,8 @@ import numpy as np
 
 from .errors import StateCorruptionError
 
-#: Hard per-register size cap; each pixel gets its own register so memory
-#: stays trivial well below this.
+#: Hard per-register size cap; pixels in one parity class share a register,
+#: so memory stays trivial well below this.
 MAX_QUBITS = 16
 
 #: Tolerance for analytic normalization checks.

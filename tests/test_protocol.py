@@ -1,4 +1,6 @@
 import dataclasses
+import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -6,7 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import chisquare
 
-from qvss.errors import FormatError, IncompleteSharesError, IntegrityError
+from qvss.errors import (
+    FormatError,
+    IncompleteSharesError,
+    IntegrityError,
+    StateCorruptionError,
+)
 from qvss.image_io import BinaryImage, from_pixel_list
 from qvss.parity import ParitySpec, enumerate_parity_basis, prepare_parity_state_direct
 from qvss.protocol import (
@@ -22,7 +29,7 @@ from qvss.protocol import (
     serialize_share,
     share_image,
 )
-from qvss.statevector import marginal_distribution, measure_all
+from qvss.statevector import StateVector, marginal_distribution, measure_all
 
 DEMO_IMAGE = from_pixel_list(4, 1, [0, 1, 1, 0])
 
@@ -324,7 +331,7 @@ def test_share_header_layout():
     _, shares = share_image(DEMO_IMAGE, 3, BACKEND_STATEVECTOR, 42)
     data = serialize_share(shares[0])
     assert data[:4] == b"QVSS"
-    assert data[4] == 1  # version
+    assert data[4] == 2  # version
     assert data[5] == 1  # statevector backend id
     assert int.from_bytes(data[6:8], "little") == 3  # n
     assert int.from_bytes(data[8:10], "little") == 1  # participant
@@ -387,3 +394,149 @@ def test_share_file_invariants_enforced():
     # handle pointing at a foreign qubit is rejected on construction
     with pytest.raises(ValueError):
         dataclasses.replace(share, payload=tuple((l, 2) for l in range(1, 5)))
+
+
+# --- v2 formats: register table sessions, payload-free statevector shares ---
+
+# Header layout shared by shares and sessions: magic, version, backend, n,
+# participant, pixel count, width, height, session id.
+HEADER_SIZE = struct.calcsize("<4sBBHHIII16s")
+SEED_SIZE = 8
+TABLE_LENGTH_SIZE = 4
+CRC_SIZE = 4
+
+
+def recrc(blob: bytes) -> bytes:
+    """Replace the CRC32 trailer so a crafted body reaches the parser."""
+    body = blob[:-CRC_SIZE]
+    return body + zlib.crc32(body).to_bytes(CRC_SIZE, "little")
+
+
+def tampered_session():
+    session, shares = share_image(DEMO_IMAGE, 3, BACKEND_STATEVECTOR, 42)
+    biased = np.zeros(8, dtype=np.complex128)
+    biased[0b010] = 1.0
+    session.registers[1] = StateVector(3, biased)
+    return session, shares
+
+
+def test_statevector_session_bytes_do_not_scale_with_pixels_times_dim():
+    n, side = 8, 64
+    session, _ = share_image(random_image(side, side, seed=5), n, BACKEND_STATEVECTOR, 1)
+    data = serialize_session(session)
+    bound = HEADER_SIZE + 2 * (1 << n) * 16 + side * side * 1 + 64
+    assert len(data) <= bound
+
+
+def test_statevector_share_is_header_and_crc_only():
+    _, shares = share_image(random_image(32, 32, seed=5), 4, BACKEND_STATEVECTOR, 1)
+    for share in shares:
+        assert share.payload == ()
+        assert len(serialize_share(share)) == HEADER_SIZE + CRC_SIZE
+
+
+def _as_version_1(blob: bytes) -> bytes:
+    data = bytearray(blob)
+    data[4] = 1
+    return recrc(bytes(data))
+
+
+def test_version_1_share_rejected():
+    _, shares = share_image(DEMO_IMAGE, 3, BACKEND_STATEVECTOR, 42)
+    with pytest.raises(FormatError, match="format version 1"):
+        deserialize_share(_as_version_1(serialize_share(shares[0])))
+
+
+def test_version_1_session_rejected():
+    session, _ = share_image(DEMO_IMAGE, 3, BACKEND_STATEVECTOR, 42)
+    with pytest.raises(FormatError, match="format version 1"):
+        deserialize_session(_as_version_1(serialize_session(session)))
+
+
+def test_tampered_table_entry_survives_session_file():
+    session, _ = tampered_session()
+    assert len(session.registers.states) == 3
+    restored = deserialize_session(serialize_session(session))
+    assert len(restored.registers.states) == 3
+    np.testing.assert_array_equal(
+        restored.registers[1].amplitudes, session.registers[1].amplitudes
+    )
+    assert audit_subset(restored, [2]).verdict == "information-leak"
+
+
+@pytest.mark.parametrize("tamper", [False, True])
+@pytest.mark.parametrize("subset", [(1,), (2, 3), (3, 1), (1, 2, 3)])
+def test_audit_matches_per_pixel_marginals(tamper, subset):
+    if tamper:
+        session, _ = tampered_session()
+    else:
+        session, _ = share_image(DEMO_IMAGE, 3, BACKEND_STATEVECTOR, 42)
+    margs = [
+        marginal_distribution(register, subset).probabilities
+        for register in session.registers
+    ]
+    uniform = 1.0 / (1 << len(subset))
+    report = audit_subset(session, subset)
+    np.testing.assert_allclose(report.distribution, np.mean(margs, axis=0), atol=1e-12)
+    expected_dev = max(float(np.abs(m - uniform).max()) for m in margs)
+    assert abs(report.max_deviation - expected_dev) < 1e-12
+
+
+def test_recover_collapse_is_deterministic_under_seed():
+    image = random_image(12, 10, seed=4)
+    collapsed = []
+    for _ in range(2):
+        session, shares = share_image(image, 5, BACKEND_STATEVECTOR, 21)
+        assert recover_image(shares, session, 99) == image
+        collapsed.append([register.amplitudes for register in session.registers])
+    for a, b in zip(*collapsed):
+        np.testing.assert_array_equal(a, b)
+
+
+def test_recovered_colors_are_parities_of_collapsed_outcomes():
+    image = random_image(9, 7, seed=8)
+    session, shares = share_image(image, 4, BACKEND_STATEVECTOR, 3)
+    recovered = recover_image(shares, session, 5)
+    for l, register in enumerate(session.registers, start=1):
+        outcome = int(np.flatnonzero(register.amplitudes)[0])
+        assert bin(outcome).count("1") % 2 == recovered.pixel(l)
+
+
+def test_recover_rejects_corrupted_table_entry():
+    session, shares = share_image(DEMO_IMAGE, 3, BACKEND_STATEVECTOR, 42)
+    session.registers[0] = StateVector(3, np.full(8, 0.5, dtype=np.complex128))
+    with pytest.raises(StateCorruptionError):
+        recover_image(shares, session, 9)
+
+
+def test_session_rejects_table_length_beyond_payload():
+    session, _ = share_image(DEMO_IMAGE, 3, BACKEND_STATEVECTOR, 42)
+    data = bytearray(serialize_session(session))
+    offset = HEADER_SIZE + SEED_SIZE
+    data[offset : offset + TABLE_LENGTH_SIZE] = (2**32 - 1).to_bytes(4, "little")
+    with pytest.raises(FormatError, match="register table length"):
+        deserialize_session(recrc(bytes(data)))
+
+
+def test_session_rejects_wrong_index_size():
+    session, _ = share_image(DEMO_IMAGE, 3, BACKEND_STATEVECTOR, 42)
+    data = serialize_session(session)
+    with pytest.raises(FormatError, match="register index holds 5 bytes"):
+        deserialize_session(recrc(data[:-CRC_SIZE] + b"\x00" + data[-CRC_SIZE:]))
+
+
+def test_session_rejects_index_value_beyond_table():
+    session, _ = share_image(DEMO_IMAGE, 3, BACKEND_STATEVECTOR, 42)
+    data = bytearray(serialize_session(session))
+    data[-CRC_SIZE - 1] = 2  # last pixel's index; the table has 2 entries
+    with pytest.raises(FormatError, match="register index value 2"):
+        deserialize_session(recrc(bytes(data)))
+
+
+def test_session_rejects_table_entry_with_bad_norm():
+    session, _ = share_image(DEMO_IMAGE, 3, BACKEND_STATEVECTOR, 42)
+    data = bytearray(serialize_session(session))
+    offset = HEADER_SIZE + SEED_SIZE + TABLE_LENGTH_SIZE + 2  # entry 0's first re
+    data[offset : offset + 8] = struct.pack("<d", 2.0)
+    with pytest.raises(FormatError, match="table entry 0 norm"):
+        deserialize_session(recrc(bytes(data)))
