@@ -9,6 +9,14 @@ gives Hamming weight m-1 for a white pixel and m for a black one, so the
 thresholds are d = m and relative difference 1/m.  Restricting to fewer
 than n rows leaves the white and black collections indistinguishable.
 
+Image sharing draws every pixel's permutation from one counter-based key
+stream, ``np.random.Philox(key=seed)`` (Salmon et al., "Parallel random
+numbers: as easy as 1, 2, 3", SC'11): pixel l's m sort keys are raw
+64-bit words (l-1)*m .. l*m-1 of that stream, and its column order is the
+stable argsort of those keys.  Pixels are processed a few rows at a time
+in whole-array operations, so the result depends neither on the chunking
+nor on anything but the seed, n and the pixel's index and colour.
+
 Boolean share matrices are plain numpy arrays of shape (n, m) with entries
 in {0, 1}, 1 meaning a black subpixel.
 """
@@ -21,9 +29,20 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import FormatError
-from .image_io import BinaryImage
+from .image_io import MAX_DIMENSION, BinaryImage
 from .parity import index_parities
-from .protocol import pixel_rng
+from .protocol import _check_seed
+# Re-exported: perfbench's tracer test looks pixel_rng up in this namespace.
+from .protocol import pixel_rng  # noqa: F401
+
+#: Cap on n * 2^(n-1) * pixels, the subpixels (one byte each) that all n
+#: shares of an image hold together; also caps n * 2^(n-1) for the bases.
+#: 2^27 admits n=8 at the largest share dimensions and n up to 23.
+MAX_BASELINE_SUBPIXELS = 1 << 27
+
+#: Subpixels drawn per chunk (rounded to whole image rows): about 4096
+#: pixels at n=8, which keeps the chunk's keys and orders near 10 MB.
+_CHUNK_SUBPIXELS = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -44,23 +63,45 @@ class MatrixSets:
         return self.c0_base.shape[1]
 
 
-def build_nn_matrix_sets(n: int) -> MatrixSets:
-    """Base matrices whose columns are the even/odd-parity n-bit vectors."""
+def _check_expansion(n: int, pixels: int) -> None:
+    """Reject n, or an image of ``pixels`` pixels, before any allocation."""
     if not isinstance(n, int) or n < 2:
         raise ValueError(f"need at least 2 participants, got {n!r}")
-    m = 1 << (n - 1)
-    values = np.arange(1 << n)
-    parities = index_parities(1 << n)
+    cap = MAX_BASELINE_SUBPIXELS
+    if n > cap.bit_length() or (n * pixels) << (n - 1) > cap:
+        raise ValueError(
+            f"classical baseline at n={n} needs {n} x 2^{n - 1} x {pixels} "
+            f"subpixels, over the cap of {cap}"
+        )
 
-    def columns(selected: np.ndarray) -> np.ndarray:
+
+def _white_columns(n: int) -> np.ndarray:
+    """The even-parity n-bit values in ascending order: the white base.
+
+    Share-matrix row 1 is the most significant bit.  Value 2h + last is
+    ascending in the free head h, whose parity fixes the last bit; the
+    black base is the same list with the last bit flipped.
+    """
+    m = 1 << (n - 1)
+    heads = np.arange(m, dtype=np.min_scalar_type((1 << n) - 1))
+    return (heads << 1) | index_parities(m).astype(heads.dtype)
+
+
+def build_nn_matrix_sets(n: int) -> MatrixSets:
+    """Base matrices whose columns are the even/odd-parity n-bit vectors."""
+    _check_expansion(n, 1)
+    m = 1 << (n - 1)
+    white = _white_columns(n)
+
+    def columns(values: np.ndarray) -> np.ndarray:
         matrix = np.zeros((n, m), dtype=np.uint8)
         for row in range(n):
-            matrix[row] = (selected >> (n - 1 - row)) & 1
+            matrix[row] = (values >> (n - 1 - row)) & 1
         return matrix
 
     return MatrixSets(
-        c0_base=columns(values[parities == 0]),
-        c1_base=columns(values[parities == 1]),
+        c0_base=columns(white),
+        c1_base=columns(white ^ 1),
         d=m,
         relative_difference=Fraction(1, m),
     )
@@ -114,26 +155,59 @@ def block_shape(n: int) -> tuple[int, int]:
     return 1 << half, 1 << (n - 1 - half)
 
 
+def _column_orders(keys: np.ndarray) -> np.ndarray:
+    """``np.argsort(keys, axis=1, kind="stable")``, computed faster.
+
+    Random 64-bit keys almost never tie, and without ties every sort
+    order agrees with the stable one, so rows are sorted with numpy's
+    default sort and only rows holding a tie are sorted again stably.
+    """
+    orders = np.argsort(keys, axis=1)
+    ordered = np.sort(keys, axis=1)
+    tied = (ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
+    if tied.any():
+        orders[tied] = np.argsort(keys[tied], axis=1, kind="stable")
+    return orders
+
+
 def classical_share_image(
     image: BinaryImage, n: int, seed: int
 ) -> list[BinaryImage]:
-    """Expand every pixel into per-share subpixel blocks; returns n shares."""
-    sets = build_nn_matrix_sets(n)
+    """Expand every pixel into per-share subpixel blocks; returns n shares.
+
+    Pixel l's share matrix is its colour's base with the columns in the
+    stable argsort order of words (l-1)*m .. l*m-1 of the Philox stream
+    keyed by ``seed``: a uniformly random member of that colour's set.
+    """
+    _check_seed(seed)
+    _check_expansion(n, image.pixel_count)
     bh, bw = block_shape(n)
-    grids = [
-        np.zeros((image.height * bh, image.width * bw), dtype=np.uint8)
-        for _ in range(n)
-    ]
-    for l in range(1, image.pixel_count + 1):
-        row, col = (l - 1) // image.width, (l - 1) % image.width
-        matrix = classical_share_pixel(image.pixel(l), sets, pixel_rng(seed, l))
-        for j in range(n):
-            block = matrix[j].reshape(bh, bw)
-            grids[j][row * bh : (row + 1) * bh, col * bw : (col + 1) * bw] = block
-    return [
-        BinaryImage(image.width * bw, image.height * bh, grid.reshape(-1))
-        for grid in grids
-    ]
+    width, height = image.width * bw, image.height * bh
+    if width > MAX_DIMENSION or height > MAX_DIMENSION:
+        raise ValueError(
+            f"classical baseline shares at n={n} would be {width}x{height}, "
+            f"over the {MAX_DIMENSION} pixel cap per side"
+        )
+    m = bh * bw
+    white = _white_columns(n)
+    shifts = range(n - 1, -1, -1)
+    keys = np.random.Philox(key=seed)
+    grids = [np.empty((height, width), dtype=np.uint8) for _ in range(n)]
+    colors = image.as_grid()
+    rows = max(1, _CHUNK_SUBPIXELS // (image.width * m))
+    for top in range(0, image.height, rows):
+        chunk = colors[top : top + rows]
+        count = chunk.shape[0]
+        orders = _column_orders(keys.random_raw(chunk.size * m).reshape(-1, m))
+        values = white[orders].reshape(count, image.width, bh, bw)
+        values ^= chunk[:, :, None, None]  # black: flip the last bit
+        # Pixel blocks side by side: (image row, block row, image column,
+        # block column) is the share grid's row-major layout.
+        blocks = values.transpose(0, 2, 1, 3)
+        for grid, shift in zip(grids, shifts):
+            band = grid[top * bh : (top + count) * bh].reshape(blocks.shape)
+            np.bitwise_and(blocks >> shift, 1, out=band)
+    return [BinaryImage(width, height, grid) for grid in grids]
 
 
 def classical_recover_image(shares: list[BinaryImage]) -> BinaryImage:
@@ -147,8 +221,22 @@ def classical_recover_image(shares: list[BinaryImage]) -> BinaryImage:
                 f"share dimensions disagree: {share.width}x{share.height} vs "
                 f"{first.width}x{first.height}"
             )
-    stacked = np.bitwise_or.reduce([share.pixels for share in shares], axis=0)
+    stacked = first.pixels.copy()
+    for share in shares[1:]:
+        stacked |= share.pixels
     return BinaryImage(first.width, first.height, stacked)
+
+
+def _block_weights(stacked: BinaryImage, n: int) -> np.ndarray:
+    """Black subpixels per block of a stacked image, one per pixel."""
+    bh, bw = block_shape(n)
+    if stacked.width % bw or stacked.height % bh:
+        raise FormatError(
+            f"stacked image {stacked.width}x{stacked.height} is not a whole "
+            f"number of {bh}x{bw} blocks"
+        )
+    width, height = stacked.width // bw, stacked.height // bh
+    return stacked.as_grid().reshape(height, bh, width, bw).sum(axis=(1, 3))
 
 
 def decode_stacked(stacked: BinaryImage, n: int) -> BinaryImage:
@@ -158,15 +246,8 @@ def decode_stacked(stacked: BinaryImage, n: int) -> BinaryImage:
     white.  Inverts the m-times expansion of classical_share_image.
     """
     sets = build_nn_matrix_sets(n)
-    bh, bw = block_shape(n)
-    if stacked.width % bw or stacked.height % bh:
-        raise FormatError(
-            f"stacked image {stacked.width}x{stacked.height} is not a whole "
-            f"number of {bh}x{bw} blocks"
-        )
-    width, height = stacked.width // bw, stacked.height // bh
-    grid = stacked.as_grid()
-    weights = grid.reshape(height, bh, width, bw).sum(axis=(1, 3))
+    weights = _block_weights(stacked, n)
+    height, width = weights.shape
     return BinaryImage(width, height, (weights >= sets.d).astype(np.uint8).reshape(-1))
 
 
@@ -198,18 +279,10 @@ def comparison_report(
     shares = classical_share_image(image, n, seed)
     stacked = classical_recover_image(shares)
     decoded = decode_stacked(stacked, n)
-    bh, bw = block_shape(n)
 
     # Loss in resolution shows up as black subpixels inside white blocks.
-    dirty = False
-    grid = stacked.as_grid()
-    for l in range(1, image.pixel_count + 1):
-        if image.pixel(l) == 0:
-            row, col = (l - 1) // image.width, (l - 1) % image.width
-            block = grid[row * bh : (row + 1) * bh, col * bw : (col + 1) * bw]
-            if block.any():
-                dirty = True
-                break
+    white = image.as_grid() == 0
+    dirty = bool(_block_weights(stacked, n)[white].any())
 
     backend = (
         protocol.BACKEND_STATEVECTOR

@@ -8,7 +8,8 @@ Every command is deterministic under a fixed --seed; omitting --seed draws
 one from entropy and prints it for replay.  Output files are written to a
 temporary name and renamed, so no partial files survive an error.
 
-Exit codes: 0 success, 2 usage or bad arguments, 3 format/integrity/I-O
+Exit codes: 0 success, 1 a failed ``recover --reference`` match or demo,
+2 usage or bad arguments (sizes over a cap included), 3 format/integrity/I-O
 errors, 4 incomplete share sets.
 """
 

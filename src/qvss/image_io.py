@@ -42,7 +42,7 @@ class BinaryImage:
             raise ValueError(
                 f"expected {self.width * self.height} pixels, got {self.pixels.size}"
             )
-        if not np.isin(self.pixels, (0, 1)).all():
+        if self.pixels.max() > 1:
             raise FormatError("image pixels must be 0 (white) or 1 (black)")
 
     def __eq__(self, other) -> bool:

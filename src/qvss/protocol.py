@@ -409,12 +409,15 @@ def recover_image(
         table = session.registers
         rng = np.random.default_rng(seed)
         outcomes = np.empty(session.pixel_count, dtype=np.int64)
-        for entry, count in enumerate(table.counts()):
-            if not count:
+        # Pixels grouped by entry, each group in pixel order.
+        by_entry = np.argsort(table.index, kind="stable")
+        groups = np.split(by_entry, np.cumsum(table.counts())[:-1])
+        for entry, pixels in enumerate(groups):
+            if not len(pixels):
                 continue
             state = table.state(entry)
             probs = _checked_probabilities(state)
-            outcomes[table.index == entry] = rng.choice(state.dim, size=count, p=probs)
+            outcomes[pixels] = rng.choice(state.dim, size=len(pixels), p=probs)
         colors = index_parities(1 << table.n)[outcomes].astype(np.uint8)
         table.collapse(outcomes)
     else:
@@ -432,7 +435,8 @@ def audit_subset(session: SessionStore, subset) -> AuditReport:
     get empirical frequencies over pixels plus a chi-square uniformity
     test.  A proper subset of an honest session is uniform, hence the
     "no-information" verdict; the full set decodes and gets
-    "full-recovery".
+    "full-recovery".  Subsets of more than ``MAX_QUBITS`` participants are
+    rejected before the 2^k pattern bins are allocated.
     """
     subset = tuple(subset)
     if not subset:
@@ -444,6 +448,11 @@ def audit_subset(session: SessionStore, subset) -> AuditReport:
             raise ValueError(f"participant {j!r} out of range 1..{session.n}")
 
     k = len(subset)
+    if k > MAX_QUBITS:
+        raise ValueError(
+            f"audit subsets are capped at {MAX_QUBITS} participants "
+            f"(2^k pattern bins), got {k}"
+        )
     patterns = 1 << k
     uniform = 1.0 / patterns
     is_full = k == session.n

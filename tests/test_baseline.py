@@ -3,7 +3,9 @@ from itertools import combinations, permutations
 
 import numpy as np
 import pytest
+from scipy.stats import chisquare
 
+from qvss import baseline
 from qvss.baseline import (
     block_shape,
     build_nn_matrix_sets,
@@ -207,3 +209,145 @@ def test_comparison_evidence():
 def test_comparison_n2_expansion():
     report = comparison_report(2, DEMO_IMAGE, seed=5)
     assert report.baseline_expansion == 2
+
+
+def test_comparison_of_an_all_black_image_has_no_white_blocks():
+    report = comparison_report(3, from_pixel_list(2, 2, [1, 1, 1, 1]), seed=5)
+    assert report.baseline_decode_matches
+    assert not report.baseline_white_blocks_dirty
+
+
+# --- size bounds ---
+
+
+@pytest.mark.parametrize("n", [24, 40, 64])
+def test_matrix_sets_reject_n_over_the_subpixel_cap(n):
+    with pytest.raises(ValueError, match=f"{n} x 2\\^{n - 1} x 1 subpixels"):
+        build_nn_matrix_sets(n)
+
+
+def test_share_image_rejects_expansion_over_the_subpixel_cap():
+    # 4096x4096 shares (within the side cap) for each of 9 participants:
+    # 9 x 2^24 subpixels, over MAX_BASELINE_SUBPIXELS = 2^27.
+    image = BinaryImage(256, 256, np.zeros(256 * 256, dtype=np.uint8))
+    with pytest.raises(ValueError, match="9 x 2\\^8 x 65536 subpixels"):
+        classical_share_image(image, 9, seed=1)
+
+
+def test_share_image_rejects_shares_over_the_side_cap():
+    image = BinaryImage(4096, 1, np.zeros(4096, dtype=np.uint8))
+    with pytest.raises(ValueError, match="would be 8192x1"):
+        classical_share_image(image, 2, seed=1)
+
+
+# --- the array-native image sharing contract ---
+
+
+def share_matrices(shares, n):
+    """Each pixel's (n, m) share matrix, read back out of the share grids."""
+    bh, bw = block_shape(n)
+    width, height = shares[0].width // bw, shares[0].height // bh
+    blocks = [
+        share.as_grid().reshape(height, bh, width, bw).transpose(0, 2, 1, 3)
+        for share in shares
+    ]
+    return np.stack(blocks, axis=2).reshape(width * height, n, bh * bw)
+
+
+def column_values(matrices):
+    n = matrices.shape[1]
+    weights = 1 << np.arange(n - 1, -1, -1, dtype=np.int64)
+    return np.einsum("pjc,j->pc", matrices.astype(np.int64), weights)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_every_pixel_matrix_has_its_colour_base_columns(n):
+    image = BinaryImage(7, 5, np.random.default_rng(n).integers(0, 2, size=35))
+    sets = build_nn_matrix_sets(n)
+    values = np.sort(column_values(share_matrices(classical_share_image(image, n, 9), n)))
+    bases = [column_values(base[None])[0] for base in (sets.c0_base, sets.c1_base)]
+    for l, color in enumerate(image.pixels):
+        np.testing.assert_array_equal(values[l], np.sort(bases[color]))
+
+
+def test_column_orders_are_uniform_for_three_participants():
+    # 4096 pixels over the 4! = 24 column orders (about 171 per order);
+    # seed 2024 is fixed, so the test is deterministic.
+    image = BinaryImage(64, 64, np.random.default_rng(0).integers(0, 2, size=4096))
+    sets = build_nn_matrix_sets(3)
+    bases = [column_values(base[None])[0] for base in (sets.c0_base, sets.c1_base)]
+    values = column_values(share_matrices(classical_share_image(image, 3, 2024), 3))
+    orders = {order: i for i, order in enumerate(permutations(range(4)))}
+    counts = np.zeros(24, dtype=np.int64)
+    for l, color in enumerate(image.pixels):
+        order = tuple(int(np.flatnonzero(bases[color] == v)[0]) for v in values[l])
+        counts[orders[order]] += 1
+    assert counts.sum() == 4096
+    assert chisquare(counts).pvalue > 0.001
+
+
+class _FixedPermutation:
+    """Stands in for a Generator whose next permutation is given."""
+
+    def __init__(self, order):
+        self.order = order
+
+    def permutation(self, m):
+        assert m == len(self.order)
+        return self.order
+
+
+def test_share_image_equals_the_per_pixel_definition():
+    # Pixel l takes classical_share_pixel's column order from the stable
+    # argsort of raw Philox words (l-1)*m .. l*m-1, laid out block by block.
+    n, seed = 4, 31
+    image = BinaryImage(6, 5, np.random.default_rng(3).integers(0, 2, size=30))
+    sets = build_nn_matrix_sets(n)
+    bh, bw = block_shape(n)
+    keys = np.random.Philox(key=seed).random_raw(image.pixel_count * sets.m)
+    keys = keys.reshape(image.pixel_count, sets.m)
+    expected = np.zeros((n, image.height * bh, image.width * bw), dtype=np.uint8)
+    for l in range(1, image.pixel_count + 1):
+        row, col = (l - 1) // image.width, (l - 1) % image.width
+        order = np.argsort(keys[l - 1], kind="stable")
+        matrix = classical_share_pixel(image.pixel(l), sets, _FixedPermutation(order))
+        for j in range(n):
+            expected[j, row * bh : (row + 1) * bh, col * bw : (col + 1) * bw] = (
+                matrix[j].reshape(bh, bw)
+            )
+    shares = classical_share_image(image, n, seed)
+    np.testing.assert_array_equal([share.as_grid() for share in shares], expected)
+
+
+def test_share_image_is_byte_identical_under_a_seed():
+    image = BinaryImage(9, 7, np.random.default_rng(4).integers(0, 2, size=63))
+    first = classical_share_image(image, 5, seed=12)
+    second = classical_share_image(image, 5, seed=12)
+    assert [s.pixels.tobytes() for s in first] == [s.pixels.tobytes() for s in second]
+    other = classical_share_image(image, 5, seed=13)
+    assert [s.pixels.tobytes() for s in first] != [s.pixels.tobytes() for s in other]
+
+
+@pytest.mark.parametrize("chunk", [1, 1 << 40])
+def test_share_image_does_not_depend_on_the_chunk_size(monkeypatch, chunk):
+    image = BinaryImage(9, 7, np.random.default_rng(5).integers(0, 2, size=63))
+    expected = classical_share_image(image, 4, seed=8)
+    monkeypatch.setattr(baseline, "_CHUNK_SUBPIXELS", chunk)  # one row / all rows
+    assert classical_share_image(image, 4, seed=8) == expected
+
+
+def test_top_rows_crop_gets_the_top_rows_of_the_shares():
+    image = BinaryImage(9, 7, np.random.default_rng(6).integers(0, 2, size=63))
+    crop = BinaryImage(9, 3, image.pixels[:27])
+    bh, _ = block_shape(4)
+    full = classical_share_image(image, 4, seed=8)
+    for whole, top in zip(full, classical_share_image(crop, 4, seed=8)):
+        np.testing.assert_array_equal(top.as_grid(), whole.as_grid()[: 3 * bh])
+
+
+def test_column_orders_break_ties_like_a_stable_sort():
+    keys = np.random.default_rng(7).integers(0, 3, size=(200, 8)).astype(np.uint64)
+    keys[::2] = np.random.default_rng(8).permutation(8)  # rows without ties
+    np.testing.assert_array_equal(
+        baseline._column_orders(keys), np.argsort(keys, axis=1, kind="stable")
+    )

@@ -251,6 +251,13 @@ def test_compare_writes_baseline_shares(secret, tmp_path):
     assert (share.width, share.height) == (8, 1)  # m=2 expansion of 4x1
 
 
+def test_compare_rejects_an_oversized_baseline_before_allocating(secret, capsys):
+    # n=40 would expand each pixel into 40 x 2^39 subpixels (8 TiB here).
+    rc = main(["compare", str(secret), "--n", "40", "--seed", "5"])
+    assert rc == 2
+    assert "40 x 2^39 x 4 subpixels" in capsys.readouterr().err
+
+
 def test_demo_replays_worked_example(capsys):
     rc = main(["demo"])
     assert rc == 0

@@ -19,6 +19,7 @@ from qvss.parity import ParitySpec, enumerate_parity_basis, prepare_parity_state
 from qvss.protocol import (
     BACKEND_SAMPLED,
     BACKEND_STATEVECTOR,
+    RegisterTable,
     audit_subset,
     deserialize_session,
     deserialize_share,
@@ -29,7 +30,12 @@ from qvss.protocol import (
     serialize_share,
     share_image,
 )
-from qvss.statevector import StateVector, marginal_distribution, measure_all
+from qvss.statevector import (
+    StateVector,
+    _checked_probabilities,
+    marginal_distribution,
+    measure_all,
+)
 
 DEMO_IMAGE = from_pixel_list(4, 1, [0, 1, 1, 0])
 
@@ -540,3 +546,47 @@ def test_session_rejects_table_entry_with_bad_norm():
     data[offset : offset + 8] = struct.pack("<d", 2.0)
     with pytest.raises(FormatError, match="table entry 0 norm"):
         deserialize_session(recrc(bytes(data)))
+
+
+@pytest.mark.parametrize("k", [17, 40, 64])
+def test_audit_rejects_subsets_over_the_register_cap(k):
+    # 2^k pattern bins: k=40 would need 8 TiB, k=64 exceeds numpy's limits.
+    session, _ = share_image(random_image(4, 2, seed=1), 64, BACKEND_SAMPLED, 5)
+    with pytest.raises(ValueError, match="capped at 16 participants"):
+        audit_subset(session, range(1, k + 1))
+
+
+def _outcomes_by_entry_masks(table, seed):
+    """Reference draw: one mask per table entry, table order then pixel order."""
+    rng = np.random.default_rng(seed)
+    outcomes = np.empty(len(table), dtype=np.int64)
+    for entry, count in enumerate(table.counts()):
+        if count:
+            state = table.state(entry)
+            outcomes[table.index == entry] = rng.choice(
+                state.dim, size=count, p=_checked_probabilities(state)
+            )
+    return outcomes
+
+
+def test_recover_of_a_collapsed_session_matches_per_entry_masks():
+    image = random_image(16, 12, seed=6)
+    session, shares = share_image(image, 4, BACKEND_STATEVECTOR, 8)
+    recover_image(shares, session, 1)
+    table = session.registers
+    # Up to 16 basis-state entries, plus superpositions scattered among them
+    # so that the draw order changes the outcomes.
+    amplitudes = np.random.default_rng(2).normal(size=16) + 0j
+    scattered = StateVector(4, amplitudes / np.linalg.norm(amplitudes))
+    for pixel in range(0, len(table), 5):
+        table[pixel] = prepare_parity_state_direct(ParitySpec(4, image.pixels[pixel]))
+    for pixel in range(3, len(table), 7):
+        table[pixel] = scattered
+    assert len(table.states) > 10
+    before = RegisterTable(4, table.states, table.index.copy())
+
+    recovered = recover_image(shares, session, 77)
+    outcomes = np.array(table.states)[table.index]
+    np.testing.assert_array_equal(outcomes, _outcomes_by_entry_masks(before, 77))
+    parities = [bin(int(o)).count("1") & 1 for o in outcomes]
+    np.testing.assert_array_equal(recovered.pixels, parities)
