@@ -23,7 +23,7 @@ in {0, 1}, 1 meaning a black subpixel.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -245,15 +245,19 @@ def decode_stacked(stacked: BinaryImage, n: int) -> BinaryImage:
     Block weight >= d reads black; d - alpha*m = m - 1 or less reads
     white.  Inverts the m-times expansion of classical_share_image.
     """
-    sets = build_nn_matrix_sets(n)
+    _check_expansion(n, 1)
+    d = 1 << (n - 1)
     weights = _block_weights(stacked, n)
     height, width = weights.shape
-    return BinaryImage(width, height, (weights >= sets.d).astype(np.uint8).reshape(-1))
+    return BinaryImage(width, height, (weights >= d).astype(np.uint8).reshape(-1))
 
 
 @dataclass
 class ComparisonReport:
-    """Three property rows plus measured evidence from end-to-end runs."""
+    """Three property rows plus measured evidence from end-to-end runs.
+
+    ``baseline_shares`` are the classical shares the evidence came from.
+    """
 
     n: int
     baseline_expansion: int
@@ -264,6 +268,7 @@ class ComparisonReport:
     baseline_white_blocks_dirty: bool
     quantum_share_entries_per_pixel: int
     quantum_recovered_equal: bool
+    baseline_shares: list[BinaryImage] = field(repr=False)
 
 
 def comparison_report(
@@ -306,4 +311,5 @@ def comparison_report(
         baseline_white_blocks_dirty=dirty,
         quantum_share_entries_per_pixel=1,
         quantum_recovered_equal=recovered == image,
+        baseline_shares=shares,
     )

@@ -243,7 +243,7 @@ def cmd_compare(args) -> int:
     )
     if args.out_dir:
         out_dir = Path(args.out_dir)
-        shares = baseline.classical_share_image(image, args.n, seed)
+        shares = report.baseline_shares
         for j, share in enumerate(shares, start=1):
             _write_atomic(out_dir / f"baseline_share_{j}.pbm", write_pbm(share, args.format))
         stacked = baseline.classical_recover_image(shares)

@@ -10,31 +10,37 @@ Two interchangeable backends:
   qubit j of every register, fixed by the header), and recovery measures
   all pixels of each distinct register in one draw and XOR-decodes the
   outcomes.
-* ``sampled`` pre-measures at share time: each pixel's register is
-  replaced by a uniformly drawn parity bitstring and participant j's share
-  holds the j-th bit.  Every protocol step is a computational-basis
+* ``sampled`` pre-measures at share time: the session holds one
+  ``(pixels, n)`` uint8 bit matrix whose row l-1 is pixel l's outcome, a
+  uniformly drawn bitstring of the pixel's parity, and participant j's
+  share is column j-1.  Every protocol step is a computational-basis
   measurement, so measuring early changes no observable distribution, and
   large n / large images become cheap.
 
-Per-pixel randomness is derived as ``master_seed XOR splitmix64(pixel
-index)``, which makes sharing deterministic, order-independent, and safe
-to parallelize.
+Sampled randomness is one counter-based stream, ``np.random.Philox`` keyed
+by the seed plus a tag in the key's high 64 bits (Salmon et al., "Parallel
+random numbers: as easy as 1, 2, 3", SC'11): pixel l's n-1 free bits are
+the top n-1 bits of raw word l-1, and its last bit sets the parity.  So
+sharing is deterministic, and each pixel's bits depend only on the seed,
+n, its index and its colour, not on the image around it.
 
 File formats (all integers little-endian):
 
 * Share (.qvs), version 2: magic ``QVSS``, version u8, backend id u8
   (1=statevector, 2=sampled), n u16, participant u16, pixel count u32,
   width u32, height u32, session id (16 bytes); payload: nothing
-  (statevector) or packed sampled bits (MSB first); CRC32 trailer.
+  (statevector) or the share's bit per pixel, packed MSB first (sampled);
+  CRC32 trailer.
 * Session (.qvse), version 2: magic ``QVSE``, the same header fields with
   the participant slot zeroed, then the master seed as u64, then
   - statevector: the register table length u32, each table entry as n u16
     followed by 2^n re/im float64 pairs, then one table index per pixel
     as u8, u16 or u32, the narrowest whose range holds the table length;
-  - sampled: all outcome bits packed MSB first;
+  - sampled: the bit matrix row by row, packed MSB first;
   then a CRC32 trailer.
 
-Version 1 files (per-pixel registers and handle payloads) are rejected.
+Version 1 files (per-pixel registers and handle payloads) are rejected,
+and so is any header whose n or image side is over its cap.
 """
 
 from __future__ import annotations
@@ -48,7 +54,7 @@ import numpy as np
 from scipy.stats import chisquare
 
 from .errors import FormatError, IncompleteSharesError, IntegrityError
-from .image_io import BinaryImage
+from .image_io import MAX_DIMENSION, BinaryImage
 from .parity import (
     ParitySpec,
     index_parities,
@@ -93,7 +99,13 @@ _INDEX_DTYPES = tuple(np.dtype(t) for t in ("<u1", "<u2", "<u4"))
 
 _MASK64 = (1 << 64) - 1
 
+#: High 64 bits of the sampled backend's Philox key; the low 64 bits are
+#: the seed.  Keeps its words apart from the baseline's ``Philox(key=seed)``.
+_SAMPLED_KEY_TAG = 1 << 64
 
+
+# ``pixel_rng`` and ``_splitmix64`` no longer serve the protocol.  They stay
+# only because the benchmark's tracer lists ``pixel_rng`` and two tests call it.
 def _splitmix64(x: int) -> int:
     x = (x + 0x9E3779B97F4A7C15) & _MASK64
     x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
@@ -184,7 +196,8 @@ class SessionStore:
     """Dealer-side store of every pixel's quantum register (or its sample).
 
     ``registers`` is a ``RegisterTable`` in the statevector backend and a
-    list of outcome bit tuples in the sampled backend.
+    ``(pixels, n)`` uint8 bit matrix in the sampled backend, whose row
+    l-1 is pixel l's outcome and whose column j-1 is participant j's bits.
     """
 
     n: int
@@ -193,7 +206,7 @@ class SessionStore:
     width: int
     height: int
     session_id: bytes
-    registers: RegisterTable | list = field(repr=False)
+    registers: RegisterTable | np.ndarray = field(repr=False)
 
     def __post_init__(self):
         if self.backend not in _BACKEND_IDS:
@@ -202,6 +215,15 @@ class SessionStore:
             self.registers, RegisterTable
         ):
             raise ValueError("statevector registers must be a RegisterTable")
+        if self.backend == BACKEND_SAMPLED and not (
+            isinstance(self.registers, np.ndarray)
+            and self.registers.dtype == np.uint8
+            and self.registers.shape == (self.pixel_count, self.n)
+        ):
+            raise ValueError(
+                f"sampled registers must be a ({self.pixel_count}, {self.n}) "
+                f"uint8 bit matrix"
+            )
         if len(self.session_id) != 16:
             raise ValueError("session id must be 16 bytes")
         if len(self.registers) != self.pixel_count:
@@ -219,9 +241,11 @@ class SessionStore:
 class ShareFile:
     """Participant j's per-pixel payload, bound to one session.
 
-    In the sampled backend the payload holds one bit per pixel in pixel
-    order.  In the statevector backend it is empty: participant j holds
-    qubit j of every pixel's register, which the header already fixes.
+    In the sampled backend the payload is a 1-D uint8 array holding one
+    bit per pixel in pixel order; ``share_image`` hands out columns of the
+    session's bit matrix, not copies.  In the statevector backend it is
+    ``()``: participant j holds qubit j of every pixel's register, which
+    the header already fixes.
     """
 
     participant: int
@@ -230,7 +254,7 @@ class ShareFile:
     width: int
     height: int
     session_id: bytes
-    payload: tuple
+    payload: np.ndarray | tuple
 
     def __post_init__(self):
         if self.backend not in _BACKEND_IDS:
@@ -240,19 +264,38 @@ class ShareFile:
                 f"participant {self.participant} out of range 1..{self.n}"
             )
         if self.backend == BACKEND_STATEVECTOR:
-            if self.payload:
+            if len(self.payload):
                 raise ValueError(
                     f"statevector share payload must be empty, got "
                     f"{len(self.payload)} entries"
                 )
             return
+        if not (
+            isinstance(self.payload, np.ndarray)
+            and self.payload.dtype == np.uint8
+            and self.payload.ndim == 1
+        ):
+            raise ValueError("sampled payload must be a 1-D uint8 array")
         if len(self.payload) != self.pixel_count:
             raise ValueError(
                 f"payload holds {len(self.payload)} entries for "
                 f"{self.pixel_count} pixels"
             )
-        if any(b not in (0, 1) for b in self.payload):
+        if self.payload.size and self.payload.max() > 1:
             raise ValueError("sampled payload bits must be 0 or 1")
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ShareFile):
+            return NotImplemented
+        return (
+            self.participant == other.participant
+            and self.n == other.n
+            and self.backend == other.backend
+            and self.width == other.width
+            and self.height == other.height
+            and self.session_id == other.session_id
+            and bool(np.array_equal(self.payload, other.payload))
+        )
 
     @property
     def pixel_count(self) -> int:
@@ -289,12 +332,19 @@ def _derive_session_id(image: BinaryImage, n: int, backend: str, seed: int) -> b
     return digest.digest()[:16]
 
 
-def _draw_parity_bits(n: int, b: int, rng: np.random.Generator) -> tuple[int, ...]:
-    # Uniform over the 2^(n-1) strings of parity b: free bits 1..n-1,
-    # last bit fixes the parity.
-    head = rng.integers(0, 2, size=n - 1)
-    last = (int(head.sum()) & 1) ^ b
-    return tuple(int(x) for x in head) + (last,)
+def _draw_sampled_outcomes(image: BinaryImage, n: int, seed: int) -> np.ndarray:
+    """Every pixel's outcome, uniform over the 2^(n-1) strings of its parity.
+
+    Row l-1 holds pixel l's free bits 1..n-1, the top n-1 bits of raw word
+    l-1 of the tagged Philox stream (most significant first), then the bit
+    that makes the row's XOR the pixel's colour.
+    """
+    words = np.random.Philox(key=_SAMPLED_KEY_TAG | seed).random_raw(image.pixel_count)
+    head = words.astype(">u8").view(np.uint8).reshape(-1, 8)
+    outcomes = np.empty((image.pixel_count, n), dtype=np.uint8)
+    outcomes[:, :-1] = np.unpackbits(head, axis=1, count=n - 1)
+    outcomes[:, -1] = np.bitwise_xor.reduce(outcomes[:, :-1], axis=1) ^ image.pixels
+    return outcomes
 
 
 def share_image(
@@ -320,10 +370,7 @@ def share_image(
         states = [prepare_parity_state_direct(ParitySpec(n, int(b))) for b in colors]
         registers = RegisterTable(n, states, index)
     else:
-        registers = [
-            _draw_parity_bits(n, image.pixel(l), pixel_rng(seed, l))
-            for l in range(1, image.pixel_count + 1)
-        ]
+        registers = _draw_sampled_outcomes(image, n, seed)
 
     session = SessionStore(
         n=n,
@@ -334,23 +381,18 @@ def share_image(
         session_id=session_id,
         registers=registers,
     )
-    shares = []
-    for j in range(1, n + 1):
-        if backend == BACKEND_STATEVECTOR:
-            payload = ()
-        else:
-            payload = tuple(outcome[j - 1] for outcome in registers)
-        shares.append(
-            ShareFile(
-                participant=j,
-                n=n,
-                backend=backend,
-                width=image.width,
-                height=image.height,
-                session_id=session_id,
-                payload=payload,
-            )
+    shares = [
+        ShareFile(
+            participant=j,
+            n=n,
+            backend=backend,
+            width=image.width,
+            height=image.height,
+            session_id=session_id,
+            payload=() if backend == BACKEND_STATEVECTOR else registers[:, j - 1],
         )
+        for j in range(1, n + 1)
+    ]
     return session, shares
 
 
@@ -421,10 +463,9 @@ def recover_image(
         colors = index_parities(1 << table.n)[outcomes].astype(np.uint8)
         table.collapse(outcomes)
     else:
-        colors = np.empty(session.pixel_count, dtype=np.uint8)
-        rows = [by_participant[j].payload for j in range(1, session.n + 1)]
-        for l in range(session.pixel_count):
-            colors[l] = recover_pixel(row[l] for row in rows)
+        colors = np.zeros(session.pixel_count, dtype=np.uint8)
+        for share in by_participant.values():
+            colors ^= share.payload
     return BinaryImage(session.width, session.height, colors)
 
 
@@ -472,12 +513,10 @@ def audit_subset(session: SessionStore, subset) -> AuditReport:
             max_dev = max(max_dev, float(np.abs(marg - uniform).max()))
         distribution = total / session.pixel_count
     else:
-        counts = np.zeros(patterns, dtype=np.int64)
-        for outcome in session.registers:
-            index = 0
-            for j in subset:
-                index = (index << 1) | outcome[j - 1]
-            counts[index] += 1
+        # Pattern index: participant subset[0]'s bit is the most significant.
+        weights = 1 << np.arange(k - 1, -1, -1, dtype=np.int64)
+        index = session.registers[:, [j - 1 for j in subset]] @ weights
+        counts = np.bincount(index, minlength=patterns)
         distribution = counts / session.pixel_count
         max_dev = float(np.abs(distribution - uniform).max())
         if not is_full:
@@ -513,6 +552,13 @@ def _unpack_header(blob: bytes, magic: bytes, what: str):
         raise FormatError(f"unsupported {what} format version {fields[1]}")
     if fields[2] not in _BACKEND_NAMES:
         raise FormatError(f"unknown backend id {fields[2]} in {what}")
+    backend = _BACKEND_NAMES[fields[2]]
+    cap = MAX_QUBITS if backend == BACKEND_STATEVECTOR else MAX_SAMPLED_QUBITS
+    if not 2 <= fields[3] <= cap:
+        raise FormatError(f"n {fields[3]} outside 2..{cap} for {backend} in {what}")
+    for name, value in (("width", fields[6]), ("height", fields[7])):
+        if not 1 <= value <= MAX_DIMENSION:
+            raise FormatError(f"{name} {value} outside 1..{MAX_DIMENSION} in {what}")
     if fields[5] != fields[6] * fields[7]:
         raise FormatError(
             f"pixel count {fields[5]} does not match {fields[6]}x{fields[7]} in {what}"
@@ -535,7 +581,7 @@ def serialize_share(share: ShareFile) -> bytes:
     if share.backend == BACKEND_STATEVECTOR:
         body = b""
     else:
-        body = np.packbits(np.array(share.payload, dtype=np.uint8)).tobytes()
+        body = np.packbits(share.payload).tobytes()
     return _crc_wrap(head + body)
 
 
@@ -549,8 +595,10 @@ def deserialize_share(data: bytes) -> ShareFile:
     expected = 0 if backend == BACKEND_STATEVECTOR else (pixel_count + 7) // 8
     if len(body) != expected:
         raise FormatError(f"share payload holds {len(body)} bytes, expected {expected}")
-    bits = np.unpackbits(np.frombuffer(body, dtype=np.uint8))[:pixel_count]
-    payload = tuple(int(b) for b in bits)
+    if backend == BACKEND_STATEVECTOR:
+        payload = ()
+    else:
+        payload = np.unpackbits(np.frombuffer(body, dtype=np.uint8), count=pixel_count)
     try:
         return ShareFile(
             participant=participant,
@@ -592,10 +640,7 @@ def serialize_session(session: SessionStore) -> bytes:
             parts.append(buffer.tobytes())
         parts.append(index.astype(_index_dtype(len(used))).tobytes())
     else:
-        bits = np.array(
-            [b for outcome in session.registers for b in outcome], dtype=np.uint8
-        )
-        parts.append(np.packbits(bits).tobytes())
+        parts.append(np.packbits(session.registers).tobytes())
     return _crc_wrap(b"".join(parts))
 
 
@@ -633,6 +678,14 @@ def _read_register_table(
         raw = np.frombuffer(
             blob, dtype="<f8", count=2 << n, offset=offset + _REGISTER_SIZE.size
         )
+        # Bounding every component first keeps the squares finite, and
+        # also rejects NaN, which the norm comparison below would pass.
+        peak = float(np.abs(raw).max())
+        if not peak <= 1.0 + NORM_GUARD:
+            raise FormatError(
+                f"register table entry {entry} norm cannot be 1: an amplitude "
+                f"component has magnitude {peak:.3e}"
+            )
         amps = raw[0::2] + 1j * raw[1::2]
         norm = float((np.abs(amps) ** 2).sum())
         if abs(norm - 1.0) > NORM_GUARD:
@@ -675,9 +728,8 @@ def deserialize_session(data: bytes) -> SessionStore:
                 f"session outcome payload holds {len(blob) - offset} bytes, "
                 f"expected {nbytes}"
             )
-        bits = np.unpackbits(np.frombuffer(blob, dtype=np.uint8, offset=offset))
-        bits = bits[:total_bits].reshape(pixel_count, n)
-        registers = [tuple(int(b) for b in row) for row in bits]
+        bits = np.frombuffer(blob, dtype=np.uint8, offset=offset)
+        registers = np.unpackbits(bits, count=total_bits).reshape(pixel_count, n)
         offset = len(blob)
     if offset != len(blob):
         raise FormatError(f"{len(blob) - offset} trailing bytes after registers")

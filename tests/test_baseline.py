@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations, permutations
 
@@ -351,3 +352,16 @@ def test_column_orders_break_ties_like_a_stable_sort():
     np.testing.assert_array_equal(
         baseline._column_orders(keys), np.argsort(keys, axis=1, kind="stable")
     )
+
+
+def test_decode_stacked_does_not_build_the_bases():
+    # d = 2^(n-1) needs neither (20, 2^19) base matrix, 20 MiB together.
+    stacked = BinaryImage(1024, 512, np.ones(1024 * 512, dtype=np.uint8))
+    tracemalloc.start()
+    try:
+        decoded = decode_stacked(stacked, 20)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert decoded == BinaryImage(1, 1, [1])
+    assert peak < 4 << 20

@@ -1,6 +1,9 @@
+import zlib
+
 import numpy as np
 import pytest
 
+from qvss import baseline
 from qvss.cli import main
 from qvss.image_io import BinaryImage, from_pixel_list, read_pbm, write_pbm
 
@@ -172,6 +175,18 @@ def test_audit_bad_subset(secret, tmp_path):
     assert rc == 2
 
 
+def test_audit_of_a_session_with_n_over_the_cap_exits_3(secret, tmp_path, capsys):
+    out = tmp_path / "shares"
+    main(share_args(secret, out))
+    session = out / "session.qvse"
+    body = bytearray(session.read_bytes()[:-4])
+    body[6:8] = (20000).to_bytes(2, "little")  # n
+    session.write_bytes(bytes(body) + zlib.crc32(body).to_bytes(4, "little"))
+    rc = main(["audit", "--session", str(session), "--subset", "1"])
+    assert rc == 3
+    assert "n 20000 outside 2..16" in capsys.readouterr().err
+
+
 def test_emit_prepare_to_stdout(capsys):
     rc = main(["emit-circuit", "--kind", "prepare", "--n", "2", "--b", "0"])
     assert rc == 0
@@ -249,6 +264,25 @@ def test_compare_writes_baseline_shares(secret, tmp_path):
     assert rc == 0
     share = read_pbm((out / "baseline_share_1.pbm").read_bytes())
     assert (share.width, share.height) == (8, 1)  # m=2 expansion of 4x1
+
+
+def test_compare_out_dir_computes_the_baseline_once(secret, tmp_path, monkeypatch):
+    calls = []
+    share = baseline.classical_share_image
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return share(*args, **kwargs)
+
+    monkeypatch.setattr(baseline, "classical_share_image", counted)
+    out = tmp_path / "cmp"
+    rc = main(
+        ["compare", str(secret), "--n", "3", "--seed", "5", "--out-dir", str(out)]
+    )
+    assert rc == 0
+    assert len(calls) == 1
+    shares = [read_pbm((out / f"baseline_share_{j}.pbm").read_bytes()) for j in (1, 2, 3)]
+    assert shares == share(DEMO_IMAGE, 3, 5)
 
 
 def test_compare_rejects_an_oversized_baseline_before_allocating(secret, capsys):

@@ -1,5 +1,6 @@
 import dataclasses
 import struct
+import warnings
 import zlib
 
 import numpy as np
@@ -323,7 +324,7 @@ def test_session_round_trip(backend):
         for a, b in zip(restored.registers, session.registers):
             np.testing.assert_allclose(a.amplitudes, b.amplitudes, atol=0)
     else:
-        assert restored.registers == session.registers
+        np.testing.assert_array_equal(restored.registers, session.registers)
 
 
 def test_recover_from_deserialized_artifacts():
@@ -590,3 +591,168 @@ def test_recover_of_a_collapsed_session_matches_per_entry_masks():
     np.testing.assert_array_equal(outcomes, _outcomes_by_entry_masks(before, 77))
     parities = [bin(int(o)).count("1") & 1 for o in outcomes]
     np.testing.assert_array_equal(recovered.pixels, parities)
+
+
+# --- array-native sampled backend ---
+
+SAMPLED_KEY_TAG = 1 << 64
+
+
+@pytest.mark.parametrize("n", [2, 3, 16, 63, 64])
+def test_every_sampled_row_has_its_pixel_parity(n):
+    image = random_image(37, 11, seed=n)
+    session, shares = share_image(image, n, BACKEND_SAMPLED, 31)
+    assert session.registers.shape == (image.pixel_count, n)
+    np.testing.assert_array_equal(
+        np.bitwise_xor.reduce(session.registers, axis=1), image.pixels
+    )
+    for j, share in enumerate(shares):
+        np.testing.assert_array_equal(share.payload, session.registers[:, j])
+
+
+def test_sampled_draw_equals_the_per_pixel_definition():
+    image = random_image(7, 5, seed=2)
+    n, seed = 10, 77
+    session, _ = share_image(image, n, BACKEND_SAMPLED, seed)
+
+    def rows(key):
+        words = np.random.Philox(key=key).random_raw(image.pixel_count)
+        out = []
+        for word, color in zip(words.tolist(), image.pixels.tolist()):
+            head = [(word >> (63 - i)) & 1 for i in range(n - 1)]
+            out.append(head + [(sum(head) & 1) ^ color])
+        return np.array(out, dtype=np.uint8)
+
+    np.testing.assert_array_equal(session.registers, rows(SAMPLED_KEY_TAG | seed))
+    # The baseline's Philox(key=seed) words are a different stream.
+    assert not np.array_equal(session.registers, rows(seed))
+
+
+def test_sampled_top_rows_crop_gets_the_top_rows_of_the_bits():
+    image = random_image(9, 7, seed=6)
+    crop = BinaryImage(9, 3, image.pixels[:27])
+    full, _ = share_image(image, 5, BACKEND_SAMPLED, 8)
+    top, _ = share_image(crop, 5, BACKEND_SAMPLED, 8)
+    np.testing.assert_array_equal(top.registers, full.registers[:27])
+
+
+# Written by the per-pixel tuple implementation: a 3x2 image
+# [0, 1, 1, 0, 1, 1] shared at n=3 with seed 5 on the sampled backend.
+PARENT_SAMPLED_SHARES = [
+    "51565353020203000100060000000300000002000000c7ca004e31fc0c4ac8af2bef088baa36b085b58776",
+    "51565353020203000200060000000300000002000000c7ca004e31fc0c4ac8af2bef088baa3670464ecbfe",
+    "51565353020203000300060000000300000002000000c7ca004e31fc0c4ac8af2bef088baa36ac6838497f",
+]
+PARENT_SAMPLED_SESSION = (
+    "51565345020203000000060000000300000002000000c7ca004e31fc0c4ac8af2bef088baa36"
+    "0500000000000000abe2403399f874"
+)
+PARENT_SAMPLED_OUTCOMES = [
+    (1, 0, 1), (0, 1, 0), (1, 1, 1), (1, 1, 0), (0, 0, 1), (0, 0, 1)
+]
+
+
+def test_sampled_files_from_the_tuple_implementation_still_recover():
+    shares = [deserialize_share(bytes.fromhex(h)) for h in PARENT_SAMPLED_SHARES]
+    session = deserialize_session(bytes.fromhex(PARENT_SAMPLED_SESSION))
+    np.testing.assert_array_equal(session.registers, PARENT_SAMPLED_OUTCOMES)
+    image = from_pixel_list(3, 2, [0, 1, 1, 0, 1, 1])
+    assert recover_image(shares, session, 1) == image
+    assert [serialize_share(s).hex() for s in shares] == PARENT_SAMPLED_SHARES
+    assert serialize_session(session).hex() == PARENT_SAMPLED_SESSION
+
+
+@pytest.mark.parametrize(
+    "subset", [(1,), (2, 5), (6, 1, 3), (1, 2, 3, 4, 5), (1, 2, 3, 4, 5, 6)]
+)
+def test_sampled_audit_matches_a_per_pixel_loop(subset):
+    image = random_image(40, 30, seed=9)
+    session, _ = share_image(image, 6, BACKEND_SAMPLED, 12)
+    counts = np.zeros(1 << len(subset), dtype=np.int64)
+    for outcome in session.registers.tolist():
+        index = 0
+        for j in subset:
+            index = (index << 1) | outcome[j - 1]
+        counts[index] += 1
+    report = audit_subset(session, subset)
+    np.testing.assert_array_equal(report.distribution, counts / image.pixel_count)
+    if len(subset) == 6:
+        assert report.p_value is None
+    else:
+        assert report.p_value == chisquare(counts).pvalue
+
+
+def test_large_sampled_round_trip_through_both_serializers():
+    image = random_image(512, 512, seed=10)
+    session, shares = share_image(image, 64, BACKEND_SAMPLED, 3)
+    restored = deserialize_session(serialize_session(session))
+    np.testing.assert_array_equal(restored.registers, session.registers)
+    restored_shares = [deserialize_share(serialize_share(s)) for s in shares]
+    assert restored_shares == shares
+    assert recover_image(restored_shares[::-1], restored) == image
+
+
+def test_sampled_share_payload_must_be_a_bit_array():
+    _, shares = share_image(DEMO_IMAGE, 3, BACKEND_SAMPLED, 42)
+    with pytest.raises(ValueError, match="1-D uint8 array"):
+        dataclasses.replace(shares[0], payload=(0, 1, 1, 0))
+    with pytest.raises(ValueError, match="0 or 1"):
+        dataclasses.replace(shares[0], payload=np.array([0, 2, 1, 0], dtype=np.uint8))
+
+
+# --- header bounds, checked before anything is allocated ---
+
+
+def with_header(blob: bytes, body: bytes | None = None, **fields) -> bytes:
+    """Rewrite named header fields (and optionally the body); fix the CRC."""
+    names = ("magic", "version", "backend", "n", "participant", "pixels",
+             "width", "height", "session_id")
+    values = dict(zip(names, struct.unpack_from("<4sBBHHIII16s", blob)))
+    values.update(fields)
+    head = struct.pack("<4sBBHHIII16s", *values.values())
+    if body is None:
+        body = blob[HEADER_SIZE:-CRC_SIZE]
+    return recrc(head + body + b"\0" * CRC_SIZE)
+
+
+@pytest.mark.parametrize(
+    "backend,n", [(BACKEND_STATEVECTOR, 1), (BACKEND_STATEVECTOR, 17),
+                  (BACKEND_STATEVECTOR, 20000), (BACKEND_SAMPLED, 1),
+                  (BACKEND_SAMPLED, 65), (BACKEND_SAMPLED, 65535)]
+)
+def test_header_n_over_the_backend_cap_is_rejected(backend, n):
+    session, shares = share_image(DEMO_IMAGE, 3, backend, 42)
+    share = with_header(serialize_share(shares[0]), n=n)
+    with pytest.raises(FormatError, match=f"n {n} outside"):
+        deserialize_share(share)
+    blob = serialize_session(session)
+    body = None
+    if backend == BACKEND_SAMPLED:  # a payload that fits the declared n
+        body = blob[HEADER_SIZE : HEADER_SIZE + SEED_SIZE] + bytes((4 * n + 7) // 8)
+    with pytest.raises(FormatError, match=f"n {n} outside"):
+        deserialize_session(with_header(blob, body, n=n))
+
+
+@pytest.mark.parametrize("backend", [BACKEND_STATEVECTOR, BACKEND_SAMPLED])
+@pytest.mark.parametrize(
+    "width,height,name", [(0, 0, "width"), (5000, 1, "width"), (1, 4097, "height")]
+)
+def test_header_sides_outside_the_image_cap_are_rejected(backend, width, height, name):
+    session, shares = share_image(DEMO_IMAGE, 3, backend, 42)
+    fields = dict(width=width, height=height, pixels=width * height)
+    with pytest.raises(FormatError, match=f"{name} {fields[name]} outside 1..4096"):
+        deserialize_share(with_header(serialize_share(shares[0]), **fields))
+    with pytest.raises(FormatError, match=f"{name} {fields[name]} outside 1..4096"):
+        deserialize_session(with_header(serialize_session(session), **fields))
+
+
+@pytest.mark.parametrize("value", [1e300, float("inf"), float("nan")])
+def test_session_rejects_a_huge_or_non_finite_amplitude_without_warning(value):
+    session, _ = share_image(DEMO_IMAGE, 3, BACKEND_STATEVECTOR, 42)
+    data = bytearray(serialize_session(session))
+    offset = HEADER_SIZE + SEED_SIZE + TABLE_LENGTH_SIZE + 2  # entry 0's first re
+    data[offset : offset + 8] = struct.pack("<d", value)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FormatError, match="table entry 0 norm"):
+            deserialize_session(recrc(bytes(data)))
