@@ -190,6 +190,22 @@ class RegisterTable:
         values, self.index = np.unique(outcomes, return_inverse=True)
         self.states = values.tolist()
 
+    def __eq__(self, other) -> bool:
+        """Whether every pixel holds the same register in both tables.
+
+        Each distinct (entry, entry) pair of the two indexes is compared
+        once, whatever the pixel count.
+        """
+        if not isinstance(other, RegisterTable):
+            return NotImplemented
+        if self.n != other.n or len(self) != len(other):
+            return False
+        pairs = np.unique(np.stack([self.index, other.index]), axis=1)
+        return all(
+            np.array_equal(self.state(a).amplitudes, other.state(b).amplitudes)
+            for a, b in pairs.T.tolist()
+        )
+
 
 @dataclass
 class SessionStore:
@@ -231,6 +247,22 @@ class SessionStore:
                 f"register table holds {len(self.registers)} entries for "
                 f"{self.pixel_count} pixels"
             )
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, SessionStore):
+            return NotImplemented
+        if (
+            self.n != other.n
+            or self.backend != other.backend
+            or self.master_seed != other.master_seed
+            or self.width != other.width
+            or self.height != other.height
+            or self.session_id != other.session_id
+        ):
+            return False
+        if self.backend == BACKEND_SAMPLED:
+            return bool(np.array_equal(self.registers, other.registers))
+        return self.registers == other.registers
 
     @property
     def pixel_count(self) -> int:
@@ -321,14 +353,17 @@ class AuditReport:
 
 
 def _derive_session_id(image: BinaryImage, n: int, backend: str, seed: int) -> bytes:
-    digest = hashlib.sha256()
-    digest.update(b"QVSS:session:v1")
+    """SHA-256 of the backend, n, the image size and the seed, cut to 16 bytes.
+
+    The pixels are left out: with a known seed, an id over them would let
+    one participant confirm a guessed image.
+    """
+    digest = hashlib.sha256(b"QVSS:session:v2")
     digest.update(
         struct.pack(
             "<BHIIQ", _BACKEND_IDS[backend], n, image.width, image.height, seed
         )
     )
-    digest.update(np.packbits(image.pixels).tobytes())
     return digest.digest()[:16]
 
 

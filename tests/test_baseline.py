@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -365,3 +366,70 @@ def test_decode_stacked_does_not_build_the_bases():
         tracemalloc.stop()
     assert decoded == BinaryImage(1, 1, [1])
     assert peak < 4 << 20
+
+
+# --- one sort per chunk, contiguous bit planes ---
+
+
+@pytest.mark.parametrize("m", [2, 8, 128, 1024])
+def test_column_orders_sort_keys_that_share_a_prefix_like_a_stable_sort(m):
+    # Keys that agree on every bit above the low log2(m) bits order by bits
+    # the prefix sort overwrites with column indices; some tie outright.
+    rng = np.random.default_rng(m)
+    low = np.uint64(m - 1)
+    keys = rng.integers(0, 1 << 64, size=(64, m), dtype=np.uint64)
+    for row in keys[::2]:
+        i, j = rng.choice(m, size=2, replace=False)
+        row[j] = (row[i] & ~low) | rng.integers(0, m, dtype=np.uint64)
+    keys[1::4, 0] = keys[1::4, -1]  # exact ties
+    keys[3] = (keys[3, 0] & ~low) | rng.integers(0, m, size=m, dtype=np.uint64)
+    np.testing.assert_array_equal(
+        baseline._column_orders(keys), np.argsort(keys, axis=1, kind="stable")
+    )
+
+
+@pytest.mark.parametrize(
+    "n, digest",
+    [
+        (3, "91f2cbecada1c7e3bf38f47aa791b48a8fe191613ca7d069392e963573a75135"),
+        (8, "0a29e3456bb5f57586234de286e9e2aaa066d786087e22b3827065e2462ba0fd"),
+    ],
+)
+def test_share_image_bytes_are_pinned(n, digest):
+    # Digests of the shares written by the three-sort implementation.
+    image = BinaryImage(33, 17, np.random.default_rng(33).integers(0, 2, size=33 * 17))
+    sha = hashlib.sha256()
+    for share in classical_share_image(image, n, seed=2718):
+        sha.update(share.pixels.tobytes())
+    assert sha.hexdigest() == digest
+
+
+@pytest.mark.parametrize("rows", [None, 3])
+def test_share_image_chunks_of_whole_rows_agree_with_one_chunk(monkeypatch, rows):
+    n, width, height = 8, 100, 23
+    m = 1 << (n - 1)
+    pixels = np.random.default_rng(10).integers(0, 2, size=width * height)
+    image = BinaryImage(width, height, pixels)
+    if rows is None:
+        assert baseline._CHUNK_SUBPIXELS // (width * m) < height  # several chunks
+    else:
+        monkeypatch.setattr(baseline, "_CHUNK_SUBPIXELS", rows * width * m)
+    chunked = classical_share_image(image, n, seed=77)
+    monkeypatch.setattr(baseline, "_CHUNK_SUBPIXELS", 1 << 40)
+    assert chunked == classical_share_image(image, n, seed=77)
+
+
+def test_share_image_peak_is_its_output_plus_a_chunk():
+    # 8 shares of 4096x2048 subpixels are 64 MiB; everything else is one
+    # chunk's keys, sort words and planes.
+    pixels = np.random.default_rng(11).integers(0, 2, size=256 * 256)
+    image = BinaryImage(256, 256, pixels)
+    tracemalloc.start()
+    try:
+        shares = classical_share_image(image, 8, seed=3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    output = sum(share.pixels.nbytes for share in shares)
+    assert output == 64 << 20
+    assert peak - output < 4 << 20

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import struct
 import warnings
 import zlib
@@ -756,3 +757,70 @@ def test_session_rejects_a_huge_or_non_finite_amplitude_without_warning(value):
         warnings.simplefilter("error")
         with pytest.raises(FormatError, match="table entry 0 norm"):
             deserialize_session(recrc(bytes(data)))
+
+
+# --- session equality and the session id ---
+
+
+@pytest.mark.parametrize("backend", [BACKEND_STATEVECTOR, BACKEND_SAMPLED])
+def test_equal_sessions_compare_equal(backend):
+    image = random_image(6, 5, 12)
+    session, _ = share_image(image, 4, backend, 21)
+    again, _ = share_image(image, 4, backend, 21)
+    assert session == again
+    assert deserialize_session(serialize_session(session)) == session
+    assert session != share_image(image, 4, backend, 22)[0]
+    assert session != "session"
+
+
+def test_sampled_sessions_differing_in_one_register_are_unequal():
+    session, _ = share_image(random_image(6, 5, 12), 4, BACKEND_SAMPLED, 21)
+    registers = session.registers.copy()
+    registers[17, 2] ^= 1
+    assert session != dataclasses.replace(session, registers=registers)
+
+
+def test_statevector_sessions_differing_in_one_register_are_unequal():
+    image = random_image(6, 5, 12)
+    session, _ = share_image(image, 4, BACKEND_STATEVECTOR, 21)
+    other, _ = share_image(image, 4, BACKEND_STATEVECTOR, 21)
+    flipped = ParitySpec(4, 1 - image.pixel(18))
+    other.registers[17] = prepare_parity_state_direct(flipped)
+    assert session != other
+
+
+def test_register_tables_compare_registers_not_their_layout():
+    # Two entries for one state, against one entry: the same registers.
+    even = prepare_parity_state_direct(ParitySpec(3, 0))
+    odd = prepare_parity_state_direct(ParitySpec(3, 1))
+    split = RegisterTable(3, [even, odd, even.copy()], [0, 1, 2, 2])
+    merged = RegisterTable(3, [odd, even], [1, 0, 1, 1])
+    assert split == merged
+    merged.collapse(np.array([0, 1, 0, 0]))
+    split.collapse(np.array([0, 1, 0, 0]))
+    assert split == merged
+    assert split != RegisterTable(3, [even], [0, 0, 0, 0])
+
+
+@pytest.mark.parametrize("backend", [BACKEND_STATEVECTOR, BACKEND_SAMPLED])
+def test_session_id_does_not_depend_on_the_pixels(backend):
+    first, _ = share_image(random_image(8, 4, 1), 3, backend, 5)
+    second, _ = share_image(random_image(8, 4, 2), 3, backend, 5)
+    assert first.session_id == second.session_id
+    expected = hashlib.sha256(
+        b"QVSS:session:v2"
+        + struct.pack("<BHIIQ", 1 if backend == BACKEND_STATEVECTOR else 2, 3, 8, 4, 5)
+    ).digest()[:16]
+    assert first.session_id == expected
+
+
+@pytest.mark.parametrize("backend", [BACKEND_STATEVECTOR, BACKEND_SAMPLED])
+def test_session_id_depends_on_the_seed_and_the_size(backend):
+    image = random_image(8, 4, 1)
+    ids = {
+        share_image(image, 3, backend, 5)[0].session_id,
+        share_image(image, 3, backend, 6)[0].session_id,
+        share_image(image, 4, backend, 5)[0].session_id,
+        share_image(random_image(4, 8, 1), 3, backend, 5)[0].session_id,
+    }
+    assert len(ids) == 4
