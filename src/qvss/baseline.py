@@ -13,13 +13,16 @@ Image sharing draws every pixel's permutation from one counter-based key
 stream, ``np.random.Philox(key=seed)`` (Salmon et al., "Parallel random
 numbers: as easy as 1, 2, 3", SC'11): pixel l's m sort keys are raw
 64-bit words (l-1)*m .. l*m-1 of that stream, and its column order is the
-stable argsort of those keys.  That order comes from one in-place sort
-per pixel of the keys with their low log2(m) bits replaced by column
-indices (see ``_column_orders``).  Pixels are processed a few rows at a
-time in whole-array operations: the chunk's values are gathered once in
-the share grid's layout and each share's bit plane is cut from them with
-two contiguous passes.  So the result depends neither on the chunking
-nor on anything but the seed, n and the pixel's index and colour.
+stable argsort of those keys.  Each key's low n bits are replaced in place
+by the white base's value for its column and each pixel's words are
+sorted in place once, which leaves the white values in that order in the
+low bits (see ``_sort_rows``).  The few pixels whose key prefixes tie are
+sorted again from keys drawn again from the stream, so no copy of the keys
+is kept.  Pixels are processed a few rows at a time in whole-array
+operations: the chunk's values are narrowed once into the share grid's
+layout and each share's bit plane is cut from them with two contiguous
+passes.  So the result depends neither on the chunking nor on anything
+but the seed, n and the pixel's index and colour.
 
 Boolean share matrices are plain numpy arrays of shape (n, m) with entries
 in {0, 1}, 1 meaning a black subpixel.
@@ -45,11 +48,12 @@ from .protocol import pixel_rng  # noqa: F401
 MAX_BASELINE_SUBPIXELS = 1 << 27
 
 #: Subpixels drawn per chunk (rounded down to whole image rows, at least
-#: one): 512 pixels at n=8.  A chunk's keys and sort words take 8 bytes a
-#: subpixel, 512 KiB each, so they stay in a 2 MiB L2 cache through the
-#: sort, and the memory used beyond the shares themselves stays near
-#: 2 MiB.  At 128x128, n=8, 2^19 ran about 10% slower; 2^17 ran about 10%
-#: faster but doubles that memory.
+#: one): 512 pixels at n=8.  A chunk's sort words, which replace its keys
+#: in place, take 8 bytes a subpixel, 512 KiB, and the tie check one
+#: temporary of that size, so they stay in a 2 MiB L2 cache through the
+#: sort, and the memory used beyond the shares themselves stays under
+#: 2 MiB.  At 128x128, n=8, 2^15 to 2^18 ran within 3% of each other; 2^19
+#: ran about 10% slower.
 _CHUNK_SUBPIXELS = 1 << 16
 
 
@@ -163,31 +167,57 @@ def block_shape(n: int) -> tuple[int, int]:
     return 1 << half, 1 << (n - 1 - half)
 
 
-def _column_orders(keys: np.ndarray) -> np.ndarray:
-    """``np.argsort(keys, axis=1, kind="stable")`` with one sort per row.
+def _philox_words(seed: int, offset: int, count: int) -> np.ndarray:
+    """Raw words offset .. offset+count-1 of the ``Philox(key=seed)`` stream.
 
-    With b = log2(m) for the m columns, each key's low b bits are replaced
-    by its column index, the words are sorted in place and the order is
-    read off their low b bits.  If no two words of a row agree above bit
-    b (adjacent sorted words suffice to check), the row's key prefixes are
-    distinct: distinct prefixes order the keys exactly as the keys do and
-    no two keys tie, so that order is the stable argsort.  Rows where two
-    prefixes agree, about m^2 / 2^(65-b) of random rows, are sorted again
-    by the stable argsort itself, so the result holds for every input.
+    Philox makes 4 words per counter step and ``advance`` counts steps, so
+    the stream is advanced to the step holding word ``offset`` and the
+    words before it in that step are dropped.
     """
-    m = keys.shape[1]
-    low = np.uint64(m - 1)
-    words = keys & ~low
-    words |= np.arange(m, dtype=np.uint64)
+    stream = np.random.Philox(key=seed).advance(offset // 4)
+    return stream.random_raw(offset % 4 + count)[offset % 4 :]
+
+
+def _sort_rows(words: np.ndarray, values: np.ndarray, keys_of) -> np.ndarray:
+    """Each row's ``values`` in the stable argsort order of its keys, in place.
+
+    ``words`` holds one row of m uint64 sort keys per pixel and is
+    overwritten; ``values`` holds m ascending uint64 values below 2^b.
+    Each key's low b bits are replaced by its column's value, the words
+    are sorted in place, and their low b bits are the result; callers read
+    only those bits.  If no two words of a row agree above bit b (adjacent
+    sorted words suffice to check), the row's key prefixes are distinct:
+    distinct prefixes order the keys exactly as the keys do and no two
+    keys tie, and the values rise with the column, so the low bits are the
+    values in stable argsort order.  Rows where two prefixes agree, about
+    m^2 / 2^(65-b) of random rows, get their keys back from
+    ``keys_of(rows)`` and are sorted again by the stable argsort itself, so
+    the result holds for every input.
+    """
+    m = words.shape[1]
+    low = np.uint64((1 << int(values[-1]).bit_length()) - 1)
+    words &= ~low
+    words |= values
     words.sort(axis=1)
     flat = words.reshape(-1)
     close = (flat[1:] ^ flat[:-1]) <= low
     close[m - 1 :: m] = False  # the pair straddles two rows
-    shared = np.unique(np.flatnonzero(close) // m)
-    words &= low
-    if shared.size:
-        words[shared] = np.argsort(keys[shared], axis=1, kind="stable")
+    if close.any():
+        tied = np.unique(np.flatnonzero(close) // m)
+        words[tied] = values[np.argsort(keys_of(tied), axis=1, kind="stable")]
     return words
+
+
+def _column_orders(keys: np.ndarray) -> np.ndarray:
+    """``np.argsort(keys, axis=1, kind="stable")`` for m columns, m = 2^b.
+
+    ``_sort_rows`` with the column indices as values, on a copy of the
+    keys, which also serve its tied rows.
+    """
+    m = keys.shape[1]
+    orders = _sort_rows(keys.copy(), np.arange(m, dtype=np.uint64), keys.__getitem__)
+    orders &= np.uint64(m - 1)
+    return orders
 
 
 def classical_share_image(
@@ -210,6 +240,7 @@ def classical_share_image(
         )
     m = bh * bw
     white = _white_columns(n)
+    sort_values = white.astype(np.uint64)
     keys = np.random.Philox(key=seed)
     planes = np.empty((n, height, width), dtype=np.uint8)
     colors = image.as_grid()
@@ -217,12 +248,22 @@ def classical_share_image(
     for top in range(0, image.height, rows):
         chunk = colors[top : top + rows]
         count = chunk.shape[0]
-        orders = _column_orders(keys.random_raw(chunk.size * m).reshape(-1, m))
-        # Gather straight into the share grid's row-major layout: (image
-        # row, block row, image column, block column).
-        orders = orders.reshape(count, image.width, bh, bw).transpose(0, 2, 1, 3)
-        values = np.take(white, orders)
-        values ^= chunk[:, None, :, None]  # black: flip the last bit
+        first = top * image.width  # the chunk's first pixel, from 0
+        words = _sort_rows(
+            keys.random_raw(chunk.size * m).reshape(-1, m),
+            sort_values,
+            lambda tied: np.stack(
+                [_philox_words(seed, (first + p) * m, m) for p in tied.tolist()]
+            ),
+        )
+        # The share grid's row-major layout: (image row, block row, image
+        # column, block column).  Narrowing keeps bits 0..n-1, the white
+        # value, and maybe prefix bits that no plane reads; black pixels
+        # flip the last bit.
+        words = words.reshape(count, image.width, bh, bw).transpose(0, 2, 1, 3)
+        values = np.empty(words.shape, dtype=white.dtype)
+        np.copyto(values, words, casting="unsafe")
+        values ^= chunk[:, None, :, None]
         band = planes[:, top * bh : (top + count) * bh].reshape(n, *values.shape)
         for row in range(n):
             np.right_shift(values, n - 1 - row, out=band[row])
@@ -256,7 +297,10 @@ def _block_weights(stacked: BinaryImage, n: int) -> np.ndarray:
             f"number of {bh}x{bw} blocks"
         )
     width, height = stacked.width // bw, stacked.height // bh
-    return stacked.as_grid().reshape(height, bh, width, bw).sum(axis=(1, 3))
+    # Contiguous block rows first, then block columns; a weight is at most m.
+    dtype = np.min_scalar_type(bh * bw)
+    rows = stacked.as_grid().reshape(height, bh, width * bw).sum(axis=1, dtype=dtype)
+    return rows.reshape(height, width, bw).sum(axis=2, dtype=dtype)
 
 
 def decode_stacked(stacked: BinaryImage, n: int) -> BinaryImage:

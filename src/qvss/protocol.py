@@ -186,8 +186,15 @@ class RegisterTable:
         return np.bincount(self.index, minlength=len(self.states))
 
     def collapse(self, outcomes: np.ndarray) -> None:
-        """Replace every pixel's register by its measured basis state."""
-        values, self.index = np.unique(outcomes, return_inverse=True)
+        """Replace every pixel's register by its measured basis state.
+
+        The entries are the distinct outcomes in ascending order; outcomes
+        lie below 2^n, so they are counted rather than sorted.
+        """
+        values = np.flatnonzero(np.bincount(outcomes, minlength=1 << self.n))
+        lookup = np.empty(1 << self.n, dtype=np.int64)
+        lookup[values] = np.arange(len(values))
+        self.index = lookup[outcomes]
         self.states = values.tolist()
 
     def __eq__(self, other) -> bool:
@@ -401,9 +408,9 @@ def share_image(
 
     session_id = _derive_session_id(image, n, backend, seed)
     if backend == BACKEND_STATEVECTOR:
-        colors, index = np.unique(image.pixels, return_inverse=True)
-        states = [prepare_parity_state_direct(ParitySpec(n, int(b))) for b in colors]
-        registers = RegisterTable(n, states, index)
+        # Entry b is colour b's parity state, so the pixels are the index.
+        states = [prepare_parity_state_direct(ParitySpec(n, b)) for b in (0, 1)]
+        registers = RegisterTable(n, states, image.pixels)
     else:
         registers = _draw_sampled_outcomes(image, n, seed)
 
@@ -486,8 +493,10 @@ def recover_image(
         table = session.registers
         rng = np.random.default_rng(seed)
         outcomes = np.empty(session.pixel_count, dtype=np.int64)
-        # Pixels grouped by entry, each group in pixel order.
-        by_entry = np.argsort(table.index, kind="stable")
+        # Pixels grouped by entry, each group in pixel order; numpy radix
+        # sorts the index narrowed to u8 or u16.
+        narrow = table.index.astype(_index_dtype(len(table.states)))
+        by_entry = np.argsort(narrow, kind="stable")
         groups = np.split(by_entry, np.cumsum(table.counts())[:-1])
         for entry, pixels in enumerate(groups):
             if not len(pixels):
@@ -601,6 +610,16 @@ def _unpack_header(blob: bytes, magic: bytes, what: str):
     return fields
 
 
+def _check_pad_bits(last: int, bits: int, what: str) -> None:
+    """Reject ``bits`` packed bits whose last byte, ``last``, sets a pad bit.
+
+    Writers leave pad bits zero, so a set one would not re-serialize.
+    """
+    pad = -bits % 8
+    if pad and last & ((1 << pad) - 1):
+        raise FormatError(f"{what} has non-zero pad bits after bit {bits}")
+
+
 def serialize_share(share: ShareFile) -> bytes:
     head = _HEADER.pack(
         _SHARE_MAGIC,
@@ -633,6 +652,7 @@ def deserialize_share(data: bytes) -> ShareFile:
     if backend == BACKEND_STATEVECTOR:
         payload = ()
     else:
+        _check_pad_bits(body[-1], pixel_count, "share payload")
         payload = np.unpackbits(np.frombuffer(body, dtype=np.uint8), count=pixel_count)
     try:
         return ShareFile(
@@ -763,6 +783,7 @@ def deserialize_session(data: bytes) -> SessionStore:
                 f"session outcome payload holds {len(blob) - offset} bytes, "
                 f"expected {nbytes}"
             )
+        _check_pad_bits(blob[-1], total_bits, "session outcome payload")
         bits = np.frombuffer(blob, dtype=np.uint8, offset=offset)
         registers = np.unpackbits(bits, count=total_bits).reshape(pixel_count, n)
         offset = len(blob)

@@ -433,3 +433,133 @@ def test_share_image_peak_is_its_output_plus_a_chunk():
     output = sum(share.pixels.nbytes for share in shares)
     assert output == 64 << 20
     assert peak - output < 4 << 20
+
+
+# --- white values in the sort words, tied rows drawn again ---
+
+
+def per_pixel_shares(image, n, keys):
+    """Share grids from classical_share_pixel, pixel l ordered by keys[l-1]."""
+    sets = build_nn_matrix_sets(n)
+    bh, bw = block_shape(n)
+    grids = np.zeros((n, image.height * bh, image.width * bw), dtype=np.uint8)
+    for l in range(1, image.pixel_count + 1):
+        row, col = (l - 1) // image.width, (l - 1) % image.width
+        order = np.argsort(keys[l - 1], kind="stable")
+        matrix = classical_share_pixel(image.pixel(l), sets, _FixedPermutation(order))
+        grids[:, row * bh : (row + 1) * bh, col * bw : (col + 1) * bw] = matrix.reshape(
+            n, bh, bw
+        )
+    return grids
+
+
+def philox_keys(image, n, seed):
+    m = 1 << (n - 1)
+    return np.random.Philox(key=seed).random_raw(image.pixel_count * m).reshape(-1, m)
+
+
+@pytest.mark.parametrize("width", [1, 3, 7])
+@pytest.mark.parametrize("one_row_chunks", [False, True])
+def test_two_participant_shares_of_an_odd_width_equal_the_per_pixel_definition(
+    monkeypatch, width, one_row_chunks
+):
+    # m = 2, so every other image row starts at a word that is not a
+    # multiple of 4, within Philox's 4-word blocks.
+    pixels = np.random.default_rng(width).integers(0, 2, size=width * 5)
+    image = BinaryImage(width, 5, pixels)
+    if one_row_chunks:
+        monkeypatch.setattr(baseline, "_CHUNK_SUBPIXELS", 2 * width)
+    shares = classical_share_image(image, 2, seed=19)
+    expected = per_pixel_shares(image, 2, philox_keys(image, 2, 19))
+    np.testing.assert_array_equal([share.as_grid() for share in shares], expected)
+
+
+@pytest.mark.parametrize("offset", [0, 1, 2, 3, 4, 5, 6, 7, 1001, 4096])
+def test_philox_words_are_drawn_again_from_any_offset(offset):
+    stream = np.random.Philox(key=2**64 - 1).random_raw(offset + 9)
+    np.testing.assert_array_equal(
+        baseline._philox_words(2**64 - 1, offset, 9), stream[offset:]
+    )
+
+
+@pytest.mark.parametrize("n", [2, 4, 8])
+def test_sort_rows_puts_the_white_values_in_stable_key_order(n):
+    # The sort words carry the n-bit white values, not column indices, so
+    # keys agreeing above bit n are ties of the prefix sort.
+    m = 1 << (n - 1)
+    white = baseline._white_columns(n)
+    low = np.uint64((1 << n) - 1)
+    rng = np.random.default_rng(n)
+    keys = rng.integers(0, 1 << 64, size=(64, m), dtype=np.uint64)
+    for row in keys[::2]:
+        i, j = rng.choice(m, size=2, replace=False)
+        row[j] = (row[i] & ~low) | rng.integers(0, 1 << n, dtype=np.uint64)
+    keys[1::4, 0] = keys[1::4, -1]  # exact ties
+    words = baseline._sort_rows(keys.copy(), white.astype(np.uint64), keys.__getitem__)
+    np.testing.assert_array_equal(
+        words & low, white[np.argsort(keys, axis=1, kind="stable")]
+    )
+
+
+class _CoarsePhilox:
+    """Philox whose words keep only their top 3 bits and their lowest bit.
+
+    Most rows of its keys tie above the white values' bits, and many tie
+    outright, so the share image re-sorts them from words drawn again.
+    """
+
+    MASK = np.uint64(0xE000_0000_0000_0001)
+    PHILOX = np.random.Philox
+
+    def __init__(self, key):
+        self.stream = self.PHILOX(key=key)
+
+    def advance(self, delta):
+        self.stream.advance(delta)
+        return self
+
+    def random_raw(self, size):
+        return self.stream.random_raw(size) & self.MASK
+
+
+@pytest.mark.parametrize("n, width", [(2, 7), (3, 5), (4, 6)])
+def test_tied_rows_drawn_again_match_the_per_pixel_definition(monkeypatch, n, width):
+    pixels = np.random.default_rng(n).integers(0, 2, size=width * 5)
+    image = BinaryImage(width, 5, pixels)
+    monkeypatch.setattr(np.random, "Philox", _CoarsePhilox)
+    keys = philox_keys(image, n, 23)
+    monkeypatch.setattr(baseline, "_CHUNK_SUBPIXELS", 2 * width << (n - 1))
+    shares = classical_share_image(image, n, seed=23)
+    np.testing.assert_array_equal(
+        [share.as_grid() for share in shares], per_pixel_shares(image, n, keys)
+    )
+
+
+@pytest.mark.parametrize(
+    "n, side, digest",
+    [
+        (12, 8, "5bf8d6feab84bff1b30ad69c9cabd7bac46d78ef6eef45bd156ebcd1bfd285b6"),
+        (16, 4, "7f3bcd42cf2c34e8635be762485fe95d4e103aecb9fc3d42560ae0335535f7dc"),
+    ],
+)
+def test_share_image_bytes_are_pinned_at_large_n(n, side, digest):
+    # Digests of the shares written by the column-index sort words.
+    pixels = np.random.default_rng(n).integers(0, 2, size=side * side)
+    image = BinaryImage(side, side, pixels)
+    sha = hashlib.sha256()
+    for share in classical_share_image(image, n, seed=2718):
+        sha.update(share.pixels.tobytes())
+    assert sha.hexdigest() == digest
+
+
+@pytest.mark.parametrize("n, side", [(2, 5), (8, 7), (12, 3)])
+def test_block_weights_equal_a_per_block_count(n, side):
+    bh, bw = block_shape(n)
+    pixels = np.random.default_rng(n).integers(0, 2, size=side * bh * side * bw)
+    stacked = BinaryImage(side * bw, side * bh, pixels)
+    grid = stacked.as_grid()
+    expected = [
+        [grid[r * bh : (r + 1) * bh, c * bw : (c + 1) * bw].sum() for c in range(side)]
+        for r in range(side)
+    ]
+    np.testing.assert_array_equal(baseline._block_weights(stacked, n), expected)

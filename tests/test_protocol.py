@@ -824,3 +824,48 @@ def test_session_id_depends_on_the_seed_and_the_size(backend):
         share_image(random_image(4, 8, 1), 3, backend, 5)[0].session_id,
     }
     assert len(ids) == 4
+
+
+# --- counting instead of sorting; pad bits ---
+
+
+def test_collapse_equals_the_sorted_distinct_outcomes():
+    outcomes = np.random.default_rng(3).integers(0, 1 << 16, size=5000)
+    outcomes[[0, -1]] = [0, (1 << 16) - 1]
+    table = RegisterTable(16, [], np.zeros(5000, dtype=np.int64))
+    table.collapse(outcomes)
+    values, index = np.unique(outcomes, return_inverse=True)
+    assert table.states == values.tolist()
+    np.testing.assert_array_equal(table.index, index)
+
+
+@pytest.mark.parametrize("color", [0, 1])
+def test_single_colour_statevector_session_writes_one_entry(color):
+    image = from_pixel_list(3, 2, [color] * 6)
+    session, shares = share_image(image, 4, BACKEND_STATEVECTOR, 8)
+    data = serialize_session(session)
+    assert struct.unpack_from("<I", data, HEADER_SIZE + 8) == (1,)
+    restored = deserialize_session(data)
+    assert restored == session
+    assert recover_image(shares, session, 5) == image
+    recover_image(shares, restored, 5)
+    assert restored == session
+
+
+def _flip_last_payload_bit(blob: bytes) -> bytes:
+    data = bytearray(blob)
+    data[-CRC_SIZE - 1] ^= 1
+    return recrc(bytes(data))
+
+
+def test_share_with_a_set_pad_bit_is_rejected():
+    _, shares = share_image(from_pixel_list(3, 1, [0, 1, 1]), 3, BACKEND_SAMPLED, 4)
+    with pytest.raises(FormatError, match="share payload has non-zero pad bits"):
+        deserialize_share(_flip_last_payload_bit(serialize_share(shares[0])))
+
+
+def test_session_with_a_set_pad_bit_is_rejected():
+    session, _ = share_image(from_pixel_list(3, 1, [0, 1, 1]), 3, BACKEND_SAMPLED, 4)
+    message = "session outcome payload has non-zero pad bits"
+    with pytest.raises(FormatError, match=message):
+        deserialize_session(_flip_last_payload_bit(serialize_session(session)))
