@@ -5,10 +5,17 @@ P4 (packed bits, MSB first, rows padded to whole bytes).  Pixel value 1 is
 black, 0 is white, matching PBM.  Grayscale or color input is rejected
 rather than thresholded, since thresholding would silently change the
 secret.
+
+Whitespace is space, tab, LF, VT, FF and CR.  A comment runs from ``#`` to
+the next LF or CR and counts as whitespace in the header and between (even
+right after) P1 pixels; bytes after the last P1 pixel are ignored.  A P4
+raster follows the height after one whitespace byte and may hold any byte.
+Every byte offset in a ``FormatError`` message is an offset into the file.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,7 +24,13 @@ from .errors import FormatError
 
 MAX_DIMENSION = 4096
 
-_WHITESPACE = frozenset(b" \t\r\n\x0b\x0c")
+#: PBM's whitespace; in a bytes pattern ``\s`` matches exactly these bytes.
+_WHITESPACE = b" \t\r\n\x0b\x0c"
+_NOT_SPACE = np.ones(256, dtype=bool)
+_NOT_SPACE[list(_WHITESPACE)] = False
+_COMMENT = re.compile(rb"#[^\r\n]*")
+_SEPARATOR = re.compile(rb"(?:\s|%s)*" % _COMMENT.pattern)
+_TOKEN = re.compile(rb"[^\s#]*")
 
 
 @dataclass
@@ -37,13 +50,18 @@ class BinaryImage:
             raise ValueError(
                 f"image dimensions exceed {MAX_DIMENSION}: {self.width}x{self.height}"
             )
-        self.pixels = np.asarray(self.pixels, dtype=np.uint8).reshape(-1)
-        if self.pixels.size != self.width * self.height:
+        pixels = np.asarray(self.pixels).reshape(-1)
+        if pixels.size != self.width * self.height:
             raise ValueError(
-                f"expected {self.width * self.height} pixels, got {self.pixels.size}"
+                f"expected {self.width * self.height} pixels, got {pixels.size}"
             )
-        if self.pixels.max() > 1:
+        # Checked before the cast to uint8, which would wrap 256 to 0.  uint8
+        # and bool input, from every reader and encoder, takes one max() pass.
+        narrow = pixels.dtype in (np.uint8, np.bool_)
+        binary = pixels.max() <= 1 if narrow else np.isin(pixels, (0, 1)).all()
+        if not binary:
             raise FormatError("image pixels must be 0 (white) or 1 (black)")
+        self.pixels = pixels.astype(np.uint8, copy=False)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, BinaryImage):
@@ -70,34 +88,15 @@ class BinaryImage:
 
 def from_pixel_list(width: int, height: int, colors) -> BinaryImage:
     """Build an image from colors listed in pixel-index order (l = 1..s)."""
-    colors = list(colors)
-    if len(colors) != width * height:
-        raise ValueError(
-            f"expected {width * height} colors for {width}x{height}, got {len(colors)}"
-        )
-    return BinaryImage(width, height, np.array(colors, dtype=np.uint8))
-
-
-def _skip_space(data: bytes, pos: int) -> int:
-    while pos < len(data):
-        if data[pos] in _WHITESPACE:
-            pos += 1
-        elif data[pos] == 0x23:  # '#': comment runs to end of line
-            while pos < len(data) and data[pos] not in (0x0A, 0x0D):
-                pos += 1
-        else:
-            break
-    return pos
+    return BinaryImage(width, height, np.array(list(colors)))
 
 
 def _next_token(data: bytes, pos: int, what: str) -> tuple[bytes, int]:
-    pos = _skip_space(data, pos)
+    pos = _SEPARATOR.match(data, pos).end()
     if pos >= len(data):
         raise FormatError(f"truncated input: expected {what} at byte {pos}")
-    start = pos
-    while pos < len(data) and data[pos] not in _WHITESPACE and data[pos] != 0x23:
-        pos += 1
-    return data[start:pos], pos
+    end = _TOKEN.match(data, pos).end()
+    return data[pos:end], end
 
 
 def _parse_dimension(data: bytes, pos: int, what: str) -> tuple[int, int]:
@@ -124,24 +123,21 @@ def read_pbm(data: bytes) -> BinaryImage:
     height, pos = _parse_dimension(data, pos, "height")
 
     if magic == b"P1":
-        bits = np.empty(width * height, dtype=np.uint8)
-        count = 0
-        pos = _skip_space(data, pos)
-        while count < width * height:
-            if pos >= len(data):
-                raise FormatError(
-                    f"truncated pixel data at byte {pos}: got {count} of "
-                    f"{width * height} pixels"
-                )
-            c = data[pos]
-            if c == 0x30:
-                bits[count] = 0
-            elif c == 0x31:
-                bits[count] = 1
-            else:
-                raise FormatError(f"invalid pixel byte {bytes([c])!r} at byte {pos}")
-            count += 1
-            pos = _skip_space(data, pos + 1)
+        # Comments become spaces of the same length: raster index + pos = offset.
+        text = memoryview(data)[pos:]
+        if data.find(b"#", pos) >= 0:
+            text = _COMMENT.sub(lambda comment: b" " * len(comment[0]), text)
+        raster = np.frombuffer(text, dtype=np.uint8)
+        bits = raster[_NOT_SPACE[raster]][: width * height]
+        bits -= ord("0")
+        if bits.size and bits.max() > 1:
+            at = pos + int(np.flatnonzero(_NOT_SPACE[raster])[np.argmax(bits > 1)])
+            raise FormatError(f"invalid pixel byte {bytes([data[at]])!r} at byte {at}")
+        if bits.size < width * height:
+            raise FormatError(
+                f"truncated pixel data at byte {len(data)}: got {bits.size} of "
+                f"{width * height} pixels"
+            )
         return BinaryImage(width, height, bits)
 
     # P4: a single whitespace byte separates the header from the raster.
@@ -164,9 +160,11 @@ def write_pbm(image: BinaryImage, variant: str = "p1") -> bytes:
     """Serialize to canonical P1 or P4 bytes (lossless inverse of read_pbm)."""
     header = f"{{}}\n{image.width} {image.height}\n"
     if variant == "p1":
-        grid = image.as_grid()
-        body = "".join(" ".join(str(b) for b in row) + "\n" for row in grid)
-        return header.format("P1").encode("ascii") + body.encode("ascii")
+        # Rows of "d d ... d\n": digits in even columns, spaces in odd ones.
+        text = np.full((image.height, 2 * image.width), ord(" "), dtype=np.uint8)
+        np.add(image.as_grid(), ord("0"), out=text[:, 0::2])
+        text[:, -1] = ord("\n")
+        return header.format("P1").encode("ascii") + text.tobytes()
     if variant == "p4":
         packed = np.packbits(image.as_grid(), axis=1)
         return header.format("P4").encode("ascii") + packed.tobytes()

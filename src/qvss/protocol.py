@@ -145,7 +145,15 @@ class RegisterTable:
     def __init__(self, n: int, states, index):
         self.n = n
         self.states = list(states)
-        self.index = np.array(index, dtype=np.int64).reshape(-1)
+        # The index is held in the dtype the session file stores; a value
+        # that does not fit raises instead of wrapping.
+        index = np.asarray(index).reshape(-1)
+        self.index = index.astype(_index_dtype(len(self.states)))
+        if index.dtype != self.index.dtype and not np.array_equal(index, self.index):
+            raise ValueError(
+                f"register index does not fit {self.index.dtype.name} for a "
+                f"table of {len(self.states)} entries"
+            )
 
     def __len__(self) -> int:
         return len(self.index)
@@ -179,6 +187,7 @@ class RegisterTable:
         else:
             entry = len(self.states)
             self.states.append(state)
+            self.index = self.index.astype(_index_dtype(len(self.states)), copy=False)
         self.index[pixel] = entry
 
     def counts(self) -> np.ndarray:
@@ -192,7 +201,7 @@ class RegisterTable:
         lie below 2^n, so they are counted rather than sorted.
         """
         values = np.flatnonzero(np.bincount(outcomes, minlength=1 << self.n))
-        lookup = np.empty(1 << self.n, dtype=np.int64)
+        lookup = np.empty(1 << self.n, dtype=_index_dtype(len(values)))
         lookup[values] = np.arange(len(values))
         self.index = lookup[outcomes]
         self.states = values.tolist()
@@ -492,11 +501,11 @@ def recover_image(
     if session.backend == BACKEND_STATEVECTOR:
         table = session.registers
         rng = np.random.default_rng(seed)
-        outcomes = np.empty(session.pixel_count, dtype=np.int64)
+        # Outcomes lie below 2^n <= 2^16.
+        outcomes = np.empty(session.pixel_count, dtype=np.uint16)
         # Pixels grouped by entry, each group in pixel order; numpy radix
-        # sorts the index narrowed to u8 or u16.
-        narrow = table.index.astype(_index_dtype(len(table.states)))
-        by_entry = np.argsort(narrow, kind="stable")
+        # sorts the u8 or u16 index.
+        by_entry = np.argsort(table.index, kind="stable")
         groups = np.split(by_entry, np.cumsum(table.counts())[:-1])
         for entry, pixels in enumerate(groups):
             if not len(pixels):

@@ -1,10 +1,18 @@
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qvss.errors import FormatError
-from qvss.image_io import BinaryImage, from_pixel_list, read_pbm, write_pbm
+from qvss.image_io import (
+    MAX_DIMENSION,
+    BinaryImage,
+    from_pixel_list,
+    read_pbm,
+    write_pbm,
+)
 
 
 def random_image(width, height, seed):
@@ -136,3 +144,231 @@ def test_round_trip_large_image():
     image = random_image(256, 256, seed=9)
     assert read_pbm(write_pbm(image, "p4")) == image
     assert read_pbm(write_pbm(image, "p1")) == image
+
+
+# --- the array-native codec against the byte loop it replaced ---
+#
+# The reference reader and P1 writer below are the char-by-char versions
+# the array code replaced.  They define the results and error messages the
+# array code must keep.
+
+_REF_WHITESPACE = frozenset(b" \t\r\n\x0b\x0c")
+
+
+def _ref_skip_space(data, pos):
+    while pos < len(data):
+        if data[pos] in _REF_WHITESPACE:
+            pos += 1
+        elif data[pos] == 0x23:  # '#': comment runs to end of line
+            while pos < len(data) and data[pos] not in (0x0A, 0x0D):
+                pos += 1
+        else:
+            break
+    return pos
+
+
+def _ref_next_token(data, pos, what):
+    pos = _ref_skip_space(data, pos)
+    if pos >= len(data):
+        raise FormatError(f"truncated input: expected {what} at byte {pos}")
+    start = pos
+    while pos < len(data) and data[pos] not in _REF_WHITESPACE and data[pos] != 0x23:
+        pos += 1
+    return data[start:pos], pos
+
+
+def _ref_parse_dimension(data, pos, what):
+    token, newpos = _ref_next_token(data, pos, what)
+    try:
+        value = int(token)
+    except ValueError:
+        raise FormatError(f"bad {what} {token!r} at byte {pos}") from None
+    if value < 1 or value > MAX_DIMENSION:
+        raise FormatError(f"{what} {value} at byte {pos} outside 1..{MAX_DIMENSION}")
+    return value, newpos
+
+
+def reference_read_pbm(data):
+    magic, pos = _ref_next_token(data, 0, "magic")
+    if magic not in (b"P1", b"P4"):
+        raise FormatError(
+            f"unsupported magic {magic!r} at byte 0: only bilevel P1/P4 accepted"
+        )
+    width, pos = _ref_parse_dimension(data, pos, "width")
+    height, pos = _ref_parse_dimension(data, pos, "height")
+
+    if magic == b"P1":
+        bits = np.empty(width * height, dtype=np.uint8)
+        count = 0
+        pos = _ref_skip_space(data, pos)
+        while count < width * height:
+            if pos >= len(data):
+                raise FormatError(
+                    f"truncated pixel data at byte {pos}: got {count} of "
+                    f"{width * height} pixels"
+                )
+            c = data[pos]
+            if c == 0x30:
+                bits[count] = 0
+            elif c == 0x31:
+                bits[count] = 1
+            else:
+                raise FormatError(f"invalid pixel byte {bytes([c])!r} at byte {pos}")
+            count += 1
+            pos = _ref_skip_space(data, pos + 1)
+        return BinaryImage(width, height, bits)
+
+    if pos >= len(data) or data[pos] not in _REF_WHITESPACE:
+        raise FormatError(f"expected whitespace before raster at byte {pos}")
+    pos += 1
+    row_bytes = (width + 7) // 8
+    needed = row_bytes * height
+    if len(data) - pos < needed:
+        raise FormatError(
+            f"truncated raster at byte {len(data)}: need {needed} bytes from "
+            f"byte {pos}"
+        )
+    raster = np.frombuffer(data, dtype=np.uint8, count=needed, offset=pos)
+    rows = np.unpackbits(raster.reshape(height, row_bytes), axis=1)[:, :width]
+    return BinaryImage(width, height, rows.reshape(-1))
+
+
+def reference_write_p1(image):
+    body = "".join(" ".join(str(b) for b in row) + "\n" for row in image.as_grid())
+    return f"P1\n{image.width} {image.height}\n".encode("ascii") + body.encode("ascii")
+
+
+def outcome(read, data):
+    """The image a reader returns, or the message of its FormatError."""
+    try:
+        image = read(data)
+    except FormatError as exc:
+        return str(exc)
+    return image.width, image.height, image.pixels.tobytes()
+
+
+PBM_ALPHABET = b"01 \t\r\n\x0b\x0c#P4x9"
+# What may stand between two P1 tokens: whitespace of every kind, CR-only
+# line ends, and comments, including one straight after a pixel.
+P1_SEPARATORS = ["", " ", "\n", "\r", "\r\n", "\t", "\x0b", "\x0c", "#c\n", "#\r", " # x 1\n"]
+
+
+@st.composite
+def styled_p1(draw):
+    """A valid P1 file with separators drawn from ``P1_SEPARATORS``."""
+    width, height = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    sep = st.sampled_from(P1_SEPARATORS)
+    header = ["P1", draw(sep.filter(bool)), str(width), draw(sep.filter(bool)), str(height)]
+    # A digit must not run into the height token, so the first gap is not empty.
+    pixels = [draw(sep.filter(bool))] + [
+        draw(st.sampled_from("01")) + draw(sep) for _ in range(width * height)
+    ]
+    return ("".join(header) + "".join(pixels)).encode("ascii")
+
+
+@st.composite
+def p4_file(draw):
+    """A valid P4 file; its raster bytes include '#', CR and LF."""
+    width, height = draw(st.integers(1, 20)), draw(st.integers(1, 4))
+    size = (width + 7) // 8 * height
+    raster = draw(st.binary(min_size=size, max_size=size) | st.just(b"#\r\n" * size))
+    return b"P4\n#c\n%d %d\n" % (width, height) + raster[:size]
+
+
+@st.composite
+def damaged(draw, files):
+    """A file with bytes overwritten, inserted and deleted, then cut."""
+    data = bytearray(draw(files))
+    for _ in range(draw(st.integers(0, 4))):
+        position = draw(st.integers(0, len(data)))
+        byte = draw(st.sampled_from(list(PBM_ALPHABET)) | st.integers(0, 255))
+        action = draw(st.sampled_from(["overwrite", "insert", "delete"]))
+        if action == "insert" or position == len(data):
+            data.insert(position, byte)
+        elif action == "overwrite":
+            data[position] = byte
+        else:
+            del data[position]
+    return bytes(data[: draw(st.integers(0, len(data)))])
+
+
+alphabet_bytes = st.lists(st.sampled_from(list(PBM_ALPHABET)), max_size=40).map(bytes)
+PBM_INPUTS = st.one_of(
+    alphabet_bytes,
+    st.tuples(st.sampled_from([b"P1", b"P4", b"P1 2 2", b"P4 8 1"]), alphabet_bytes).map(
+        b"".join
+    ),
+    styled_p1(),
+    p4_file(),
+    damaged(styled_p1()),
+    damaged(p4_file()),
+)
+
+
+@settings(max_examples=600, deadline=None)
+@given(PBM_INPUTS)
+@example(b"P1 2 2 0#c\n1#\r1 0")  # comment straight after a pixel
+@example(b"P1\r2\r1\r0\r1\r")  # CR-only line ends
+@example(b"P1\x0b2\x0c1\x0b0\x0c1")  # VT and FF
+@example(b"P4 8 2\n##")  # '#' bytes inside a P4 raster
+@example(b"P4 8 1#\n\xff")  # comment straight after the P4 height
+@example(b"P1 2 1 0 1 7 # trailing bytes are ignored")
+@example(b"P1 2 1 0 7 #")
+def test_reader_matches_the_byte_loop(data):
+    assert outcome(read_pbm, data) == outcome(reference_read_pbm, data)
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        (b"P1 2 1 0 7", "invalid pixel byte b'7' at byte 9"),
+        (b"P1\n# c\n2 1\n0#z\n\x0c9", "invalid pixel byte b'9' at byte 16"),
+        (b"P1 2 2 0 1", "truncated pixel data at byte 10: got 2 of 4 pixels"),
+        (b"P1 2 2 0 1 # end", "truncated pixel data at byte 16: got 2 of 4 pixels"),
+        (b"P4 8 1#\n\xff", "expected whitespace before raster at byte 6"),
+    ],
+)
+def test_pbm_error_messages_give_file_offsets(data, message):
+    with pytest.raises(FormatError) as err:
+        read_pbm(data)
+    assert str(err.value) == message
+
+
+def test_p1_read_peaks_under_three_times_the_file_size():
+    data = write_pbm(random_image(1024, 1024, seed=4), "p1")
+    tracemalloc.start()
+    try:
+        read_pbm(data)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * len(data)
+
+
+@pytest.mark.parametrize("width", [1, 2, 7, 1024])
+def test_p1_write_matches_the_joined_strings(width):
+    image = random_image(width, 3, seed=width)
+    assert write_pbm(image, "p1") == reference_write_p1(image)
+
+
+# --- values are checked before the cast to uint8 ---
+
+
+@pytest.mark.parametrize(
+    "pixels", [np.array([0, 256]), np.array([0, -255]), np.array([0.0, 0.7])]
+)
+def test_image_rejects_values_that_the_cast_would_wrap(pixels):
+    with pytest.raises(FormatError):
+        BinaryImage(2, 1, pixels)
+
+
+def test_from_pixel_list_rejects_values_over_a_byte():
+    with pytest.raises(FormatError):
+        from_pixel_list(2, 1, [0, 256])
+
+
+def test_image_accepts_binary_values_of_any_dtype():
+    for pixels in (np.array([1, 0]), np.array([1.0, 0.0]), np.array([True, False])):
+        image = BinaryImage(2, 1, pixels)
+        assert image.pixels.dtype == np.uint8
+        assert image.pixels.tolist() == [1, 0]

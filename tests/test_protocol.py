@@ -869,3 +869,33 @@ def test_session_with_a_set_pad_bit_is_rejected():
     message = "session outcome payload has non-zero pad bits"
     with pytest.raises(FormatError, match=message):
         deserialize_session(_flip_last_payload_bit(serialize_session(session)))
+
+
+# --- the register index in the dtype the session file stores ---
+
+
+def test_register_index_takes_the_session_file_dtype():
+    image = random_image(32, 32, seed=3)
+    session, shares = share_image(image, 12, BACKEND_STATEVECTOR, 4)
+    assert session.registers.index.dtype == np.uint8
+    recover_image(shares, session, 6)
+    table = session.registers
+    assert len(table.states) > 255
+    assert table.index.dtype == np.uint16
+    assert deserialize_session(serialize_session(session)) == session
+
+
+@pytest.mark.parametrize("index", [[0, 256], [0, -1], [0, 0.5]])
+def test_register_index_that_does_not_fit_is_rejected(index):
+    states = [prepare_parity_state_direct(ParitySpec(3, b)) for b in (0, 1)]
+    with pytest.raises(ValueError, match="register index does not fit uint8"):
+        RegisterTable(3, states, np.array(index))
+
+
+def test_appending_a_256th_entry_widens_the_index():
+    table = RegisterTable(8, range(255), np.arange(255))
+    assert table.index.dtype == np.uint8
+    table[0] = prepare_parity_state_direct(ParitySpec(8, 1))
+    assert table.index.dtype == np.uint16
+    assert table.index.tolist() == [255, *range(1, 255)]
+    assert table[0] is table.states[255]
