@@ -34,8 +34,10 @@ File formats (all integers little-endian):
 * Session (.qvse), version 2: magic ``QVSE``, the same header fields with
   the participant slot zeroed, then the master seed as u64, then
   - statevector: the register table length u32, each table entry as n u16
-    followed by 2^n re/im float64 pairs, then one table index per pixel
-    as u8, u16 or u32, the narrowest whose range holds the table length;
+    followed by 2^n little-endian complex128 amplitudes (the same bytes as
+    re/im float64 pairs), then one table index per pixel as u8, u16 or
+    u32, the narrowest whose range holds the table length; writers cap
+    the table at ``MAX_SESSION_TABLE_BYTES`` (256 MiB);
   - sampled: the bit matrix row by row, packed MSB first;
   then a CRC32 trailer.
 
@@ -74,6 +76,11 @@ BACKEND_SAMPLED = "sampled"
 
 #: Sampled shares are classical bits, so the register cap does not bind.
 MAX_SAMPLED_QUBITS = 64
+
+#: Cap on a session file's statevector register table, checked before any
+#: of it is built.  A fresh session at n=16 needs about 2 MiB; a collapsed
+#: one holds an entry per distinct outcome, up to 2^n of 2^n amplitudes.
+MAX_SESSION_TABLE_BYTES = 1 << 28
 
 #: Analytic uniformity tolerance (statevector audits).
 AUDIT_TOLERANCE = 1e-12
@@ -128,6 +135,16 @@ def _check_seed(seed: int) -> int:
 
 def _index_dtype(table_length: int) -> np.dtype:
     return next(d for d in _INDEX_DTYPES if table_length <= np.iinfo(d).max)
+
+
+def _renumber(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The values with a non-zero count, ascending, and a lookup from each
+    of them to its rank, in the narrowest index dtype: counting, not sorting.
+    """
+    used = np.flatnonzero(counts)
+    lookup = np.empty(len(counts), dtype=_index_dtype(len(used)))
+    lookup[used] = np.arange(len(used))
+    return used, lookup
 
 
 class RegisterTable:
@@ -200,9 +217,7 @@ class RegisterTable:
         The entries are the distinct outcomes in ascending order; outcomes
         lie below 2^n, so they are counted rather than sorted.
         """
-        values = np.flatnonzero(np.bincount(outcomes, minlength=1 << self.n))
-        lookup = np.empty(1 << self.n, dtype=_index_dtype(len(values)))
-        lookup[values] = np.arange(len(values))
+        values, lookup = _renumber(np.bincount(outcomes, minlength=1 << self.n))
         self.index = lookup[outcomes]
         self.states = values.tolist()
 
@@ -584,140 +599,130 @@ def audit_subset(session: SessionStore, subset) -> AuditReport:
     return AuditReport(subset, distribution, max_dev, verdict, p_value)
 
 
-def _crc_wrap(blob: bytes) -> bytes:
-    return blob + _CRC.pack(zlib.crc32(blob))
+def _write_file(magic: bytes, item, participant: int, *parts) -> bytes:
+    """One container: header, then ``parts`` (bytes-like), then the CRC32."""
+    head = _HEADER.pack(
+        magic,
+        _FORMAT_VERSION,
+        _BACKEND_IDS[item.backend],
+        item.n,
+        participant,
+        item.pixel_count,
+        item.width,
+        item.height,
+        item.session_id,
+    )
+    crc = zlib.crc32(head)
+    for part in parts:
+        crc = zlib.crc32(part, crc)
+    return b"".join((head, *parts, _CRC.pack(crc)))
 
 
-def _crc_unwrap(data: bytes, what: str) -> bytes:
+def _read_file(data: bytes, magic: bytes, what: str):
+    """Check one container's size, CRC32 and header, in that order.
+
+    Returns the participant slot, the pixel count, the body between header
+    and trailer as a view of ``data``, and the header fields that
+    ``ShareFile`` and ``SessionStore`` share, as keyword arguments.
+    """
     if len(data) < _HEADER.size + _CRC.size:
         raise FormatError(f"truncated {what}: {len(data)} bytes")
-    blob, trailer = data[: -_CRC.size], data[-_CRC.size :]
-    if zlib.crc32(blob) != _CRC.unpack(trailer)[0]:
+    view = memoryview(data)
+    body, (crc,) = view[: -_CRC.size], _CRC.unpack_from(view, len(view) - _CRC.size)
+    if zlib.crc32(body) != crc:
         raise FormatError(f"{what} checksum mismatch")
-    return blob
-
-
-def _unpack_header(blob: bytes, magic: bytes, what: str):
-    fields = _HEADER.unpack_from(blob)
-    if fields[0] != magic:
-        raise FormatError(f"bad magic {fields[0]!r} in {what}, expected {magic!r}")
-    if fields[1] != _FORMAT_VERSION:
-        raise FormatError(f"unsupported {what} format version {fields[1]}")
-    if fields[2] not in _BACKEND_NAMES:
-        raise FormatError(f"unknown backend id {fields[2]} in {what}")
-    backend = _BACKEND_NAMES[fields[2]]
+    found, version, backend_id, n, participant, pixel_count, width, height, sid = (
+        _HEADER.unpack_from(view)
+    )
+    if found != magic:
+        raise FormatError(f"bad magic {found!r} in {what}, expected {magic!r}")
+    if version != _FORMAT_VERSION:
+        raise FormatError(f"unsupported {what} format version {version}")
+    if backend_id not in _BACKEND_NAMES:
+        raise FormatError(f"unknown backend id {backend_id} in {what}")
+    backend = _BACKEND_NAMES[backend_id]
     cap = MAX_QUBITS if backend == BACKEND_STATEVECTOR else MAX_SAMPLED_QUBITS
-    if not 2 <= fields[3] <= cap:
-        raise FormatError(f"n {fields[3]} outside 2..{cap} for {backend} in {what}")
-    for name, value in (("width", fields[6]), ("height", fields[7])):
+    if not 2 <= n <= cap:
+        raise FormatError(f"n {n} outside 2..{cap} for {backend} in {what}")
+    for name, value in (("width", width), ("height", height)):
         if not 1 <= value <= MAX_DIMENSION:
             raise FormatError(f"{name} {value} outside 1..{MAX_DIMENSION} in {what}")
-    if fields[5] != fields[6] * fields[7]:
+    if pixel_count != width * height:
         raise FormatError(
-            f"pixel count {fields[5]} does not match {fields[6]}x{fields[7]} in {what}"
+            f"pixel count {pixel_count} does not match {width}x{height} in {what}"
         )
-    return fields
+    header = dict(n=n, backend=backend, width=width, height=height, session_id=sid)
+    return participant, pixel_count, body[_HEADER.size :], header
 
 
-def _check_pad_bits(last: int, bits: int, what: str) -> None:
-    """Reject ``bits`` packed bits whose last byte, ``last``, sets a pad bit.
+def _unpack_bits(body, bits: int, what: str) -> np.ndarray:
+    """``bits`` bits packed MSB first, as one uint8 per bit.
 
-    Writers leave pad bits zero, so a set one would not re-serialize.
+    Writers leave the pad bits zero, so a set one would not re-serialize.
     """
+    expected = (bits + 7) // 8
+    if len(body) != expected:
+        raise FormatError(f"{what} holds {len(body)} bytes, expected {expected}")
     pad = -bits % 8
-    if pad and last & ((1 << pad) - 1):
+    if pad and body[-1] & ((1 << pad) - 1):
         raise FormatError(f"{what} has non-zero pad bits after bit {bits}")
+    return np.unpackbits(np.frombuffer(body, dtype=np.uint8), count=bits)
 
 
 def serialize_share(share: ShareFile) -> bytes:
-    head = _HEADER.pack(
-        _SHARE_MAGIC,
-        _FORMAT_VERSION,
-        _BACKEND_IDS[share.backend],
-        share.n,
-        share.participant,
-        share.pixel_count,
-        share.width,
-        share.height,
-        share.session_id,
-    )
     if share.backend == BACKEND_STATEVECTOR:
-        body = b""
-    else:
-        body = np.packbits(share.payload).tobytes()
-    return _crc_wrap(head + body)
+        return _write_file(_SHARE_MAGIC, share, share.participant)
+    payload = np.packbits(share.payload)
+    return _write_file(_SHARE_MAGIC, share, share.participant, payload)
 
 
 def deserialize_share(data: bytes) -> ShareFile:
-    blob = _crc_unwrap(data, "share file")
-    _, _, backend_id, n, participant, pixel_count, width, height, session_id = (
-        _unpack_header(blob, _SHARE_MAGIC, "share file")
+    participant, pixel_count, body, header = _read_file(
+        data, _SHARE_MAGIC, "share file"
     )
-    backend = _BACKEND_NAMES[backend_id]
-    body = blob[_HEADER.size :]
-    expected = 0 if backend == BACKEND_STATEVECTOR else (pixel_count + 7) // 8
-    if len(body) != expected:
-        raise FormatError(f"share payload holds {len(body)} bytes, expected {expected}")
-    if backend == BACKEND_STATEVECTOR:
-        payload = ()
-    else:
-        _check_pad_bits(body[-1], pixel_count, "share payload")
-        payload = np.unpackbits(np.frombuffer(body, dtype=np.uint8), count=pixel_count)
+    statevector = header["backend"] == BACKEND_STATEVECTOR
+    bits = _unpack_bits(body, 0 if statevector else pixel_count, "share payload")
+    payload = () if statevector else bits
     try:
-        return ShareFile(
-            participant=participant,
-            n=n,
-            backend=backend,
-            width=width,
-            height=height,
-            session_id=session_id,
-            payload=payload,
-        )
+        return ShareFile(participant=participant, payload=payload, **header)
     except ValueError as exc:
         raise FormatError(f"invalid share file: {exc}") from None
 
 
 def serialize_session(session: SessionStore) -> bytes:
-    head = _HEADER.pack(
-        _SESSION_MAGIC,
-        _FORMAT_VERSION,
-        _BACKEND_IDS[session.backend],
-        session.n,
-        0,
-        session.pixel_count,
-        session.width,
-        session.height,
-        session.session_id,
-    )
-    parts = [head, _SEED_FIELD.pack(session.master_seed)]
-    if session.backend == BACKEND_STATEVECTOR:
-        # Only entries some pixel points at are written.
-        table = session.registers
-        used, index = np.unique(table.index, return_inverse=True)
-        parts.append(_TABLE_LENGTH.pack(len(used)))
-        for entry in used.tolist():
-            register = table.state(entry)
-            buffer = np.empty(2 * register.dim, dtype="<f8")
-            buffer[0::2] = register.amplitudes.real
-            buffer[1::2] = register.amplitudes.imag
-            parts.append(_REGISTER_SIZE.pack(register.num_qubits))
-            parts.append(buffer.tobytes())
-        parts.append(index.astype(_index_dtype(len(used))).tobytes())
-    else:
-        parts.append(np.packbits(session.registers).tobytes())
-    return _crc_wrap(b"".join(parts))
+    """The session file; a statevector table over ``MAX_SESSION_TABLE_BYTES``
+    raises ``ValueError`` before any of it is built."""
+    seed = _SEED_FIELD.pack(session.master_seed)
+    if session.backend == BACKEND_SAMPLED:
+        outcomes = np.packbits(session.registers)
+        return _write_file(_SESSION_MAGIC, session, 0, seed, outcomes)
+    # Only entries some pixel points at are written, in table order.
+    table = session.registers
+    used, lookup = _renumber(table.counts())
+    table_bytes = len(used) * (_REGISTER_SIZE.size + (16 << table.n))
+    if table_bytes > MAX_SESSION_TABLE_BYTES:
+        raise ValueError(
+            f"register table of {len(used)} entries needs {table_bytes} bytes, "
+            f"over the {MAX_SESSION_TABLE_BYTES}-byte session table cap"
+        )
+    entries = []
+    for entry in used.tolist():
+        register = table.state(entry)
+        entries.append(_REGISTER_SIZE.pack(register.num_qubits))
+        entries.append(register.amplitudes.astype("<c16").tobytes())
+    length = _TABLE_LENGTH.pack(len(used))
+    index = lookup[table.index]
+    return _write_file(_SESSION_MAGIC, session, 0, seed, length, *entries, index)
 
 
-def _read_register_table(
-    blob: bytes, offset: int, n: int, pixel_count: int
-) -> RegisterTable:
+def _read_register_table(body, n: int, pixel_count: int) -> RegisterTable:
     """Parse a v2 register table plus index, checking every size first."""
-    if len(blob) < offset + _TABLE_LENGTH.size:
+    if len(body) < _TABLE_LENGTH.size:
         raise FormatError("truncated session file: missing register table length")
-    (length,) = _TABLE_LENGTH.unpack_from(blob, offset)
-    offset += _TABLE_LENGTH.size
-    entry_size = _REGISTER_SIZE.size + (1 << n) * 16
-    table_size, remaining = length * entry_size, len(blob) - offset
+    (length,) = _TABLE_LENGTH.unpack_from(body)
+    offset = _TABLE_LENGTH.size
+    entry_size = _REGISTER_SIZE.size + (16 << n)
+    table_size, remaining = length * entry_size, len(body) - offset
     if table_size > remaining:
         raise FormatError(
             f"register table length {length} needs {table_size} bytes, "
@@ -733,34 +738,33 @@ def _read_register_table(
 
     states = []
     for entry in range(length):
-        (reg_n,) = _REGISTER_SIZE.unpack_from(blob, offset)
+        (reg_n,) = _REGISTER_SIZE.unpack_from(body, offset)
         if reg_n != n:
             raise FormatError(
                 f"register table entry {entry} declares {reg_n} qubits, "
                 f"session declares {n}"
             )
-        raw = np.frombuffer(
-            blob, dtype="<f8", count=2 << n, offset=offset + _REGISTER_SIZE.size
+        amps = np.frombuffer(
+            body, dtype="<c16", count=1 << n, offset=offset + _REGISTER_SIZE.size
         )
         # Bounding every component first keeps the squares finite, and
         # also rejects NaN, which the norm comparison below would pass.
-        peak = float(np.abs(raw).max())
+        peak = float(np.abs(amps.view("<f8")).max())
         if not peak <= 1.0 + NORM_GUARD:
             raise FormatError(
                 f"register table entry {entry} norm cannot be 1: an amplitude "
                 f"component has magnitude {peak:.3e}"
             )
-        amps = raw[0::2] + 1j * raw[1::2]
         norm = float((np.abs(amps) ** 2).sum())
         if abs(norm - 1.0) > NORM_GUARD:
             raise FormatError(
                 f"register table entry {entry} norm deviates from 1 by "
                 f"{abs(norm - 1.0):.3e}"
             )
-        states.append(StateVector(n, amps))
+        states.append(StateVector(n, amps.copy()))
         offset += entry_size
 
-    index = np.frombuffer(blob, dtype=dtype, count=pixel_count, offset=offset)
+    index = np.frombuffer(body, dtype=dtype, count=pixel_count, offset=offset)
     if pixel_count and int(index.max()) >= length:
         raise FormatError(
             f"register index value {int(index.max())} out of range for a "
@@ -770,43 +774,17 @@ def _read_register_table(
 
 
 def deserialize_session(data: bytes) -> SessionStore:
-    blob = _crc_unwrap(data, "session file")
-    _, _, backend_id, n, _, pixel_count, width, height, session_id = _unpack_header(
-        blob, _SESSION_MAGIC, "session file"
-    )
-    backend = _BACKEND_NAMES[backend_id]
-    offset = _HEADER.size
-    if len(blob) < offset + _SEED_FIELD.size:
+    _, pixel_count, body, header = _read_file(data, _SESSION_MAGIC, "session file")
+    if len(body) < _SEED_FIELD.size:
         raise FormatError("truncated session file: missing master seed")
-    (master_seed,) = _SEED_FIELD.unpack_from(blob, offset)
-    offset += _SEED_FIELD.size
-
-    if backend == BACKEND_STATEVECTOR:
-        registers = _read_register_table(blob, offset, n, pixel_count)
-        offset = len(blob)
+    (master_seed,) = _SEED_FIELD.unpack_from(body)
+    body, n = body[_SEED_FIELD.size :], header["n"]
+    if header["backend"] == BACKEND_STATEVECTOR:
+        registers = _read_register_table(body, n, pixel_count)
     else:
-        total_bits = pixel_count * n
-        nbytes = (total_bits + 7) // 8
-        if len(blob) - offset != nbytes:
-            raise FormatError(
-                f"session outcome payload holds {len(blob) - offset} bytes, "
-                f"expected {nbytes}"
-            )
-        _check_pad_bits(blob[-1], total_bits, "session outcome payload")
-        bits = np.frombuffer(blob, dtype=np.uint8, offset=offset)
-        registers = np.unpackbits(bits, count=total_bits).reshape(pixel_count, n)
-        offset = len(blob)
-    if offset != len(blob):
-        raise FormatError(f"{len(blob) - offset} trailing bytes after registers")
+        bits = _unpack_bits(body, pixel_count * n, "session outcome payload")
+        registers = bits.reshape(pixel_count, n)
     try:
-        return SessionStore(
-            n=n,
-            backend=backend,
-            master_seed=master_seed,
-            width=width,
-            height=height,
-            session_id=session_id,
-            registers=registers,
-        )
+        return SessionStore(master_seed=master_seed, registers=registers, **header)
     except ValueError as exc:
         raise FormatError(f"invalid session file: {exc}") from None

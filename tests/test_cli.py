@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -333,3 +337,17 @@ def test_generated_seed_replays(secret, tmp_path, capsys):
     out2 = tmp_path / "y"
     main(share_args(secret, out2, n=2, seed=int(seed)))
     assert (out1 / "share_1.qvs").read_bytes() == (out2 / "share_1.qvs").read_bytes()
+
+
+def test_python_dash_m_qvss_demo_runs_in_a_fresh_interpreter():
+    paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    result = subprocess.run(
+        [sys.executable, "-m", "qvss", "demo"],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert "recovered image matches original: yes" in result.stdout.splitlines()

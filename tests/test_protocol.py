@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import struct
+import tracemalloc
 import warnings
 import zlib
 
@@ -21,6 +22,7 @@ from qvss.parity import ParitySpec, enumerate_parity_basis, prepare_parity_state
 from qvss.protocol import (
     BACKEND_SAMPLED,
     BACKEND_STATEVECTOR,
+    MAX_SESSION_TABLE_BYTES,
     RegisterTable,
     audit_subset,
     deserialize_session,
@@ -899,3 +901,62 @@ def test_appending_a_256th_entry_widens_the_index():
     assert table.index.dtype == np.uint16
     assert table.index.tolist() == [255, *range(1, 255)]
     assert table[0] is table.states[255]
+
+
+# --- statevector file bytes; the session table cap ---
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def test_statevector_file_bytes_are_pinned():
+    image = random_image(64, 64, seed=1)
+    session, shares = share_image(image, 8, BACKEND_STATEVECTOR, 1)
+    assert _sha256(serialize_session(session)) == (
+        "a2776347b4eb9e74a041554ea8298aee2f440084e5bc56b2c65f15e33b991c75"
+    )
+    assert _sha256(b"".join(serialize_share(share) for share in shares)) == (
+        "a01730cb9d3b34a4b121df587f2d5c8fdc70c4e26c9d96714b941d9ddc8f4695"
+    )
+    assert _sha256(serialize_session(tampered_session()[0])) == (
+        "9287a04288935edf54d7d1fa1d07bd325f5845ad8ea087667e293f57c3f37d79"
+    )
+    image = random_image(32, 32, seed=1)
+    session, shares = share_image(image, 6, BACKEND_STATEVECTOR, 1)
+    recover_image(shares, session, 2)
+    assert _sha256(serialize_session(session)) == (
+        "b421625871012091327354c3e77d8d40ac8fd5b18044228951585153bf8067a5"
+    )
+
+
+def test_session_table_over_the_cap_raises_before_allocating():
+    image = random_image(64, 64, seed=3)
+    session, shares = share_image(image, 14, BACKEND_STATEVECTOR, 4)
+    recover_image(shares, session, 5)
+    entries = np.count_nonzero(session.registers.counts())
+    needed = entries * (2 + 16 * (1 << 14))
+    assert needed > MAX_SESSION_TABLE_BYTES
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError) as err:
+            serialize_session(session)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert str(err.value) == (
+        f"register table of {entries} entries needs {needed} bytes, over the "
+        f"{MAX_SESSION_TABLE_BYTES}-byte session table cap"
+    )
+
+
+def test_signed_zero_amplitudes_survive_the_session_file():
+    session, _ = share_image(DEMO_IMAGE, 3, BACKEND_STATEVECTOR, 42)
+    amplitudes = np.zeros(8, dtype=np.complex128)
+    amplitudes[:] = complex(-0.0, -0.0)
+    amplitudes[0b101] = complex(-0.0, 1.0)
+    session.registers[2] = StateVector(3, amplitudes)
+    data = serialize_session(session)
+    restored = deserialize_session(data)
+    assert serialize_session(restored) == data
