@@ -28,7 +28,8 @@ MAX_DIMENSION = 4096
 _WHITESPACE = b" \t\r\n\x0b\x0c"
 _NOT_SPACE = np.ones(256, dtype=bool)
 _NOT_SPACE[list(_WHITESPACE)] = False
-_SEPARATOR = re.compile(rb"(?:\s|#[^\r\n]*)*")
+_COMMENT = re.compile(rb"#[^\r\n]*")
+_SEPARATOR = re.compile(rb"(?:\s|%s)*" % _COMMENT.pattern)
 _TOKEN = re.compile(rb"[^\s#]*")
 
 
@@ -111,23 +112,6 @@ def _parse_dimension(data: bytes, pos: int, what: str) -> tuple[int, int]:
     return value, newpos
 
 
-def _blank_comments(raster: np.ndarray) -> np.ndarray:
-    """``raster`` with every comment, first '#' of a line to its end, blanked."""
-    hashes = np.flatnonzero(raster == ord("#"))
-    ends = np.flatnonzero((raster == ord("\n")) | (raster == ord("\r")))
-    # A '#' on the same line as the one before it is already inside a comment.
-    line = np.searchsorted(ends, hashes)
-    first = np.ones(len(line), dtype=bool)
-    first[1:] = line[1:] != line[:-1]
-    line, ends = line[first], np.append(ends, len(raster))
-    # +1 where a comment starts, -1 at the line end that stops it.
-    delta = np.zeros(len(raster) + 1, dtype=np.int8)
-    delta[hashes[first]] = 1
-    delta[ends[line]] = -1
-    inside = np.cumsum(delta[:-1], dtype=np.int8).view(bool)
-    return np.where(inside, np.uint8(ord(" ")), raster)
-
-
 def read_pbm(data: bytes) -> BinaryImage:
     """Parse a plain (P1) or raw (P4) portable bitmap."""
     magic, pos = _next_token(data, 0, "magic")
@@ -140,9 +124,10 @@ def read_pbm(data: bytes) -> BinaryImage:
 
     if magic == b"P1":
         # Comments become spaces of the same length: raster index + pos = offset.
-        raster = np.frombuffer(data, dtype=np.uint8, offset=pos)
+        text = memoryview(data)[pos:]
         if data.find(b"#", pos) >= 0:
-            raster = _blank_comments(raster)
+            text = _COMMENT.sub(lambda comment: b" " * len(comment[0]), text)
+        raster = np.frombuffer(text, dtype=np.uint8)
         bits = raster[_NOT_SPACE[raster]][: width * height]
         bits -= ord("0")
         if bits.size and bits.max() > 1:

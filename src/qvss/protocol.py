@@ -709,7 +709,8 @@ def serialize_session(session: SessionStore) -> bytes:
     for entry in used.tolist():
         register = table.state(entry)
         entries.append(_REGISTER_SIZE.pack(register.num_qubits))
-        entries.append(register.amplitudes.astype("<c16").tobytes())
+        # A contiguous little-endian view, not a copy: the join copies once.
+        entries.append(np.ascontiguousarray(register.amplitudes, "<c16"))
     length = _TABLE_LENGTH.pack(len(used))
     index = lookup[table.index]
     return _write_file(_SESSION_MAGIC, session, 0, seed, length, *entries, index)

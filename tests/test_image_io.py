@@ -1,4 +1,3 @@
-import re
 import tracemalloc
 
 import numpy as np
@@ -9,7 +8,6 @@ from hypothesis import strategies as st
 from qvss.errors import FormatError
 from qvss.image_io import (
     MAX_DIMENSION,
-    _blank_comments,
     BinaryImage,
     from_pixel_list,
     read_pbm,
@@ -374,28 +372,3 @@ def test_image_accepts_binary_values_of_any_dtype():
         image = BinaryImage(2, 1, pixels)
         assert image.pixels.dtype == np.uint8
         assert image.pixels.tolist() == [1, 0]
-
-
-# --- comments blanked over the whole raster ---
-
-
-@settings(max_examples=500, deadline=None)
-@given(st.lists(st.sampled_from(list(PBM_ALPHABET)), max_size=40).map(bytes))
-def test_comment_blanking_matches_the_regex(text):
-    expected = re.sub(rb"#[^\r\n]*", lambda comment: b" " * len(comment[0]), text)
-    blanked = _blank_comments(np.frombuffer(text, dtype=np.uint8))
-    assert blanked.dtype == np.uint8
-    assert blanked.tobytes() == expected
-
-
-def test_comment_heavy_p1_read_peaks_under_twenty_times_the_file_size():
-    # A comment after every pixel, the most a P1 raster can hold.
-    image = random_image(1024, 1024, seed=4)
-    data = b"P1\n1024 1024\n" + b"#\n".join(b"%d" % bit for bit in image.pixels)
-    tracemalloc.start()
-    try:
-        assert read_pbm(data) == image
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 20 * len(data)
