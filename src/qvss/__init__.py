@@ -43,7 +43,6 @@ from .protocol import (
     deserialize_session,
     deserialize_share,
     recover_image,
-    recover_pixel,
     serialize_session,
     serialize_share,
     share_image,
@@ -56,11 +55,13 @@ from .statevector import (
     apply_toffoli,
     apply_x,
     apply_z,
+    basis_state,
     marginal_distribution,
     measure_all,
     measure_shots,
     new_zero_state,
     probability_of,
+    sample,
 )
 
 __version__ = "0.1.0"

@@ -96,7 +96,7 @@ def _white_columns(n: int) -> np.ndarray:
     """
     m = 1 << (n - 1)
     heads = np.arange(m, dtype=np.min_scalar_type((1 << n) - 1))
-    return (heads << 1) | index_parities(m).astype(heads.dtype)
+    return (heads << 1) | index_parities(m)
 
 
 def build_nn_matrix_sets(n: int) -> MatrixSets:

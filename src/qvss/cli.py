@@ -36,6 +36,7 @@ from .image_io import BinaryImage, from_pixel_list, read_pbm, write_pbm
 from .parity import ParitySpec, build_parity_circuit, build_xor_circuit
 from .statevector import (
     StateVector,
+    basis_state,
     bits_to_index,
     index_to_bits,
     measure_shots,
@@ -166,6 +167,9 @@ def cmd_audit(args) -> int:
 
 
 def cmd_emit_circuit(args) -> int:
+    cap = protocol.MAX_SAMPLED_QUBITS
+    if not 2 <= args.n <= cap:
+        raise ValueError(f"--n must be in 2..{cap} (the largest share), got {args.n}")
     if args.kind == "prepare":
         circuit = build_parity_circuit(ParitySpec(args.n, args.b))
     else:
@@ -200,9 +204,7 @@ def cmd_emit_circuit(args) -> int:
         bits = _parse_bits(args.input) if args.input else (0,) * args.n
         if len(bits) != args.n:
             raise ValueError(f"input {args.input!r} is not {args.n} bits")
-        amps = np.zeros(1 << args.n, dtype=np.complex128)
-        amps[bits_to_index(bits)] = 1.0
-        state = simulate_circuit(circuit, StateVector(args.n, amps))
+        state = simulate_circuit(circuit, basis_state(args.n, bits_to_index(bits)))
         outcome = index_to_bits(int(np.argmax(np.abs(state.amplitudes))), args.n)
         result = outcome[-1]
         color = "black" if result else "white"
@@ -259,14 +261,12 @@ def cmd_demo(args) -> int:
     session, shares = protocol.share_image(
         image, 3, protocol.BACKEND_STATEVECTOR, seed
     )
-    rendered = [_format_state(register) for register in session.registers]
+    table = session.registers
+    rendered = [_format_state(register) for register in table]
     recovered = protocol.recover_image(shares, session, seed)
     print(f"{'pixel':<7}{'state':<30}{'collapsed':<11}{'result':<8}color")
     for l, state in enumerate(rendered, start=1):
-        collapsed = session.registers[l - 1]
-        outcome = index_to_bits(
-            int(np.argmax(np.abs(collapsed.amplitudes))), collapsed.num_qubits
-        )
+        outcome = index_to_bits(table.states[table.index[l - 1]], table.n)
         bit = recovered.pixel(l)
         print(
             f"{l:<7}{state:<30}|{_format_bits(outcome)}>     "

@@ -39,11 +39,11 @@ class ParitySpec:
 
 
 def index_parities(size: int) -> np.ndarray:
-    """Bit parity of every integer in 0..size-1."""
+    """Bit parity of every integer in 0..size-1, as uint8."""
     v = np.arange(size, dtype=np.uint64)
     for shift in (32, 16, 8, 4, 2, 1):
         v ^= v >> np.uint64(shift)
-    return (v & np.uint64(1)).astype(np.int64)
+    return (v & np.uint64(1)).astype(np.uint8)
 
 
 def prepare_parity_state_direct(spec: ParitySpec) -> StateVector:

@@ -19,10 +19,11 @@ Two interchangeable backends:
 
 Sampled randomness is one counter-based stream, ``np.random.Philox`` keyed
 by the seed plus a tag in the key's high 64 bits (Salmon et al., "Parallel
-random numbers: as easy as 1, 2, 3", SC'11): pixel l's n-1 free bits are
-the top n-1 bits of raw word l-1, and its last bit sets the parity.  So
-sharing is deterministic, and each pixel's bits depend only on the seed,
-n, its index and its colour, not on the image around it.
+random numbers: as easy as 1, 2, 3", SC'11): the bit matrix is drawn row
+by row, row l-1 being the top n bits of raw word l-1 with its last bit
+then overwritten to set the pixel's parity.  So sharing is deterministic,
+and each pixel's bits depend only on the seed, n, its index and its
+colour, not on the image around it.
 
 File formats (all integers little-endian):
 
@@ -57,18 +58,14 @@ from scipy.stats import chisquare
 
 from .errors import FormatError, IncompleteSharesError, IntegrityError
 from .image_io import MAX_DIMENSION, BinaryImage
-from .parity import (
-    ParitySpec,
-    index_parities,
-    prepare_parity_state_direct,
-    xor_decode_classical,
-)
+from .parity import ParitySpec, index_parities, prepare_parity_state_direct
 from .statevector import (
     MAX_QUBITS,
     NORM_GUARD,
     StateVector,
-    _checked_probabilities,
+    basis_state,
     marginal_distribution,
+    sample,
 )
 
 BACKEND_STATEVECTOR = "statevector"
@@ -127,6 +124,11 @@ def pixel_rng(master_seed: int, pixel_index: int) -> np.random.Generator:
     )
 
 
+def _header(item) -> tuple:
+    """The fields that bind a share to its session."""
+    return item.n, item.backend, item.width, item.height, item.session_id
+
+
 def _check_seed(seed: int) -> int:
     if not isinstance(seed, int) or not 0 <= seed <= _MASK64:
         raise ValueError(f"seed must be an int in 0..2^64-1, got {seed!r}")
@@ -180,9 +182,7 @@ class RegisterTable:
         value = self.states[entry]
         if isinstance(value, StateVector):
             return value
-        amplitudes = np.zeros(1 << self.n, dtype=np.complex128)
-        amplitudes[value] = 1.0
-        return StateVector(self.n, amplitudes)
+        return basis_state(self.n, value)
 
     def __getitem__(self, pixel: int) -> StateVector:
         return self.state(int(self.index[pixel]))
@@ -273,6 +273,7 @@ class SessionStore:
             )
         if len(self.session_id) != 16:
             raise ValueError("session id must be 16 bytes")
+        _check_seed(self.master_seed)
         if len(self.registers) != self.pixel_count:
             raise ValueError(
                 f"register table holds {len(self.registers)} entries for "
@@ -282,14 +283,7 @@ class SessionStore:
     def __eq__(self, other) -> bool:
         if not isinstance(other, SessionStore):
             return NotImplemented
-        if (
-            self.n != other.n
-            or self.backend != other.backend
-            or self.master_seed != other.master_seed
-            or self.width != other.width
-            or self.height != other.height
-            or self.session_id != other.session_id
-        ):
+        if _header(self) != _header(other) or self.master_seed != other.master_seed:
             return False
         if self.backend == BACKEND_SAMPLED:
             return bool(np.array_equal(self.registers, other.registers))
@@ -352,11 +346,7 @@ class ShareFile:
             return NotImplemented
         return (
             self.participant == other.participant
-            and self.n == other.n
-            and self.backend == other.backend
-            and self.width == other.width
-            and self.height == other.height
-            and self.session_id == other.session_id
+            and _header(self) == _header(other)
             and bool(np.array_equal(self.payload, other.payload))
         )
 
@@ -401,14 +391,14 @@ def _derive_session_id(image: BinaryImage, n: int, backend: str, seed: int) -> b
 def _draw_sampled_outcomes(image: BinaryImage, n: int, seed: int) -> np.ndarray:
     """Every pixel's outcome, uniform over the 2^(n-1) strings of its parity.
 
-    Row l-1 holds pixel l's free bits 1..n-1, the top n-1 bits of raw word
-    l-1 of the tagged Philox stream (most significant first), then the bit
-    that makes the row's XOR the pixel's colour.
+    Row l-1 is unpacked whole from raw word l-1 of the tagged Philox
+    stream: its top n bits, most significant first.  Bits 1..n-1 are the
+    pixel's free bits; the last is then overwritten by the bit that makes
+    the row's XOR the pixel's colour.
     """
-    words = np.random.Philox(key=_SAMPLED_KEY_TAG | seed).random_raw(image.pixel_count)
-    head = words.astype(">u8").view(np.uint8).reshape(-1, 8)
-    outcomes = np.empty((image.pixel_count, n), dtype=np.uint8)
-    outcomes[:, :-1] = np.unpackbits(head, axis=1, count=n - 1)
+    philox = np.random.Philox(key=_SAMPLED_KEY_TAG | seed)
+    words = philox.random_raw(image.pixel_count).astype(">u8")
+    outcomes = np.unpackbits(words.view(np.uint8).reshape(-1, 8), axis=1, count=n)
     outcomes[:, -1] = np.bitwise_xor.reduce(outcomes[:, :-1], axis=1) ^ image.pixels
     return outcomes
 
@@ -474,12 +464,7 @@ def _check_share_set(shares, session: SessionStore) -> dict[int, ShareFile]:
             raise IntegrityError(
                 f"share {share.participant} is bound to a different session"
             )
-        if (
-            share.n != session.n
-            or share.backend != session.backend
-            or share.width != session.width
-            or share.height != session.height
-        ):
+        if _header(share) != _header(session):
             raise IntegrityError(
                 f"share {share.participant} header disagrees with the session"
             )
@@ -490,11 +475,6 @@ def _check_share_set(shares, session: SessionStore) -> dict[int, ShareFile]:
             f"{sorted(missing)}"
         )
     return {share.participant: share for share in shares}
-
-
-def recover_pixel(bits) -> int:
-    """Decoded color of one measured outcome: 0 = white, 1 = black."""
-    return xor_decode_classical(bits)
 
 
 def recover_image(
@@ -523,12 +503,9 @@ def recover_image(
         by_entry = np.argsort(table.index, kind="stable")
         groups = np.split(by_entry, np.cumsum(table.counts())[:-1])
         for entry, pixels in enumerate(groups):
-            if not len(pixels):
-                continue
-            state = table.state(entry)
-            probs = _checked_probabilities(state)
-            outcomes[pixels] = rng.choice(state.dim, size=len(pixels), p=probs)
-        colors = index_parities(1 << table.n)[outcomes].astype(np.uint8)
+            if len(pixels):
+                outcomes[pixels] = sample(table.state(entry), rng, len(pixels))
+        colors = index_parities(1 << table.n)[outcomes]
         table.collapse(outcomes)
     else:
         colors = np.zeros(session.pixel_count, dtype=np.uint8)

@@ -60,13 +60,18 @@ class MarginalDistribution:
     probabilities: np.ndarray
 
 
-def new_zero_state(n: int) -> StateVector:
-    """Return |0...0> on n qubits.  n must lie in 1..MAX_QUBITS."""
+def basis_state(n: int, index: int) -> StateVector:
+    """Return the basis state |index> on n qubits.  n must lie in 1..MAX_QUBITS."""
     if not isinstance(n, int) or n < 1 or n > MAX_QUBITS:
         raise ValueError(f"register size must be in 1..{MAX_QUBITS}, got {n!r}")
     amps = np.zeros(1 << n, dtype=np.complex128)
-    amps[0] = 1.0
+    amps[index] = 1.0
     return StateVector(n, amps)
+
+
+def new_zero_state(n: int) -> StateVector:
+    """Return |0...0> on n qubits.  n must lie in 1..MAX_QUBITS."""
+    return basis_state(n, 0)
 
 
 def _check_qubit(state: StateVector, q: int) -> None:
@@ -161,6 +166,11 @@ def _checked_probabilities(state: StateVector) -> np.ndarray:
     return probs / total
 
 
+def sample(state: StateVector, rng: np.random.Generator, size: int | None = None):
+    """Basis index drawn with probability |amplitude|^2, or ``size`` of them."""
+    return rng.choice(state.dim, size=size, p=_checked_probabilities(state))
+
+
 def measure_all(
     state: StateVector, rng: np.random.Generator
 ) -> tuple[tuple[int, ...], StateVector]:
@@ -169,13 +179,9 @@ def measure_all(
     The outcome index is sampled with probability |amplitude|^2; the
     returned state is the matching basis state.
     """
-    probs = _checked_probabilities(state)
-    index = int(rng.choice(state.dim, p=probs))
-    collapsed = np.zeros_like(state.amplitudes)
-    collapsed[index] = 1.0
-    return index_to_bits(index, state.num_qubits), StateVector(
-        state.num_qubits, collapsed
-    )
+    index = int(sample(state, rng))
+    n = state.num_qubits
+    return index_to_bits(index, n), basis_state(n, index)
 
 
 def measure_shots(
@@ -188,9 +194,7 @@ def measure_shots(
     """
     if shots < 1:
         raise ValueError(f"shot count must be positive, got {shots}")
-    probs = _checked_probabilities(state)
-    draws = rng.choice(state.dim, size=shots, p=probs)
-    return np.bincount(draws, minlength=state.dim)
+    return np.bincount(sample(state, rng, shots), minlength=state.dim)
 
 
 def probability_of(state: StateVector, bits) -> float:

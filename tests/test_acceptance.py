@@ -32,7 +32,6 @@ from qvss.protocol import (
     BACKEND_SAMPLED,
     BACKEND_STATEVECTOR,
     recover_image,
-    recover_pixel,
     share_image,
 )
 from qvss.statevector import (
@@ -77,10 +76,10 @@ def test_criterion_1_three_party_state_vectors():
 
 def test_criterion_2_three_party_decode_vectors():
     def check():
-        assert recover_pixel((0, 0, 0)) == 0  # white
-        assert recover_pixel((1, 1, 1)) == 1  # black
-        assert recover_pixel((1, 0, 0)) == 1  # black
-        assert recover_pixel((0, 1, 1)) == 0  # white
+        assert xor_decode_classical((0, 0, 0)) == 0  # white
+        assert xor_decode_classical((1, 1, 1)) == 1  # black
+        assert xor_decode_classical((1, 0, 0)) == 1  # black
+        assert xor_decode_classical((0, 1, 1)) == 0  # white
 
     _report("criterion 2: (3,3) decode vectors", check)
 

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 import zlib
 from pathlib import Path
 
@@ -241,6 +242,50 @@ def test_emit_xor_decode(capsys):
     assert "result state |1>" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--kind", "xor", "--n", "1000000000"],
+        ["--kind", "prepare", "--n", "1000000000"],
+        ["--kind", "xor", "--n", "65"],
+        ["--kind", "xor", "--n", "1"],
+    ],
+)
+def test_emit_rejects_n_outside_the_share_cap_before_building(argv, capsys):
+    tracemalloc.start()
+    try:
+        rc = main(["emit-circuit", *argv])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rc == 2
+    assert peak < 1 << 20
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"--n must be in 2..64 (the largest share), got {argv[-1]}" in captured.err
+
+
+@pytest.mark.parametrize("kind", ["prepare", "xor"])
+def test_emit_at_the_share_cap(kind, capsys):
+    rc = main(["emit-circuit", "--kind", kind, "--n", "64"])
+    assert rc == 0
+    stdout = capsys.readouterr().out
+    assert "qreg q[64];" in stdout
+    assert stdout.count("cx q[") == 63
+
+
+def test_emit_xor_simulation_over_the_register_cap_exits_2_before_allocating(capsys):
+    tracemalloc.start()
+    try:
+        rc = main(["emit-circuit", "--kind", "xor", "--n", "40", "--simulate"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rc == 2
+    assert peak < 1 << 20
+    assert "register size must be in 1..16, got 40" in capsys.readouterr().err
+
+
 def test_emit_writes_file(tmp_path):
     target = tmp_path / "circuit.qasm"
     rc = main(
@@ -306,6 +351,24 @@ def test_demo_replays_worked_example(capsys):
     # colors in Table 1's order
     lines = [line for line in stdout.splitlines() if line[:1].isdigit()]
     assert [line.split()[-1] for line in lines] == ["white", "black", "black", "white"]
+
+
+# The whole output of ``qvss demo`` on the parent of the change that reads
+# the collapsed outcomes from the register table (2026-10-18).
+DEMO_STDOUT = """\
+(3, 3) demo: 4-pixel image [white, black, black, white], seed 7
+pixel  state                         collapsed  result  color
+1      (|000>+|011>+|101>+|110>)/2   |101>     |0>     white
+2      (|001>+|010>+|100>+|111>)/2   |111>     |1>     black
+3      (|001>+|010>+|100>+|111>)/2   |001>     |1>     black
+4      (|000>+|011>+|101>+|110>)/2   |110>     |0>     white
+recovered image matches original: yes
+"""
+
+
+def test_demo_output_is_pinned(capsys):
+    assert main(["demo"]) == 0
+    assert capsys.readouterr().out == DEMO_STDOUT
 
 
 def test_demo_is_deterministic(capsys):

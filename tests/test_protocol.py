@@ -18,7 +18,12 @@ from qvss.errors import (
     StateCorruptionError,
 )
 from qvss.image_io import BinaryImage, from_pixel_list
-from qvss.parity import ParitySpec, enumerate_parity_basis, prepare_parity_state_direct
+from qvss.parity import (
+    ParitySpec,
+    enumerate_parity_basis,
+    prepare_parity_state_direct,
+    xor_decode_classical,
+)
 from qvss.protocol import (
     BACKEND_SAMPLED,
     BACKEND_STATEVECTOR,
@@ -29,7 +34,6 @@ from qvss.protocol import (
     deserialize_share,
     pixel_rng,
     recover_image,
-    recover_pixel,
     serialize_session,
     serialize_share,
     share_image,
@@ -110,10 +114,10 @@ def test_recover_statevector_round_trip():
 
 
 def test_recover_pixel_colors():
-    assert recover_pixel((0, 0, 0)) == 0
-    assert recover_pixel((1, 0, 0)) == 1
-    assert recover_pixel((1, 1, 0)) == 0
-    assert recover_pixel((0, 1, 1, 0)) == 0
+    assert xor_decode_classical((0, 0, 0)) == 0
+    assert xor_decode_classical((1, 0, 0)) == 1
+    assert xor_decode_classical((1, 1, 0)) == 0
+    assert xor_decode_classical((0, 1, 1, 0)) == 0
 
 
 def test_recover_sampled_xors_share_bits():
@@ -122,7 +126,7 @@ def test_recover_sampled_xors_share_bits():
     assert recovered == DEMO_IMAGE
     for l in range(1, 5):
         bits = tuple(share.payload[l - 1] for share in shares)
-        assert recover_pixel(bits) == DEMO_IMAGE.pixel(l)
+        assert xor_decode_classical(bits) == DEMO_IMAGE.pixel(l)
 
 
 def test_recover_refuses_missing_share():
@@ -173,7 +177,7 @@ def test_round_trip_property(width, height, n, seed, backend):
 @pytest.mark.parametrize("b", [0, 1])
 def test_every_enumerated_outcome_decodes_to_secret(n, b):
     for bits in enumerate_parity_basis(ParitySpec(n, b)):
-        assert recover_pixel(bits) == b
+        assert xor_decode_classical(bits) == b
 
 
 @pytest.mark.parametrize("b", [0, 1])
@@ -182,7 +186,7 @@ def test_measured_outcomes_always_decode_to_secret(b):
     rng = np.random.default_rng(1000 + b)
     for _ in range(500):
         outcome, _ = measure_all(state, rng)
-        assert recover_pixel(outcome) == b
+        assert xor_decode_classical(outcome) == b
 
 
 # --- Theorem 2: proper subsets see uniform noise ---
@@ -665,6 +669,26 @@ def test_sampled_files_from_the_tuple_implementation_still_recover():
     assert serialize_session(session).hex() == PARENT_SAMPLED_SESSION
 
 
+# SHA-256 of the n share files then the session file, for a 64x48 random
+# image shared at seed 2^64-1; computed on the parent of the change that
+# unpacks each Philox word's row whole (2026-10-18).
+PARENT_SAMPLED_SHA256 = {
+    2: "d6255e3536dcd410fedaaa6145a2c6ff2259f3a77e58786bb83b0890846a21a1",
+    3: "319c24f0605e8762709d0d2282149596927354d2a9836fcc5c1022942d615604",
+    8: "160bc361d52afdfd857e600f89dae790be823d6a2ec2ca4c1995cf8682f34d6f",
+    63: "8ed13f9d3cbdbe1f5dfeb24558edaa5e07adff71d9eab3a51bb99100e924fefa",
+    64: "2e9d695fe08172aee9977e52521dbff48c40d433ac9c82bc87ab324e3d10778f",
+}
+
+
+@pytest.mark.parametrize("n", sorted(PARENT_SAMPLED_SHA256))
+def test_sampled_file_bytes_are_pinned(n):
+    image = random_image(64, 48, seed=11)
+    session, shares = share_image(image, n, BACKEND_SAMPLED, (1 << 64) - 1)
+    files = [serialize_share(share) for share in shares] + [serialize_session(session)]
+    assert hashlib.sha256(b"".join(files)).hexdigest() == PARENT_SAMPLED_SHA256[n]
+
+
 @pytest.mark.parametrize(
     "subset", [(1,), (2, 5), (6, 1, 3), (1, 2, 3, 4, 5), (1, 2, 3, 4, 5, 6)]
 )
@@ -773,6 +797,20 @@ def test_equal_sessions_compare_equal(backend):
     assert deserialize_session(serialize_session(session)) == session
     assert session != share_image(image, 4, backend, 22)[0]
     assert session != "session"
+
+
+@pytest.mark.parametrize("backend", [BACKEND_STATEVECTOR, BACKEND_SAMPLED])
+def test_session_master_seed_must_fit_the_u64_field(backend):
+    session, _ = share_image(DEMO_IMAGE, 3, backend, 42)
+    for seed in (0, (1 << 64) - 1):
+        restored = deserialize_session(
+            serialize_session(dataclasses.replace(session, master_seed=seed))
+        )
+        assert restored.master_seed == seed
+    for seed in (-1, 1 << 64):
+        with pytest.raises(ValueError) as err:
+            dataclasses.replace(session, master_seed=seed)
+        assert str(err.value) == f"seed must be an int in 0..2^64-1, got {seed}"
 
 
 def test_sampled_sessions_differing_in_one_register_are_unequal():

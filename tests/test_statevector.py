@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qvss.errors import StateCorruptionError
+from qvss.parity import ParitySpec, prepare_parity_state_direct
 from qvss.statevector import (
     MAX_QUBITS,
     NORM_TOL,
@@ -244,6 +245,39 @@ def test_measure_shots_counts_sum():
 def test_measure_shots_rejects_nonpositive():
     with pytest.raises(ValueError):
         measure_shots(new_zero_state(1), 0, np.random.default_rng(0))
+
+
+# Drawn from the parent of the change that routed every draw through one
+# sampler (2026-10-18): 20 ``measure_all`` outcomes, then the counts of one
+# 1000-shot ``measure_shots`` call, all from one ``default_rng(7)``.
+MEASUREMENT_PINS = {
+    "parity5": (
+        [21, 28, 25, 7, 8, 26, 1, 26, 25, 14, 8, 8, 8, 14, 16, 16, 31, 25, 19, 31],
+        [0, 65, 59, 0, 77, 0, 0, 62, 63, 0, 0, 57, 0, 63, 60, 0,
+         62, 0, 0, 65, 0, 66, 52, 0, 0, 71, 58, 0, 61, 0, 0, 59],
+    ),
+    "random4": (
+        [9, 10, 9, 1, 2, 10, 0, 10, 9, 6, 2, 2, 1, 6, 8, 9, 15, 9, 9, 14],
+        [110, 182, 25, 13, 6, 59, 106, 5, 23, 285, 92, 3, 3, 40, 44, 4],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MEASUREMENT_PINS))
+def test_measurement_draws_are_pinned(name):
+    state = {
+        "parity5": prepare_parity_state_direct(ParitySpec(5, 1)),
+        "random4": random_state(4, 3),
+    }[name]
+    expected_draws, expected_counts = MEASUREMENT_PINS[name]
+    rng = np.random.default_rng(7)
+    draws = []
+    for _ in range(20):
+        outcome, collapsed = measure_all(state, rng)
+        draws.append(bits_to_index(outcome))
+        assert probability_of(collapsed, outcome) == 1.0
+    assert draws == expected_draws
+    assert measure_shots(state, 1000, rng).tolist() == expected_counts
 
 
 # --- probability_of ---
