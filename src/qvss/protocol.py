@@ -27,23 +27,26 @@ colour, not on the image around it.
 
 File formats (all integers little-endian):
 
-* Share (.qvs), version 2: magic ``QVSS``, version u8, backend id u8
+* Share (.qvs), version 3: magic ``QVSS``, version u8, backend id u8
   (1=statevector, 2=sampled), n u16, participant u16, pixel count u32,
   width u32, height u32, session id (16 bytes); payload: nothing
   (statevector) or the share's bit per pixel, packed MSB first (sampled);
   CRC32 trailer.
-* Session (.qvse), version 2: magic ``QVSE``, the same header fields with
+* Session (.qvse), version 3: magic ``QVSE``, the same header fields with
   the participant slot zeroed, then the master seed as u64, then
   - statevector: the register table length u32, each table entry as n u16
     followed by 2^n little-endian complex128 amplitudes (the same bytes as
-    re/im float64 pairs), then one table index per pixel as u8, u16 or
-    u32, the narrowest whose range holds the table length; writers cap
-    the table at ``MAX_SESSION_TABLE_BYTES`` (256 MiB);
+    re/im float64 pairs), then one table index per pixel: packed MSB first
+    at one bit per pixel when the table has at most 2 entries (every fresh
+    session), else as u8, u16 or u32, the narrowest whose range holds the
+    table length; writers cap the table at ``MAX_SESSION_TABLE_BYTES``
+    (256 MiB);
   - sampled: the bit matrix row by row, packed MSB first;
   then a CRC32 trailer.
 
-Version 1 files (per-pixel registers and handle payloads) are rejected,
-and so is any header whose n or image side is over its cap.
+Version 1 files (per-pixel registers and handle payloads) and version 2
+files (a u8 index for every table of up to 255 entries) are rejected, and
+so is any header whose n or image side is over its cap.
 """
 
 from __future__ import annotations
@@ -52,6 +55,7 @@ import hashlib
 import struct
 import zlib
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 from scipy.stats import chisquare
@@ -88,7 +92,7 @@ AUDIT_P_THRESHOLD = 0.001
 _BACKEND_IDS = {BACKEND_STATEVECTOR: 1, BACKEND_SAMPLED: 2}
 _BACKEND_NAMES = {v: k for k, v in _BACKEND_IDS.items()}
 
-_FORMAT_VERSION = 2
+_FORMAT_VERSION = 3
 _SHARE_MAGIC = b"QVSS"
 _SESSION_MAGIC = b"QVSE"
 
@@ -100,6 +104,15 @@ _CRC = struct.Struct("<I")
 
 #: Session index widths, narrowest first.
 _INDEX_DTYPES = tuple(np.dtype(t) for t in ("<u1", "<u2", "<u4"))
+
+#: A table of at most this many entries (every fresh session: one per
+#: colour) stores its index at one bit per pixel, packed MSB first.
+_PACKED_INDEX_ENTRIES = 2
+
+#: Pixels per step of a pass over a per-pixel array, so that no temporary
+#: the size of the image is made: ``np.bincount`` casts its whole input to
+#: intp, 8 bytes a pixel, and a writer would hold a converted index twice.
+_CHUNK = 1 << 20
 
 _MASK64 = (1 << 64) - 1
 
@@ -139,6 +152,19 @@ def _index_dtype(table_length: int) -> np.dtype:
     return next(d for d in _INDEX_DTYPES if table_length <= np.iinfo(d).max)
 
 
+def _chunks(length: int):
+    """Slices of ``_CHUNK`` items that cover ``range(length)`` in order."""
+    return (slice(start, start + _CHUNK) for start in range(0, length, _CHUNK))
+
+
+def _bincount(values: np.ndarray, minlength: int) -> np.ndarray:
+    """``np.bincount`` of values below ``minlength``, one chunk at a time."""
+    counts = np.zeros(minlength, dtype=np.intp)
+    for part in _chunks(len(values)):
+        counts += np.bincount(values[part], minlength=minlength)
+    return counts
+
+
 def _renumber(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The values with a non-zero count, ascending, and a lookup from each
     of them to its rank, in the narrowest index dtype: counting, not sorting.
@@ -164,8 +190,10 @@ class RegisterTable:
     def __init__(self, n: int, states, index):
         self.n = n
         self.states = list(states)
-        # The index is held in the dtype the session file stores; a value
-        # that does not fit raises instead of wrapping.
+        # The index is held in the narrowest dtype whose range holds the
+        # table length (a session file packs a table of at most two entries
+        # to one bit per pixel); a value that does not fit raises instead
+        # of wrapping.
         index = np.asarray(index).reshape(-1)
         self.index = index.astype(_index_dtype(len(self.states)))
         if index.dtype != self.index.dtype and not np.array_equal(index, self.index):
@@ -209,7 +237,7 @@ class RegisterTable:
 
     def counts(self) -> np.ndarray:
         """Number of pixels pointing at each table entry."""
-        return np.bincount(self.index, minlength=len(self.states))
+        return _bincount(self.index, len(self.states))
 
     def collapse(self, outcomes: np.ndarray) -> None:
         """Replace every pixel's register by its measured basis state.
@@ -217,7 +245,7 @@ class RegisterTable:
         The entries are the distinct outcomes in ascending order; outcomes
         lie below 2^n, so they are counted rather than sorted.
         """
-        values, lookup = _renumber(np.bincount(outcomes, minlength=1 << self.n))
+        values, lookup = _renumber(_bincount(outcomes, 1 << self.n))
         self.index = lookup[outcomes]
         self.states = values.tolist()
 
@@ -576,9 +604,18 @@ def audit_subset(session: SessionStore, subset) -> AuditReport:
     return AuditReport(subset, distribution, max_dev, verdict, p_value)
 
 
-def _write_file(magic: bytes, item, participant: int, *parts) -> bytes:
-    """One container: header, then ``parts`` (bytes-like), then the CRC32."""
-    head = _HEADER.pack(
+def _write_file(magic: bytes, item, participant: int, size: int, parts) -> bytearray:
+    """One container: header, the ``size`` body bytes that the iterable
+    ``parts`` yields (bytes-like, C-contiguous), then the CRC32.
+
+    Each part is copied into one preallocated buffer as it comes, so a part
+    built on demand is freed before the next is made, and the buffer is
+    returned as it is: the file is never held twice.
+    """
+    data = bytearray(_HEADER.size + size + _CRC.size)
+    _HEADER.pack_into(
+        data,
+        0,
         magic,
         _FORMAT_VERSION,
         _BACKEND_IDS[item.backend],
@@ -589,10 +626,16 @@ def _write_file(magic: bytes, item, participant: int, *parts) -> bytes:
         item.height,
         item.session_id,
     )
-    crc = zlib.crc32(head)
-    for part in parts:
-        crc = zlib.crc32(part, crc)
-    return b"".join((head, *parts, _CRC.pack(crc)))
+    end = len(data) - _CRC.size
+    offset = _HEADER.size
+    with memoryview(data) as view:
+        for part in parts:
+            with memoryview(part) as raw, raw.cast("B") as part_bytes:
+                view[offset : offset + len(part_bytes)] = part_bytes
+                offset += len(part_bytes)
+        assert offset == end, f"container body is {offset - _HEADER.size} bytes, not {size}"
+        _CRC.pack_into(data, end, zlib.crc32(view[:end]))
+    return data
 
 
 def _read_file(data: bytes, magic: bytes, what: str):
@@ -646,11 +689,11 @@ def _unpack_bits(body, bits: int, what: str) -> np.ndarray:
     return np.unpackbits(np.frombuffer(body, dtype=np.uint8), count=bits)
 
 
-def serialize_share(share: ShareFile) -> bytes:
+def serialize_share(share: ShareFile) -> bytearray:
     if share.backend == BACKEND_STATEVECTOR:
-        return _write_file(_SHARE_MAGIC, share, share.participant)
+        return _write_file(_SHARE_MAGIC, share, share.participant, 0, ())
     payload = np.packbits(share.payload)
-    return _write_file(_SHARE_MAGIC, share, share.participant, payload)
+    return _write_file(_SHARE_MAGIC, share, share.participant, payload.size, (payload,))
 
 
 def deserialize_share(data: bytes) -> ShareFile:
@@ -666,13 +709,27 @@ def deserialize_share(data: bytes) -> ShareFile:
         raise FormatError(f"invalid share file: {exc}") from None
 
 
-def serialize_session(session: SessionStore) -> bytes:
+def _index_size(table_length: int, pixel_count: int) -> tuple[int, str]:
+    """Bytes of a session file's register index, and the width of a value."""
+    if table_length <= _PACKED_INDEX_ENTRIES:
+        return (pixel_count + 7) // 8, "1 bit"
+    dtype = _index_dtype(table_length)
+    return pixel_count * dtype.itemsize, dtype.name
+
+
+def serialize_session(session: SessionStore) -> bytearray:
     """The session file; a statevector table over ``MAX_SESSION_TABLE_BYTES``
-    raises ``ValueError`` before any of it is built."""
+    raises ``ValueError`` before any of it is built.
+
+    Per-pixel arrays are written ``_CHUNK`` pixels at a time.  A chunk holds
+    a multiple of 8 pixels, so packed chunks join into the packed whole.
+    """
     seed = _SEED_FIELD.pack(session.master_seed)
     if session.backend == BACKEND_SAMPLED:
-        outcomes = np.packbits(session.registers)
-        return _write_file(_SESSION_MAGIC, session, 0, seed, outcomes)
+        bits = session.registers
+        rows = (np.packbits(bits[part]) for part in _chunks(len(bits)))
+        size = len(seed) + (bits.size + 7) // 8
+        return _write_file(_SESSION_MAGIC, session, 0, size, chain((seed,), rows))
     # Only entries some pixel points at are written, in table order.
     table = session.registers
     used, lookup = _renumber(table.counts())
@@ -682,19 +739,28 @@ def serialize_session(session: SessionStore) -> bytes:
             f"register table of {len(used)} entries needs {table_bytes} bytes, "
             f"over the {MAX_SESSION_TABLE_BYTES}-byte session table cap"
         )
-    entries = []
-    for entry in used.tolist():
-        register = table.state(entry)
-        entries.append(_REGISTER_SIZE.pack(register.num_qubits))
-        # A contiguous little-endian view, not a copy: the join copies once.
-        entries.append(np.ascontiguousarray(register.amplitudes, "<c16"))
-    length = _TABLE_LENGTH.pack(len(used))
-    index = lookup[table.index]
-    return _write_file(_SESSION_MAGIC, session, 0, seed, length, *entries, index)
+    packed = len(used) <= _PACKED_INDEX_ENTRIES
+
+    def parts():
+        yield seed
+        yield _TABLE_LENGTH.pack(len(used))
+        for entry in used.tolist():
+            # A collapsed entry's dense state is built here and dropped
+            # once the writer has copied it.
+            register = table.state(entry)
+            yield _REGISTER_SIZE.pack(register.num_qubits)
+            yield np.ascontiguousarray(register.amplitudes, "<c16")
+        for part in _chunks(len(table)):
+            index = lookup[table.index[part]]
+            yield np.packbits(index) if packed else index
+
+    index_size, _ = _index_size(len(used), len(table))
+    size = len(seed) + _TABLE_LENGTH.size + table_bytes + index_size
+    return _write_file(_SESSION_MAGIC, session, 0, size, parts())
 
 
 def _read_register_table(body, n: int, pixel_count: int) -> RegisterTable:
-    """Parse a v2 register table plus index, checking every size first."""
+    """Parse a v3 register table plus index, checking every size first."""
     if len(body) < _TABLE_LENGTH.size:
         raise FormatError("truncated session file: missing register table length")
     (length,) = _TABLE_LENGTH.unpack_from(body)
@@ -706,12 +772,11 @@ def _read_register_table(body, n: int, pixel_count: int) -> RegisterTable:
             f"register table length {length} needs {table_size} bytes, "
             f"only {remaining} remain"
         )
-    dtype = _index_dtype(length)
-    index_size = pixel_count * dtype.itemsize
+    index_size, width = _index_size(length, pixel_count)
     if remaining - table_size != index_size:
         raise FormatError(
             f"register index holds {remaining - table_size} bytes, expected "
-            f"{index_size} ({pixel_count} x {dtype.name})"
+            f"{index_size} ({pixel_count} x {width})"
         )
 
     states = []
@@ -742,7 +807,10 @@ def _read_register_table(body, n: int, pixel_count: int) -> RegisterTable:
         states.append(StateVector(n, amps.copy()))
         offset += entry_size
 
-    index = np.frombuffer(body, dtype=dtype, count=pixel_count, offset=offset)
+    if length <= _PACKED_INDEX_ENTRIES:
+        index = _unpack_bits(body[offset:], pixel_count, "register index")
+    else:
+        index = np.frombuffer(body, _index_dtype(length), pixel_count, offset)
     if pixel_count and int(index.max()) >= length:
         raise FormatError(
             f"register index value {int(index.max())} out of range for a "

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import chisquare
 
+from qvss import protocol
 from qvss.errors import (
     FormatError,
     IncompleteSharesError,
@@ -345,7 +346,7 @@ def test_share_header_layout():
     _, shares = share_image(DEMO_IMAGE, 3, BACKEND_STATEVECTOR, 42)
     data = serialize_share(shares[0])
     assert data[:4] == b"QVSS"
-    assert data[4] == 2  # version
+    assert data[4] == 3  # version
     assert data[5] == 1  # statevector backend id
     assert int.from_bytes(data[6:8], "little") == 3  # n
     assert int.from_bytes(data[8:10], "little") == 1  # participant
@@ -424,6 +425,33 @@ def recrc(blob: bytes) -> bytes:
     """Replace the CRC32 trailer so a crafted body reaches the parser."""
     body = blob[:-CRC_SIZE]
     return body + zlib.crc32(body).to_bytes(CRC_SIZE, "little")
+
+
+def _convert(blob: bytes, version: int, index_bytes) -> bytes:
+    """``blob`` with its version byte set and its CRC32 recomputed.  In a
+    statevector session of at most two table entries, the register index
+    bytes become ``index_bytes(index, pixels)``."""
+    data = bytearray(blob[:-CRC_SIZE])
+    data[4] = version
+    magic, _, backend, n, _, pixels = struct.unpack_from("<4sBBHHI", data)
+    if magic == b"QVSE" and backend == 1:
+        offset = HEADER_SIZE + SEED_SIZE
+        (length,) = struct.unpack_from("<I", data, offset)
+        if length <= 2:
+            start = offset + TABLE_LENGTH_SIZE + length * (2 + (16 << n))
+            data[start:] = index_bytes(np.frombuffer(bytes(data[start:]), np.uint8), pixels)
+    return recrc(bytes(data) + bytes(CRC_SIZE))
+
+
+def _as_v2(blob: bytes) -> bytes:
+    """A version 3 file as version 2 wrote it: the same bits, with a 1-bit
+    register index widened to one u8 per pixel."""
+    return _convert(blob, 2, lambda index, pixels: np.unpackbits(index, count=pixels).tobytes())
+
+
+def _as_v3(blob: bytes) -> bytes:
+    """A version 2 file as version 3 writes it: the inverse of ``_as_v2``."""
+    return _convert(blob, 3, lambda index, pixels: np.packbits(index).tobytes())
 
 
 def tampered_session():
@@ -535,15 +563,15 @@ def test_session_rejects_table_length_beyond_payload():
 def test_session_rejects_wrong_index_size():
     session, _ = share_image(DEMO_IMAGE, 3, BACKEND_STATEVECTOR, 42)
     data = serialize_session(session)
-    with pytest.raises(FormatError, match="register index holds 5 bytes"):
+    with pytest.raises(FormatError, match="register index holds 2 bytes"):
         deserialize_session(recrc(data[:-CRC_SIZE] + b"\x00" + data[-CRC_SIZE:]))
 
 
 def test_session_rejects_index_value_beyond_table():
-    session, _ = share_image(DEMO_IMAGE, 3, BACKEND_STATEVECTOR, 42)
+    session, _ = tampered_session()
     data = bytearray(serialize_session(session))
-    data[-CRC_SIZE - 1] = 2  # last pixel's index; the table has 2 entries
-    with pytest.raises(FormatError, match="register index value 2"):
+    data[-CRC_SIZE - 1] = 3  # last pixel's u8 index; the table has 3 entries
+    with pytest.raises(FormatError, match="register index value 3"):
         deserialize_session(recrc(bytes(data)))
 
 
@@ -660,13 +688,13 @@ PARENT_SAMPLED_OUTCOMES = [
 
 
 def test_sampled_files_from_the_tuple_implementation_still_recover():
-    shares = [deserialize_share(bytes.fromhex(h)) for h in PARENT_SAMPLED_SHARES]
-    session = deserialize_session(bytes.fromhex(PARENT_SAMPLED_SESSION))
+    shares = [deserialize_share(_as_v3(bytes.fromhex(h))) for h in PARENT_SAMPLED_SHARES]
+    session = deserialize_session(_as_v3(bytes.fromhex(PARENT_SAMPLED_SESSION)))
     np.testing.assert_array_equal(session.registers, PARENT_SAMPLED_OUTCOMES)
     image = from_pixel_list(3, 2, [0, 1, 1, 0, 1, 1])
     assert recover_image(shares, session, 1) == image
-    assert [serialize_share(s).hex() for s in shares] == PARENT_SAMPLED_SHARES
-    assert serialize_session(session).hex() == PARENT_SAMPLED_SESSION
+    assert [_as_v2(serialize_share(s)).hex() for s in shares] == PARENT_SAMPLED_SHARES
+    assert _as_v2(serialize_session(session)).hex() == PARENT_SAMPLED_SESSION
 
 
 # SHA-256 of the n share files then the session file, for a 64x48 random
@@ -685,7 +713,8 @@ PARENT_SAMPLED_SHA256 = {
 def test_sampled_file_bytes_are_pinned(n):
     image = random_image(64, 48, seed=11)
     session, shares = share_image(image, n, BACKEND_SAMPLED, (1 << 64) - 1)
-    files = [serialize_share(share) for share in shares] + [serialize_session(session)]
+    files = [_as_v2(serialize_share(share)) for share in shares]
+    files.append(_as_v2(serialize_session(session)))
     assert hashlib.sha256(b"".join(files)).hexdigest() == PARENT_SAMPLED_SHA256[n]
 
 
@@ -951,19 +980,19 @@ def _sha256(data: bytes) -> str:
 def test_statevector_file_bytes_are_pinned():
     image = random_image(64, 64, seed=1)
     session, shares = share_image(image, 8, BACKEND_STATEVECTOR, 1)
-    assert _sha256(serialize_session(session)) == (
+    assert _sha256(_as_v2(serialize_session(session))) == (
         "a2776347b4eb9e74a041554ea8298aee2f440084e5bc56b2c65f15e33b991c75"
     )
-    assert _sha256(b"".join(serialize_share(share) for share in shares)) == (
+    assert _sha256(b"".join(_as_v2(serialize_share(share)) for share in shares)) == (
         "a01730cb9d3b34a4b121df587f2d5c8fdc70c4e26c9d96714b941d9ddc8f4695"
     )
-    assert _sha256(serialize_session(tampered_session()[0])) == (
+    assert _sha256(_as_v2(serialize_session(tampered_session()[0]))) == (
         "9287a04288935edf54d7d1fa1d07bd325f5845ad8ea087667e293f57c3f37d79"
     )
     image = random_image(32, 32, seed=1)
     session, shares = share_image(image, 6, BACKEND_STATEVECTOR, 1)
     recover_image(shares, session, 2)
-    assert _sha256(serialize_session(session)) == (
+    assert _sha256(_as_v2(serialize_session(session))) == (
         "b421625871012091327354c3e77d8d40ac8fd5b18044228951585153bf8067a5"
     )
 
@@ -998,3 +1027,101 @@ def test_signed_zero_amplitudes_survive_the_session_file():
     data = serialize_session(session)
     restored = deserialize_session(data)
     assert serialize_session(restored) == data
+
+
+# --- the register index at one bit per pixel; bounded passes over pixels ---
+
+
+def test_a_one_entry_table_rejects_a_packed_index_of_1():
+    session, _ = share_image(from_pixel_list(3, 2, [0] * 6), 3, BACKEND_STATEVECTOR, 8)
+    data = bytearray(serialize_session(session))
+    assert struct.unpack_from("<I", data, HEADER_SIZE + SEED_SIZE) == (1,)
+    data[-CRC_SIZE - 1] = 0b1000_0000  # pixel 1 points at entry 1
+    message = "register index value 1 out of range for a table of 1 entries"
+    with pytest.raises(FormatError, match=message):
+        deserialize_session(recrc(bytes(data)))
+
+
+def test_a_packed_index_with_a_set_pad_bit_is_rejected():
+    session, _ = share_image(DEMO_IMAGE, 3, BACKEND_STATEVECTOR, 42)
+    message = "register index has non-zero pad bits after bit 4"
+    with pytest.raises(FormatError, match=message):
+        deserialize_session(_flip_last_payload_bit(serialize_session(session)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    width=st.integers(1, 40),
+    height=st.integers(1, 40),
+    n=st.integers(2, 9),
+    seed=st.integers(0, 2**64 - 1),
+    recovered=st.booleans(),
+)
+def test_statevector_session_file_round_trips(width, height, n, seed, recovered):
+    image = random_image(width, height, seed)
+    session, shares = share_image(image, n, BACKEND_STATEVECTOR, seed)
+    if recovered:
+        recover_image(shares, session, seed ^ 1)
+    entries = int(np.count_nonzero(session.registers.counts()))
+    pixels = image.pixel_count
+    if entries <= 2:
+        index_size = (pixels + 7) // 8
+    else:
+        index_size = pixels * (1 if entries <= 255 else 2)
+    data = serialize_session(session)
+    assert len(data) == (
+        HEADER_SIZE + SEED_SIZE + TABLE_LENGTH_SIZE + entries * (2 + (16 << n))
+        + index_size + CRC_SIZE
+    )
+    restored = deserialize_session(data)
+    assert restored == session
+    assert restored.registers.index.dtype == (np.uint8 if entries <= 255 else np.uint16)
+    assert serialize_session(restored) == data
+
+
+@pytest.mark.parametrize("backend", [BACKEND_STATEVECTOR, BACKEND_SAMPLED])
+def test_passes_in_chunks_give_the_bytes_of_one_pass(backend, monkeypatch):
+    image = random_image(13, 11, seed=2)  # 143 pixels: the last chunk is short
+    session, shares = share_image(image, 5, backend, 6)
+    fresh = serialize_session(session)
+    recover_image(shares, session, 7)
+    recovered = serialize_session(session)
+    monkeypatch.setattr(protocol, "_CHUNK", 16)
+    session, shares = share_image(image, 5, backend, 6)
+    assert serialize_session(session) == fresh
+    assert serialize_session(deserialize_session(fresh)) == fresh
+    recover_image(shares, session, 7)
+    assert serialize_session(session) == recovered
+    if backend == BACKEND_STATEVECTOR:
+        assert len(session.registers.states) > 2
+        assert session.registers.counts().tolist() == np.bincount(
+            session.registers.index
+        ).tolist()
+
+
+def _traced_peak(function, *args):
+    tracemalloc.start()
+    try:
+        result = function(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+def test_a_fresh_session_at_the_size_cap_is_4_mib_and_serializes_in_32():
+    image = random_image(4096, 4096, seed=1)
+    session, _ = share_image(image, 16, BACKEND_STATEVECTOR, 2)
+    del image
+    data, peak = _traced_peak(serialize_session, session)
+    assert len(data) == 38 + 8 + 4 + 2 * (2 + (16 << 16)) + (4096 * 4096) // 8 + 4
+    assert peak < 32 << 20
+
+
+def test_a_recovered_session_is_written_without_a_second_copy():
+    image = random_image(64, 64, seed=3)
+    session, shares = share_image(image, 10, BACKEND_STATEVECTOR, 4)
+    recover_image(shares, session, 5)
+    data, peak = _traced_peak(serialize_session, session)
+    assert len(data) > 16_000_000
+    assert peak < 1.25 * len(data)
