@@ -10,29 +10,29 @@ Two interchangeable backends:
   qubit j of every register, fixed by the header), and recovery measures
   all pixels of each distinct register in one draw and XOR-decodes the
   outcomes.
-* ``sampled`` pre-measures at share time: the session holds one
-  ``(pixels, n)`` uint8 bit matrix whose row l-1 is pixel l's outcome, a
-  uniformly drawn bitstring of the pixel's parity, and participant j's
-  share is column j-1.  Every protocol step is a computational-basis
-  measurement, so measuring early changes no observable distribution, and
-  large n / large images become cheap.
+* ``sampled`` pre-measures at share time, drawing each pixel's outcome
+  uniformly among the bitstrings of its parity.  Participant j's share is
+  bit j of every outcome, a bit plane packed MSB first with zero pad bits,
+  and the session holds the n planes as one ``(n, ceil(pixels/8))`` uint8
+  array.  Every protocol step is a computational-basis measurement, so
+  measuring early changes no observable distribution, and large n / large
+  images become cheap.
 
 Sampled randomness is one counter-based stream, ``np.random.Philox`` keyed
 by the seed plus a tag in the key's high 64 bits (Salmon et al., "Parallel
-random numbers: as easy as 1, 2, 3", SC'11): the bit matrix is drawn row
-by row, row l-1 being the top n bits of raw word l-1 with its last bit
-then overwritten to set the pixel's parity.  So sharing is deterministic,
-and each pixel's bits depend only on the seed, n, its index and its
-colour, not on the image around it.
+random numbers: as easy as 1, 2, 3", SC'11): pixel l's bits 1..n-1 are the
+top n-1 bits of raw word l-1, most significant first, and bit n is the one
+that sets the pixel's parity.  So sharing is deterministic, and each
+pixel's bits depend only on the seed, n, its index and its colour, not on
+the image around it.
 
 File formats (all integers little-endian):
 
-* Share (.qvs), version 3: magic ``QVSS``, version u8, backend id u8
+* Share (.qvs), version 4: magic ``QVSS``, version u8, backend id u8
   (1=statevector, 2=sampled), n u16, participant u16, pixel count u32,
   width u32, height u32, session id (16 bytes); payload: nothing
-  (statevector) or the share's bit per pixel, packed MSB first (sampled);
-  CRC32 trailer.
-* Session (.qvse), version 3: magic ``QVSE``, the same header fields with
+  (statevector) or the share's bit plane (sampled); CRC32 trailer.
+* Session (.qvse), version 4: magic ``QVSE``, the same header fields with
   the participant slot zeroed, then the master seed as u64, then
   - statevector: the register table length u32, each table entry as n u16
     followed by 2^n little-endian complex128 amplitudes (the same bytes as
@@ -41,21 +41,22 @@ File formats (all integers little-endian):
     session), else as u8, u16 or u32, the narrowest whose range holds the
     table length; writers cap the table at ``MAX_SESSION_TABLE_BYTES``
     (256 MiB);
-  - sampled: the bit matrix row by row, packed MSB first;
+  - sampled: the n bit planes in participant order, share j's body being
+    bytes ``[(j-1)*P, j*P)`` of them, P = ceil(pixels/8);
   then a CRC32 trailer.
 
-Version 1 files (per-pixel registers and handle payloads) and version 2
-files (a u8 index for every table of up to 255 entries) are rejected, and
-so is any header whose n or image side is over its cap.
+Versions 1 (per-pixel registers), 2 (a u8 index for small tables) and 3
+(sampled sessions packed row by row) are rejected, and so is any header
+whose n or image side is over its cap.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 import struct
 import zlib
 from dataclasses import dataclass, field
-from itertools import chain
 
 import numpy as np
 from scipy.stats import chisquare
@@ -92,7 +93,7 @@ AUDIT_P_THRESHOLD = 0.001
 _BACKEND_IDS = {BACKEND_STATEVECTOR: 1, BACKEND_SAMPLED: 2}
 _BACKEND_NAMES = {v: k for k, v in _BACKEND_IDS.items()}
 
-_FORMAT_VERSION = 3
+_FORMAT_VERSION = 4
 _SHARE_MAGIC = b"QVSS"
 _SESSION_MAGIC = b"QVSE"
 
@@ -157,6 +158,25 @@ def _chunks(length: int):
     return (slice(start, start + _CHUNK) for start in range(0, length, _CHUNK))
 
 
+def _bit_planes(data, bits: int, what: str, rows: int | None = None) -> np.ndarray:
+    """``bits`` bits packed MSB first, checked: a uint8 array of shape
+    ``(ceil(bits/8),)``, or ``(rows, ceil(bits/8))`` for ``rows`` planes, with
+    the zero pad bits writers leave.  A ``memoryview`` (a file body) is
+    viewed in that shape.  Raises ``ValueError``."""
+    shape = ((bits + 7) // 8,) if rows is None else (rows, (bits + 7) // 8)
+    if isinstance(data, memoryview):
+        data = np.frombuffer(data, dtype=np.uint8)
+        if data.size != math.prod(shape):
+            raise ValueError(f"{what} holds {data.size} bytes, expected {math.prod(shape)}")
+        data = data.reshape(shape)
+    if not (isinstance(data, np.ndarray) and data.dtype == np.uint8 and data.shape == shape):
+        raise ValueError(f"{what} must be a {len(shape)}-D uint8 array of shape {shape}")
+    pad = -bits % 8
+    if pad and (data[..., -1] & ((1 << pad) - 1)).any():
+        raise ValueError(f"{what} has non-zero pad bits after bit {bits}")
+    return data
+
+
 def _bincount(values: np.ndarray, minlength: int) -> np.ndarray:
     """``np.bincount`` of values below ``minlength``, one chunk at a time."""
     counts = np.zeros(minlength, dtype=np.intp)
@@ -191,11 +211,11 @@ class RegisterTable:
         self.n = n
         self.states = list(states)
         # The index is held in the narrowest dtype whose range holds the
-        # table length (a session file packs a table of at most two entries
-        # to one bit per pixel); a value that does not fit raises instead
-        # of wrapping.
+        # table length; a value that does not fit raises instead of
+        # wrapping.  An array of that dtype is kept, not copied, and written
+        # in place by ``__setitem__``: callers hand over one of their own.
         index = np.asarray(index).reshape(-1)
-        self.index = index.astype(_index_dtype(len(self.states)))
+        self.index = index.astype(_index_dtype(len(self.states)), copy=False)
         if index.dtype != self.index.dtype and not np.array_equal(index, self.index):
             raise ValueError(
                 f"register index does not fit {self.index.dtype.name} for a "
@@ -270,9 +290,11 @@ class RegisterTable:
 class SessionStore:
     """Dealer-side store of every pixel's quantum register (or its sample).
 
-    ``registers`` is a ``RegisterTable`` in the statevector backend and a
-    ``(pixels, n)`` uint8 bit matrix in the sampled backend, whose row
-    l-1 is pixel l's outcome and whose column j-1 is participant j's bits.
+    ``registers`` is a ``RegisterTable`` in the statevector backend.  In
+    the sampled backend it is the n bit planes, one
+    ``(n, ceil(pixels/8))`` uint8 array: bit l-1 of plane j-1, packed MSB
+    first, is participant j's bit of pixel l, and the pad bits are zero.
+    The session file stores it as it is.
     """
 
     n: int
@@ -286,23 +308,14 @@ class SessionStore:
     def __post_init__(self):
         if self.backend not in _BACKEND_IDS:
             raise ValueError(f"unknown backend {self.backend!r}")
-        if self.backend == BACKEND_STATEVECTOR and not isinstance(
-            self.registers, RegisterTable
-        ):
-            raise ValueError("statevector registers must be a RegisterTable")
-        if self.backend == BACKEND_SAMPLED and not (
-            isinstance(self.registers, np.ndarray)
-            and self.registers.dtype == np.uint8
-            and self.registers.shape == (self.pixel_count, self.n)
-        ):
-            raise ValueError(
-                f"sampled registers must be a ({self.pixel_count}, {self.n}) "
-                f"uint8 bit matrix"
-            )
         if len(self.session_id) != 16:
             raise ValueError("session id must be 16 bytes")
         _check_seed(self.master_seed)
-        if len(self.registers) != self.pixel_count:
+        if self.backend == BACKEND_SAMPLED:
+            _bit_planes(self.registers, self.pixel_count, "sampled registers", self.n)
+        elif not isinstance(self.registers, RegisterTable):
+            raise ValueError("statevector registers must be a RegisterTable")
+        elif len(self.registers) != self.pixel_count:
             raise ValueError(
                 f"register table holds {len(self.registers)} entries for "
                 f"{self.pixel_count} pixels"
@@ -326,11 +339,11 @@ class SessionStore:
 class ShareFile:
     """Participant j's per-pixel payload, bound to one session.
 
-    In the sampled backend the payload is a 1-D uint8 array holding one
-    bit per pixel in pixel order; ``share_image`` hands out columns of the
-    session's bit matrix, not copies.  In the statevector backend it is
-    ``()``: participant j holds qubit j of every pixel's register, which
-    the header already fixes.
+    In the sampled backend the payload is the participant's bit plane (see
+    ``SessionStore``), byte for byte the share file's body; ``share_image``
+    hands out the session's planes, not copies.  In the statevector backend
+    it is ``()``: participant j holds qubit j of every pixel's register,
+    which the header already fixes.
     """
 
     participant: int
@@ -348,26 +361,12 @@ class ShareFile:
             raise ValueError(
                 f"participant {self.participant} out of range 1..{self.n}"
             )
-        if self.backend == BACKEND_STATEVECTOR:
-            if len(self.payload):
-                raise ValueError(
-                    f"statevector share payload must be empty, got "
-                    f"{len(self.payload)} entries"
-                )
-            return
-        if not (
-            isinstance(self.payload, np.ndarray)
-            and self.payload.dtype == np.uint8
-            and self.payload.ndim == 1
-        ):
-            raise ValueError("sampled payload must be a 1-D uint8 array")
-        if len(self.payload) != self.pixel_count:
+        if self.backend == BACKEND_SAMPLED:
+            _bit_planes(self.payload, self.pixel_count, "share payload")
+        elif len(self.payload):
             raise ValueError(
-                f"payload holds {len(self.payload)} entries for "
-                f"{self.pixel_count} pixels"
+                f"statevector share payload must be empty, got {len(self.payload)} entries"
             )
-        if self.payload.size and self.payload.max() > 1:
-            raise ValueError("sampled payload bits must be 0 or 1")
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ShareFile):
@@ -416,19 +415,29 @@ def _derive_session_id(image: BinaryImage, n: int, backend: str, seed: int) -> b
     return digest.digest()[:16]
 
 
-def _draw_sampled_outcomes(image: BinaryImage, n: int, seed: int) -> np.ndarray:
-    """Every pixel's outcome, uniform over the 2^(n-1) strings of its parity.
+def _draw_planes(image: BinaryImage, n: int, seed: int) -> np.ndarray:
+    """Every pixel's outcome, uniform over its parity's 2^(n-1) strings,
+    as the session's n bit planes.
 
-    Row l-1 is unpacked whole from raw word l-1 of the tagged Philox
-    stream: its top n bits, most significant first.  Bits 1..n-1 are the
-    pixel's free bits; the last is then overwritten by the bit that makes
-    the row's XOR the pixel's colour.
+    Bit j of pixel l (j < n) is bit j of raw word l-1 of the tagged Philox
+    stream, most significant first; bit n is the XOR of the others and the
+    pixel's colour.  Words come ``_CHUNK`` (a multiple of 8) at a time, so
+    each chunk packs into whole bytes of every plane.
     """
+    planes = np.empty((n, (image.pixel_count + 7) // 8), dtype=np.uint8)
     philox = np.random.Philox(key=_SAMPLED_KEY_TAG | seed)
-    words = philox.random_raw(image.pixel_count).astype(">u8")
-    outcomes = np.unpackbits(words.view(np.uint8).reshape(-1, 8), axis=1, count=n)
-    outcomes[:, -1] = np.bitwise_xor.reduce(outcomes[:, :-1], axis=1) ^ image.pixels
-    return outcomes
+    for part in _chunks(image.pixel_count):
+        count = len(image.pixels[part])
+        # Each little-endian word's bytes, reversed: most significant first.
+        words = philox.random_raw(count).astype("<u8", copy=False)
+        msb_first = words.view(np.uint8).reshape(count, 8)[:, ::-1]
+        out = slice(part.start // 8, part.start // 8 + (count + 7) // 8)
+        for j in range(n - 1):
+            if j % 8 == 0:  # byte j // 8 of every word, made contiguous
+                column = np.ascontiguousarray(msb_first[:, j // 8])
+            planes[j, out] = np.packbits(column & (0x80 >> j % 8))
+    planes[-1] = np.bitwise_xor.reduce(planes[:-1], axis=0) ^ np.packbits(image.pixels)
+    return planes
 
 
 def share_image(
@@ -450,11 +459,12 @@ def share_image(
 
     session_id = _derive_session_id(image, n, backend, seed)
     if backend == BACKEND_STATEVECTOR:
-        # Entry b is colour b's parity state, so the pixels are the index.
+        # Entry b is colour b's parity state, so the pixels are the index:
+        # a copy, since the table writes its index in place.
         states = [prepare_parity_state_direct(ParitySpec(n, b)) for b in (0, 1)]
-        registers = RegisterTable(n, states, image.pixels)
+        registers = RegisterTable(n, states, image.pixels.copy())
     else:
-        registers = _draw_sampled_outcomes(image, n, seed)
+        registers = _draw_planes(image, n, seed)
 
     session = SessionStore(
         n=n,
@@ -473,7 +483,7 @@ def share_image(
             width=image.width,
             height=image.height,
             session_id=session_id,
-            payload=() if backend == BACKEND_STATEVECTOR else registers[:, j - 1],
+            payload=() if backend == BACKEND_STATEVECTOR else registers[j - 1],
         )
         for j in range(1, n + 1)
     ]
@@ -536,9 +546,10 @@ def recover_image(
         colors = index_parities(1 << table.n)[outcomes]
         table.collapse(outcomes)
     else:
-        colors = np.zeros(session.pixel_count, dtype=np.uint8)
+        packed = np.zeros_like(session.registers[0])
         for share in by_participant.values():
-            colors ^= share.payload
+            packed ^= share.payload
+        colors = np.unpackbits(packed, count=session.pixel_count)
     return BinaryImage(session.width, session.height, colors)
 
 
@@ -586,10 +597,13 @@ def audit_subset(session: SessionStore, subset) -> AuditReport:
             max_dev = max(max_dev, float(np.abs(marg - uniform).max()))
         distribution = total / session.pixel_count
     else:
-        # Pattern index: participant subset[0]'s bit is the most significant.
-        weights = 1 << np.arange(k - 1, -1, -1, dtype=np.int64)
-        index = session.registers[:, [j - 1 for j in subset]] @ weights
-        counts = np.bincount(index, minlength=patterns)
+        # Pattern index: participant subset[0]'s bit is the most significant;
+        # k <= 16, and only the k planes read are unpacked, one at a time.
+        index = np.zeros(session.pixel_count, dtype=np.uint16)
+        for j in subset:
+            index <<= 1
+            index |= np.unpackbits(session.registers[j - 1], count=session.pixel_count)
+        counts = _bincount(index, patterns)
         distribution = counts / session.pixel_count
         max_dev = float(np.abs(distribution - uniform).max())
         if not is_full:
@@ -675,35 +689,22 @@ def _read_file(data: bytes, magic: bytes, what: str):
     return participant, pixel_count, body[_HEADER.size :], header
 
 
-def _unpack_bits(body, bits: int, what: str) -> np.ndarray:
-    """``bits`` bits packed MSB first, as one uint8 per bit.
-
-    Writers leave the pad bits zero, so a set one would not re-serialize.
-    """
-    expected = (bits + 7) // 8
-    if len(body) != expected:
-        raise FormatError(f"{what} holds {len(body)} bytes, expected {expected}")
-    pad = -bits % 8
-    if pad and body[-1] & ((1 << pad) - 1):
-        raise FormatError(f"{what} has non-zero pad bits after bit {bits}")
-    return np.unpackbits(np.frombuffer(body, dtype=np.uint8), count=bits)
-
-
 def serialize_share(share: ShareFile) -> bytearray:
+    """The share file; a sampled share's body is its payload as it is."""
     if share.backend == BACKEND_STATEVECTOR:
         return _write_file(_SHARE_MAGIC, share, share.participant, 0, ())
-    payload = np.packbits(share.payload)
-    return _write_file(_SHARE_MAGIC, share, share.participant, payload.size, (payload,))
+    plane = np.ascontiguousarray(share.payload)
+    return _write_file(_SHARE_MAGIC, share, share.participant, plane.size, (plane,))
 
 
 def deserialize_share(data: bytes) -> ShareFile:
     participant, pixel_count, body, header = _read_file(
         data, _SHARE_MAGIC, "share file"
     )
-    statevector = header["backend"] == BACKEND_STATEVECTOR
-    bits = _unpack_bits(body, 0 if statevector else pixel_count, "share payload")
-    payload = () if statevector else bits
     try:
+        # A statevector body must be empty: ShareFile rejects any other.
+        sampled = header["backend"] == BACKEND_SAMPLED
+        payload = _bit_planes(body, pixel_count, "share payload") if sampled else body or ()
         return ShareFile(participant=participant, payload=payload, **header)
     except ValueError as exc:
         raise FormatError(f"invalid share file: {exc}") from None
@@ -721,15 +722,14 @@ def serialize_session(session: SessionStore) -> bytearray:
     """The session file; a statevector table over ``MAX_SESSION_TABLE_BYTES``
     raises ``ValueError`` before any of it is built.
 
-    Per-pixel arrays are written ``_CHUNK`` pixels at a time.  A chunk holds
-    a multiple of 8 pixels, so packed chunks join into the packed whole.
+    Sampled planes are written as they are.  A statevector index is written
+    ``_CHUNK`` pixels at a time; a chunk holds a multiple of 8 pixels, so
+    packed chunks join into the packed whole.
     """
     seed = _SEED_FIELD.pack(session.master_seed)
     if session.backend == BACKEND_SAMPLED:
-        bits = session.registers
-        rows = (np.packbits(bits[part]) for part in _chunks(len(bits)))
-        size = len(seed) + (bits.size + 7) // 8
-        return _write_file(_SESSION_MAGIC, session, 0, size, chain((seed,), rows))
+        planes = np.ascontiguousarray(session.registers)
+        return _write_file(_SESSION_MAGIC, session, 0, len(seed) + planes.size, (seed, planes))
     # Only entries some pixel points at are written, in table order.
     table = session.registers
     used, lookup = _renumber(table.counts())
@@ -760,7 +760,7 @@ def serialize_session(session: SessionStore) -> bytearray:
 
 
 def _read_register_table(body, n: int, pixel_count: int) -> RegisterTable:
-    """Parse a v3 register table plus index, checking every size first."""
+    """Parse a register table plus index, checking every size first."""
     if len(body) < _TABLE_LENGTH.size:
         raise FormatError("truncated session file: missing register table length")
     (length,) = _TABLE_LENGTH.unpack_from(body)
@@ -807,10 +807,11 @@ def _read_register_table(body, n: int, pixel_count: int) -> RegisterTable:
         states.append(StateVector(n, amps.copy()))
         offset += entry_size
 
-    if length <= _PACKED_INDEX_ENTRIES:
-        index = _unpack_bits(body[offset:], pixel_count, "register index")
+    if length <= _PACKED_INDEX_ENTRIES:  # either way a fresh array: the table keeps it
+        packed = _bit_planes(body[offset:], pixel_count, "register index")
+        index = np.unpackbits(packed, count=pixel_count)
     else:
-        index = np.frombuffer(body, _index_dtype(length), pixel_count, offset)
+        index = np.frombuffer(body, _index_dtype(length), pixel_count, offset).copy()
     if pixel_count and int(index.max()) >= length:
         raise FormatError(
             f"register index value {int(index.max())} out of range for a "
@@ -825,12 +826,11 @@ def deserialize_session(data: bytes) -> SessionStore:
         raise FormatError("truncated session file: missing master seed")
     (master_seed,) = _SEED_FIELD.unpack_from(body)
     body, n = body[_SEED_FIELD.size :], header["n"]
-    if header["backend"] == BACKEND_STATEVECTOR:
-        registers = _read_register_table(body, n, pixel_count)
-    else:
-        bits = _unpack_bits(body, pixel_count * n, "session outcome payload")
-        registers = bits.reshape(pixel_count, n)
     try:
+        if header["backend"] == BACKEND_STATEVECTOR:
+            registers = _read_register_table(body, n, pixel_count)
+        else:
+            registers = _bit_planes(body, pixel_count, "session outcome payload", n)
         return SessionStore(master_seed=master_seed, registers=registers, **header)
     except ValueError as exc:
         raise FormatError(f"invalid session file: {exc}") from None

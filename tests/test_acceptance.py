@@ -221,7 +221,8 @@ def test_criterion_8_backend_equivalence_chi_square():
             prepare_parity_state_direct(ParitySpec(4, 0)), subset
         ).probabilities
         counts = np.zeros(8, dtype=np.int64)
-        for outcome in session.registers:
+        rows = np.unpackbits(session.registers, axis=1, count=image.pixel_count).T
+        for outcome in rows:
             counts[(outcome[0] << 2) | (outcome[1] << 1) | outcome[2]] += 1
         result = chisquare(counts, f_exp=exact * image.pixel_count)
         assert result.pvalue > 0.001

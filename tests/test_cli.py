@@ -155,11 +155,11 @@ def test_recover_corrupt_share_exits_3(secret, tmp_path):
     assert rc == 3
 
 
-def _as_version_2(path: Path) -> None:
-    """Rewrite a sampled share or session file as version 2 wrote it.  Its
-    layout did not change in version 3, so only the version byte differs."""
+def _with_version(path: Path, version: int) -> None:
+    """Rewrite a share or session file's version byte and CRC32.  The body
+    keeps its current layout: the reader rejects an old version first."""
     body = bytearray(path.read_bytes()[:-4])
-    body[4] = 2
+    body[4] = version
     path.write_bytes(bytes(body) + zlib.crc32(body).to_bytes(4, "little"))
 
 
@@ -167,21 +167,23 @@ def _as_version_2(path: Path) -> None:
 def test_recover_of_a_version_2_file_exits_3(secret, tmp_path, capsys, old):
     out = tmp_path / "shares"
     main(share_args(secret, out, backend="sampled"))
-    _as_version_2(out / old)
-    rc = main(
-        [
-            "recover",
-            *[str(out / f"share_{j}.qvs") for j in (1, 2, 3)],
-            "--session",
-            str(out / "session.qvse"),
-            "--out",
-            str(tmp_path / "rec.pbm"),
-        ]
-    )
-    assert rc == 3
     what = "session" if old.endswith(".qvse") else "share"
-    assert f"unsupported {what} file format version 2" in capsys.readouterr().err
-    assert not (tmp_path / "rec.pbm").exists()
+    for version in (2, 3):
+        _with_version(out / old, version)
+        rc = main(
+            [
+                "recover",
+                *[str(out / f"share_{j}.qvs") for j in (1, 2, 3)],
+                "--session",
+                str(out / "session.qvse"),
+                "--out",
+                str(tmp_path / "rec.pbm"),
+            ]
+        )
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert f"unsupported {what} file format version {version}" in err
+        assert not (tmp_path / "rec.pbm").exists()
 
 
 def test_audit_proper_subset(secret, tmp_path, capsys):

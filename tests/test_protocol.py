@@ -54,6 +54,12 @@ def random_image(width, height, seed):
     return BinaryImage(width, height, rng.integers(0, 2, size=width * height))
 
 
+def _rows(session):
+    """A sampled session's bits as a (pixels, n) matrix: row l-1 is pixel
+    l's outcome, column j-1 participant j's bits."""
+    return np.unpackbits(session.registers, axis=1, count=session.pixel_count).T
+
+
 # --- sharing ---
 
 
@@ -126,7 +132,7 @@ def test_recover_sampled_xors_share_bits():
     recovered = recover_image(shares, session)
     assert recovered == DEMO_IMAGE
     for l in range(1, 5):
-        bits = tuple(share.payload[l - 1] for share in shares)
+        bits = tuple(np.unpackbits(share.payload, count=4)[l - 1] for share in shares)
         assert xor_decode_classical(bits) == DEMO_IMAGE.pixel(l)
 
 
@@ -289,7 +295,7 @@ def test_sampled_bits_match_exact_marginal():
     ).probabilities
     np.testing.assert_allclose(exact, 1 / 8, atol=1e-15)
     counts = np.zeros(8, dtype=int)
-    for outcome in session.registers:
+    for outcome in _rows(session):
         counts[(outcome[0] << 2) | (outcome[1] << 1) | outcome[2]] += 1
     result = chisquare(counts, f_exp=exact * image.pixel_count)
     assert result.pvalue > 0.001
@@ -346,7 +352,7 @@ def test_share_header_layout():
     _, shares = share_image(DEMO_IMAGE, 3, BACKEND_STATEVECTOR, 42)
     data = serialize_share(shares[0])
     assert data[:4] == b"QVSS"
-    assert data[4] == 3  # version
+    assert data[4] == 4  # version
     assert data[5] == 1  # statevector backend id
     assert int.from_bytes(data[6:8], "little") == 3  # n
     assert int.from_bytes(data[8:10], "little") == 1  # participant
@@ -427,31 +433,50 @@ def recrc(blob: bytes) -> bytes:
     return body + zlib.crc32(body).to_bytes(CRC_SIZE, "little")
 
 
-def _convert(blob: bytes, version: int, index_bytes) -> bytes:
+def _convert(blob: bytes, version: int, index_bytes, bits_bytes) -> bytes:
     """``blob`` with its version byte set and its CRC32 recomputed.  In a
     statevector session of at most two table entries, the register index
-    bytes become ``index_bytes(index, pixels)``."""
+    bytes become ``index_bytes(index, pixels)``; in a sampled session, the
+    bytes after the seed become ``bits_bytes(bits, n, pixels)``."""
     data = bytearray(blob[:-CRC_SIZE])
     data[4] = version
     magic, _, backend, n, _, pixels = struct.unpack_from("<4sBBHHI", data)
+    offset = HEADER_SIZE + SEED_SIZE
     if magic == b"QVSE" and backend == 1:
-        offset = HEADER_SIZE + SEED_SIZE
         (length,) = struct.unpack_from("<I", data, offset)
         if length <= 2:
             start = offset + TABLE_LENGTH_SIZE + length * (2 + (16 << n))
             data[start:] = index_bytes(np.frombuffer(bytes(data[start:]), np.uint8), pixels)
+    elif magic == b"QVSE":
+        bits = np.frombuffer(bytes(data[offset:]), np.uint8)
+        data[offset:] = bits_bytes(bits, n, pixels)
     return recrc(bytes(data) + bytes(CRC_SIZE))
 
 
 def _as_v2(blob: bytes) -> bytes:
-    """A version 3 file as version 2 wrote it: the same bits, with a 1-bit
-    register index widened to one u8 per pixel."""
-    return _convert(blob, 2, lambda index, pixels: np.unpackbits(index, count=pixels).tobytes())
+    """A version 4 file as version 2 wrote it: the same bits, with a 1-bit
+    register index widened to one u8 per pixel, and a sampled session's n
+    bit planes turned into its (pixels, n) bit matrix packed row by row."""
+    return _convert(
+        blob,
+        2,
+        lambda index, pixels: np.unpackbits(index, count=pixels).tobytes(),
+        lambda planes, n, pixels: np.packbits(
+            np.unpackbits(planes.reshape(n, -1), axis=1, count=pixels).T
+        ).tobytes(),
+    )
 
 
-def _as_v3(blob: bytes) -> bytes:
-    """A version 2 file as version 3 writes it: the inverse of ``_as_v2``."""
-    return _convert(blob, 3, lambda index, pixels: np.packbits(index).tobytes())
+def _as_v4(blob: bytes) -> bytes:
+    """A version 2 file as version 4 writes it: the inverse of ``_as_v2``."""
+    return _convert(
+        blob,
+        4,
+        lambda index, pixels: np.packbits(index).tobytes(),
+        lambda rows, n, pixels: np.packbits(
+            np.unpackbits(rows, count=pixels * n).reshape(pixels, n).T, axis=1
+        ).tobytes(),
+    )
 
 
 def tampered_session():
@@ -637,12 +662,13 @@ SAMPLED_KEY_TAG = 1 << 64
 def test_every_sampled_row_has_its_pixel_parity(n):
     image = random_image(37, 11, seed=n)
     session, shares = share_image(image, n, BACKEND_SAMPLED, 31)
-    assert session.registers.shape == (image.pixel_count, n)
-    np.testing.assert_array_equal(
-        np.bitwise_xor.reduce(session.registers, axis=1), image.pixels
-    )
+    rows = _rows(session)
+    assert rows.shape == (image.pixel_count, n)
+    np.testing.assert_array_equal(np.bitwise_xor.reduce(rows, axis=1), image.pixels)
     for j, share in enumerate(shares):
-        np.testing.assert_array_equal(share.payload, session.registers[:, j])
+        np.testing.assert_array_equal(
+            np.unpackbits(share.payload, count=image.pixel_count), rows[:, j]
+        )
 
 
 def test_sampled_draw_equals_the_per_pixel_definition():
@@ -658,9 +684,9 @@ def test_sampled_draw_equals_the_per_pixel_definition():
             out.append(head + [(sum(head) & 1) ^ color])
         return np.array(out, dtype=np.uint8)
 
-    np.testing.assert_array_equal(session.registers, rows(SAMPLED_KEY_TAG | seed))
+    np.testing.assert_array_equal(_rows(session), rows(SAMPLED_KEY_TAG | seed))
     # The baseline's Philox(key=seed) words are a different stream.
-    assert not np.array_equal(session.registers, rows(seed))
+    assert not np.array_equal(_rows(session), rows(seed))
 
 
 def test_sampled_top_rows_crop_gets_the_top_rows_of_the_bits():
@@ -668,7 +694,7 @@ def test_sampled_top_rows_crop_gets_the_top_rows_of_the_bits():
     crop = BinaryImage(9, 3, image.pixels[:27])
     full, _ = share_image(image, 5, BACKEND_SAMPLED, 8)
     top, _ = share_image(crop, 5, BACKEND_SAMPLED, 8)
-    np.testing.assert_array_equal(top.registers, full.registers[:27])
+    np.testing.assert_array_equal(_rows(top), _rows(full)[:27])
 
 
 # Written by the per-pixel tuple implementation: a 3x2 image
@@ -688,9 +714,9 @@ PARENT_SAMPLED_OUTCOMES = [
 
 
 def test_sampled_files_from_the_tuple_implementation_still_recover():
-    shares = [deserialize_share(_as_v3(bytes.fromhex(h))) for h in PARENT_SAMPLED_SHARES]
-    session = deserialize_session(_as_v3(bytes.fromhex(PARENT_SAMPLED_SESSION)))
-    np.testing.assert_array_equal(session.registers, PARENT_SAMPLED_OUTCOMES)
+    shares = [deserialize_share(_as_v4(bytes.fromhex(h))) for h in PARENT_SAMPLED_SHARES]
+    session = deserialize_session(_as_v4(bytes.fromhex(PARENT_SAMPLED_SESSION)))
+    np.testing.assert_array_equal(_rows(session), PARENT_SAMPLED_OUTCOMES)
     image = from_pixel_list(3, 2, [0, 1, 1, 0, 1, 1])
     assert recover_image(shares, session, 1) == image
     assert [_as_v2(serialize_share(s)).hex() for s in shares] == PARENT_SAMPLED_SHARES
@@ -725,7 +751,7 @@ def test_sampled_audit_matches_a_per_pixel_loop(subset):
     image = random_image(40, 30, seed=9)
     session, _ = share_image(image, 6, BACKEND_SAMPLED, 12)
     counts = np.zeros(1 << len(subset), dtype=np.int64)
-    for outcome in session.registers.tolist():
+    for outcome in _rows(session).tolist():
         index = 0
         for j in subset:
             index = (index << 1) | outcome[j - 1]
@@ -752,8 +778,10 @@ def test_sampled_share_payload_must_be_a_bit_array():
     _, shares = share_image(DEMO_IMAGE, 3, BACKEND_SAMPLED, 42)
     with pytest.raises(ValueError, match="1-D uint8 array"):
         dataclasses.replace(shares[0], payload=(0, 1, 1, 0))
-    with pytest.raises(ValueError, match="0 or 1"):
-        dataclasses.replace(shares[0], payload=np.array([0, 2, 1, 0], dtype=np.uint8))
+    with pytest.raises(ValueError, match=r"1-D uint8 array of shape \(1,\)"):
+        dataclasses.replace(shares[0], payload=np.zeros(2, dtype=np.uint8))
+    with pytest.raises(ValueError, match="share payload has non-zero pad bits after bit 4"):
+        dataclasses.replace(shares[0], payload=shares[0].payload ^ 1)
 
 
 # --- header bounds, checked before anything is allocated ---
@@ -845,7 +873,7 @@ def test_session_master_seed_must_fit_the_u64_field(backend):
 def test_sampled_sessions_differing_in_one_register_are_unequal():
     session, _ = share_image(random_image(6, 5, 12), 4, BACKEND_SAMPLED, 21)
     registers = session.registers.copy()
-    registers[17, 2] ^= 1
+    registers[2, 17 // 8] ^= 0x80 >> 17 % 8  # participant 3's bit of pixel 18
     assert session != dataclasses.replace(session, registers=registers)
 
 
@@ -1125,3 +1153,72 @@ def test_a_recovered_session_is_written_without_a_second_copy():
     data, peak = _traced_peak(serialize_session, session)
     assert len(data) > 16_000_000
     assert peak < 1.25 * len(data)
+
+
+# --- sampled registers as n packed bit planes (format v4) ---
+
+
+def _row_wise_draw(image, n, seed):
+    """The sampled draw as rows: each Philox word's top n bits unpacked,
+    the last then replaced by the XOR of the others and the colour."""
+    words = np.random.Philox(key=SAMPLED_KEY_TAG | seed).random_raw(image.pixel_count)
+    rows = np.unpackbits(words.astype(">u8").view(np.uint8).reshape(-1, 8), axis=1, count=n)
+    rows[:, -1] = np.bitwise_xor.reduce(rows[:, :-1], axis=1) ^ image.pixels
+    return rows
+
+
+@pytest.mark.parametrize("n", [2, 9, 64])
+def test_sampled_planes_are_the_row_wise_draw_transposed(n):
+    image = random_image(1025, 1025, seed=n)  # over one chunk, an odd pixel count
+    session, _ = share_image(image, n, BACKEND_SAMPLED, 2**63 + n)
+    rows = _row_wise_draw(image, n, 2**63 + n)
+    np.testing.assert_array_equal(session.registers, np.packbits(rows.T, axis=1))
+
+
+def test_share_bodies_are_the_session_planes():
+    image = random_image(13, 7, seed=4)
+    session, shares = share_image(image, 5, BACKEND_SAMPLED, 9)
+    body = serialize_session(session)[HEADER_SIZE + SEED_SIZE : -CRC_SIZE]
+    plane = (image.pixel_count + 7) // 8
+    for j, share in enumerate(shares, start=1):
+        assert serialize_share(share)[HEADER_SIZE:-CRC_SIZE] == body[(j - 1) * plane : j * plane]
+
+
+def test_a_pad_bit_in_any_session_plane_is_rejected():
+    session, _ = share_image(from_pixel_list(3, 1, [0, 1, 1]), 3, BACKEND_SAMPLED, 4)
+    data = bytearray(serialize_session(session))
+    data[HEADER_SIZE + SEED_SIZE] |= 1  # plane 1 holds one byte: 3 bits, 5 pad bits
+    with pytest.raises(FormatError, match="session outcome payload has non-zero pad bits"):
+        deserialize_session(recrc(bytes(data)))
+
+
+def test_tampering_a_fresh_session_leaves_the_image_unchanged():
+    image = random_image(6, 5, seed=3)
+    pixels = image.pixels.copy()
+    session, _ = share_image(image, 3, BACKEND_STATEVECTOR, 8)
+    for pixel in range(image.pixel_count):
+        session.registers[pixel] = prepare_parity_state_direct(ParitySpec(3, 1))
+    np.testing.assert_array_equal(image.pixels, pixels)
+
+
+def test_sharing_and_writing_a_sampled_session_peaks_under_three_times_its_planes():
+    image = random_image(1024, 1024, seed=2)
+    planes = 64 * 1024 * 1024 // 8
+
+    def share_and_write():
+        session, _ = share_image(image, 64, BACKEND_SAMPLED, 3)
+        return serialize_session(session)
+
+    data, peak = _traced_peak(share_and_write)
+    assert len(data) == HEADER_SIZE + SEED_SIZE + planes + CRC_SIZE
+    assert peak < 3 * planes
+
+
+def test_a_fresh_session_at_the_size_cap_reads_back_holding_its_index_once():
+    image = random_image(4096, 4096, seed=1)
+    session, _ = share_image(image, 16, BACKEND_STATEVECTOR, 2)
+    data = serialize_session(session)
+    del image, session
+    restored, peak = _traced_peak(deserialize_session, data)
+    assert restored.registers.index.dtype == np.uint8
+    assert peak < 20 << 20
