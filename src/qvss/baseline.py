@@ -35,6 +35,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import protocol
 from .errors import FormatError
 from .image_io import MAX_DIMENSION, BinaryImage
 from .parity import index_parities
@@ -335,16 +336,8 @@ class ComparisonReport:
     baseline_shares: list[BinaryImage] = field(repr=False)
 
 
-def comparison_report(
-    n: int, image: BinaryImage | None = None, seed: int = 0
-) -> ComparisonReport:
+def comparison_report(n: int, image: BinaryImage, seed: int = 0) -> ComparisonReport:
     """Run the classical baseline and the quantum pipeline side by side."""
-    from . import protocol
-    from .image_io import from_pixel_list
-
-    if image is None:
-        image = from_pixel_list(4, 1, [0, 1, 1, 0])
-
     shares = classical_share_image(image, n, seed)
     stacked = classical_recover_image(shares)
     decoded = decode_stacked(stacked, n)

@@ -68,7 +68,7 @@ def _write_atomic(path: Path, data: bytes) -> None:
 def _resolve_seed(seed: int | None) -> int:
     if seed is not None:
         return seed
-    seed = int(np.random.SeedSequence().entropy) & ((1 << 64) - 1)
+    seed = protocol.entropy_seed()
     print(f"seed: {seed} (generated; pass --seed {seed} to replay)")
     return seed
 

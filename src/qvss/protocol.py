@@ -46,14 +46,17 @@ File formats (all integers little-endian):
   then a CRC32 trailer.
 
 Versions 1 (per-pixel registers), 2 (a u8 index for small tables) and 3
-(sampled sessions packed row by row) are rejected, and so is any header
-whose n or image side is over its cap.
+(sampled sessions packed row by row) are rejected.  One check,
+``_check_header``, bounds the backend, n, the image sides and the session
+id, both in a file's header and in a share or session built in memory, so
+anything that can be written can be read back.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+import operator
 import struct
 import zlib
 from dataclasses import dataclass, field
@@ -69,6 +72,8 @@ from .statevector import (
     NORM_GUARD,
     StateVector,
     basis_state,
+    check_subset,
+    int_in_range,
     marginal_distribution,
     sample,
 )
@@ -138,15 +143,34 @@ def pixel_rng(master_seed: int, pixel_index: int) -> np.random.Generator:
     )
 
 
-def _header(item) -> tuple:
-    """The fields that bind a share to its session."""
-    return item.n, item.backend, item.width, item.height, item.session_id
+#: The fields that bind a share to its session, in ``_check_header`` order.
+_HEADER_FIELDS = ("n", "backend", "width", "height", "session_id")
+_header = operator.attrgetter(*_HEADER_FIELDS)
+
+
+def _check_header(n, backend, width, height, session_id) -> tuple:
+    """The header fields, integers as Python ints, if every reader accepts
+    them, else ``ValueError``: the one check for builders and the reader."""
+    if backend not in _BACKEND_IDS:
+        raise ValueError(f"unknown backend {backend!r}")
+    cap = MAX_QUBITS if backend == BACKEND_STATEVECTOR else MAX_SAMPLED_QUBITS
+    n = int_in_range(n, 2, cap, f"n {{!r}} outside 2..{cap} for {backend}")
+    width, height = (
+        int_in_range(side, 1, MAX_DIMENSION, f"{name} {{!r}} outside 1..{MAX_DIMENSION}")
+        for name, side in (("width", width), ("height", height))
+    )
+    if not (isinstance(session_id, bytes) and len(session_id) == 16):
+        raise ValueError(f"session id must be 16 bytes, got {session_id!r}")
+    return n, backend, width, height, session_id
 
 
 def _check_seed(seed: int) -> int:
-    if not isinstance(seed, int) or not 0 <= seed <= _MASK64:
-        raise ValueError(f"seed must be an int in 0..2^64-1, got {seed!r}")
-    return seed
+    return int_in_range(seed, 0, _MASK64, "seed must be an int in 0..2^64-1, got {!r}")
+
+
+def entropy_seed() -> int:
+    """A 64-bit seed drawn from the operating system's entropy."""
+    return int(np.random.SeedSequence().entropy) & _MASK64
 
 
 def _index_dtype(table_length: int) -> np.dtype:
@@ -210,6 +234,8 @@ class RegisterTable:
     def __init__(self, n: int, states, index):
         self.n = n
         self.states = list(states)
+        for value in self.states:
+            self._check_entry(value)
         # The index is held in the narrowest dtype whose range holds the
         # table length; a value that does not fit raises instead of
         # wrapping.  An array of that dtype is kept, not copied, and written
@@ -239,15 +265,18 @@ class RegisterTable:
         for entry in self.index.tolist():
             yield self.state(entry)
 
+    def _check_entry(self, value) -> None:
+        """An entry is an n-qubit ``StateVector`` or a basis index below 2^n."""
+        if isinstance(value, StateVector):
+            if value.num_qubits != self.n:
+                raise ValueError(f"register has {value.num_qubits} qubits, table holds {self.n}")
+        elif not 0 <= value < 1 << self.n:
+            raise ValueError(f"basis index {value!r} out of range for {self.n} qubits")
+
     def __setitem__(self, pixel: int, state: StateVector) -> None:
-        if state.num_qubits != self.n:
-            raise ValueError(
-                f"register has {state.num_qubits} qubits, table holds {self.n}"
-            )
-        for entry, value in enumerate(self.states):
-            if isinstance(value, StateVector) and np.array_equal(
-                value.amplitudes, state.amplitudes
-            ):
+        self._check_entry(state)
+        for entry in range(len(self.states)):
+            if np.array_equal(self.state(entry).amplitudes, state.amplitudes):
                 break
         else:
             entry = len(self.states)
@@ -306,15 +335,16 @@ class SessionStore:
     registers: RegisterTable | np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        if self.backend not in _BACKEND_IDS:
-            raise ValueError(f"unknown backend {self.backend!r}")
-        if len(self.session_id) != 16:
-            raise ValueError("session id must be 16 bytes")
-        _check_seed(self.master_seed)
+        self.n, self.backend, self.width, self.height, self.session_id = (
+            _check_header(*_header(self))
+        )
+        self.master_seed = _check_seed(self.master_seed)
         if self.backend == BACKEND_SAMPLED:
             _bit_planes(self.registers, self.pixel_count, "sampled registers", self.n)
         elif not isinstance(self.registers, RegisterTable):
             raise ValueError("statevector registers must be a RegisterTable")
+        elif self.registers.n != self.n:
+            raise ValueError(f"register table n {self.registers.n} is not session n {self.n}")
         elif len(self.registers) != self.pixel_count:
             raise ValueError(
                 f"register table holds {len(self.registers)} entries for "
@@ -355,12 +385,12 @@ class ShareFile:
     payload: np.ndarray | tuple
 
     def __post_init__(self):
-        if self.backend not in _BACKEND_IDS:
-            raise ValueError(f"unknown backend {self.backend!r}")
-        if not 1 <= self.participant <= self.n:
-            raise ValueError(
-                f"participant {self.participant} out of range 1..{self.n}"
-            )
+        self.n, self.backend, self.width, self.height, self.session_id = (
+            _check_header(*_header(self))
+        )
+        self.participant = int_in_range(
+            self.participant, 1, self.n, f"participant {{!r}} out of range 1..{self.n}"
+        )
         if self.backend == BACKEND_SAMPLED:
             _bit_planes(self.payload, self.pixel_count, "share payload")
         elif len(self.payload):
@@ -447,17 +477,13 @@ def share_image(
 
     Deterministic given the seed: rerunning yields byte-identical shares.
     """
-    if backend not in _BACKEND_IDS:
-        raise ValueError(f"unknown backend {backend!r}")
-    cap = MAX_QUBITS if backend == BACKEND_STATEVECTOR else MAX_SAMPLED_QUBITS
-    if not isinstance(n, int) or not 2 <= n <= cap:
-        raise ValueError(
-            f"participant count must be in 2..{cap} for the {backend} backend, "
-            f"got {n!r}"
-        )
-    _check_seed(seed)
-
+    # The id is derived from the checked fields, so a placeholder stands in.
+    n = _check_header(n, backend, image.width, image.height, bytes(16))[0]
+    seed = _check_seed(seed)
     session_id = _derive_session_id(image, n, backend, seed)
+    header = dict(
+        n=n, backend=backend, width=image.width, height=image.height, session_id=session_id
+    )
     if backend == BACKEND_STATEVECTOR:
         # Entry b is colour b's parity state, so the pixels are the index:
         # a copy, since the table writes its index in place.
@@ -466,53 +492,34 @@ def share_image(
     else:
         registers = _draw_planes(image, n, seed)
 
-    session = SessionStore(
-        n=n,
-        backend=backend,
-        master_seed=seed,
-        width=image.width,
-        height=image.height,
-        session_id=session_id,
-        registers=registers,
-    )
+    session = SessionStore(master_seed=seed, registers=registers, **header)
     shares = [
         ShareFile(
             participant=j,
-            n=n,
-            backend=backend,
-            width=image.width,
-            height=image.height,
-            session_id=session_id,
             payload=() if backend == BACKEND_STATEVECTOR else registers[j - 1],
+            **header,
         )
         for j in range(1, n + 1)
     ]
     return session, shares
 
 
-def _check_share_set(shares, session: SessionStore) -> dict[int, ShareFile]:
-    participants = [share.participant for share in shares]
+def _check_share_set(shares, session: SessionStore) -> None:
     seen = set()
-    for j in participants:
+    for share in shares:
+        j = share.participant
         if j in seen:
             raise IntegrityError(f"duplicate share for participant {j}")
         seen.add(j)
-    for share in shares:
-        if share.session_id != session.session_id:
-            raise IntegrityError(
-                f"share {share.participant} is bound to a different session"
-            )
-        if _header(share) != _header(session):
-            raise IntegrityError(
-                f"share {share.participant} header disagrees with the session"
-            )
+        for name, mine, theirs in zip(_HEADER_FIELDS, _header(share), _header(session)):
+            if mine != theirs:
+                raise IntegrityError(f"share {j} has {name} {mine!r}, the session {theirs!r}")
     missing = set(range(1, session.n + 1)) - seen
     if missing:
         raise IncompleteSharesError(
             f"recovery needs all {session.n} shares; missing participants "
             f"{sorted(missing)}"
         )
-    return {share.participant: share for share in shares}
 
 
 def recover_image(
@@ -526,10 +533,8 @@ def recover_image(
     the outcomes of all pixels of each distinct register at once, in table
     order and then pixel order.
     """
-    by_participant = _check_share_set(shares, session)
-    if seed is None:
-        seed = int(np.random.SeedSequence().entropy) & _MASK64
-    _check_seed(seed)
+    _check_share_set(shares, session)
+    seed = _check_seed(entropy_seed() if seed is None else seed)
 
     if session.backend == BACKEND_STATEVECTOR:
         table = session.registers
@@ -547,7 +552,7 @@ def recover_image(
         table.collapse(outcomes)
     else:
         packed = np.zeros_like(session.registers[0])
-        for share in by_participant.values():
+        for share in shares:
             packed ^= share.payload
         colors = np.unpackbits(packed, count=session.pixel_count)
     return BinaryImage(session.width, session.height, colors)
@@ -563,15 +568,7 @@ def audit_subset(session: SessionStore, subset) -> AuditReport:
     "full-recovery".  Subsets of more than ``MAX_QUBITS`` participants are
     rejected before the 2^k pattern bins are allocated.
     """
-    subset = tuple(subset)
-    if not subset:
-        raise ValueError("audit subset must be non-empty")
-    if len(set(subset)) != len(subset):
-        raise ValueError(f"audit subset contains duplicates: {subset!r}")
-    for j in subset:
-        if not isinstance(j, int) or not 1 <= j <= session.n:
-            raise ValueError(f"participant {j!r} out of range 1..{session.n}")
-
+    subset = check_subset(session.n, subset)
     k = len(subset)
     if k > MAX_QUBITS:
         raise ValueError(
@@ -657,7 +654,9 @@ def _read_file(data: bytes, magic: bytes, what: str):
 
     Returns the participant slot, the pixel count, the body between header
     and trailer as a view of ``data``, and the header fields that
-    ``ShareFile`` and ``SessionStore`` share, as keyword arguments.
+    ``ShareFile`` and ``SessionStore`` share, as keyword arguments.  Header
+    fields out of bounds raise ``ValueError``, as a bad body does: the
+    callers turn both into a ``FormatError`` that names the file.
     """
     if len(data) < _HEADER.size + _CRC.size:
         raise FormatError(f"truncated {what}: {len(data)} bytes")
@@ -672,20 +671,11 @@ def _read_file(data: bytes, magic: bytes, what: str):
         raise FormatError(f"bad magic {found!r} in {what}, expected {magic!r}")
     if version != _FORMAT_VERSION:
         raise FormatError(f"unsupported {what} format version {version}")
-    if backend_id not in _BACKEND_NAMES:
-        raise FormatError(f"unknown backend id {backend_id} in {what}")
-    backend = _BACKEND_NAMES[backend_id]
-    cap = MAX_QUBITS if backend == BACKEND_STATEVECTOR else MAX_SAMPLED_QUBITS
-    if not 2 <= n <= cap:
-        raise FormatError(f"n {n} outside 2..{cap} for {backend} in {what}")
-    for name, value in (("width", width), ("height", height)):
-        if not 1 <= value <= MAX_DIMENSION:
-            raise FormatError(f"{name} {value} outside 1..{MAX_DIMENSION} in {what}")
+    # An unknown backend id is passed on as its number, which fails.
+    fields = _check_header(n, _BACKEND_NAMES.get(backend_id, backend_id), width, height, sid)
     if pixel_count != width * height:
-        raise FormatError(
-            f"pixel count {pixel_count} does not match {width}x{height} in {what}"
-        )
-    header = dict(n=n, backend=backend, width=width, height=height, session_id=sid)
+        raise ValueError(f"pixel count {pixel_count} does not match {width}x{height}")
+    header = dict(zip(_HEADER_FIELDS, fields))
     return participant, pixel_count, body[_HEADER.size :], header
 
 
@@ -698,16 +688,14 @@ def serialize_share(share: ShareFile) -> bytearray:
 
 
 def deserialize_share(data: bytes) -> ShareFile:
-    participant, pixel_count, body, header = _read_file(
-        data, _SHARE_MAGIC, "share file"
-    )
     try:
+        participant, pixel_count, body, header = _read_file(data, _SHARE_MAGIC, "share file")
         # A statevector body must be empty: ShareFile rejects any other.
         sampled = header["backend"] == BACKEND_SAMPLED
         payload = _bit_planes(body, pixel_count, "share payload") if sampled else body or ()
         return ShareFile(participant=participant, payload=payload, **header)
     except ValueError as exc:
-        raise FormatError(f"invalid share file: {exc}") from None
+        raise FormatError(f"{exc} in share file") from None
 
 
 def _index_size(table_length: int, pixel_count: int) -> tuple[int, str]:
@@ -821,16 +809,16 @@ def _read_register_table(body, n: int, pixel_count: int) -> RegisterTable:
 
 
 def deserialize_session(data: bytes) -> SessionStore:
-    _, pixel_count, body, header = _read_file(data, _SESSION_MAGIC, "session file")
-    if len(body) < _SEED_FIELD.size:
-        raise FormatError("truncated session file: missing master seed")
-    (master_seed,) = _SEED_FIELD.unpack_from(body)
-    body, n = body[_SEED_FIELD.size :], header["n"]
     try:
+        _, pixel_count, body, header = _read_file(data, _SESSION_MAGIC, "session file")
+        if len(body) < _SEED_FIELD.size:
+            raise FormatError("truncated session file: missing master seed")
+        (master_seed,) = _SEED_FIELD.unpack_from(body)
+        body, n = body[_SEED_FIELD.size :], header["n"]
         if header["backend"] == BACKEND_STATEVECTOR:
             registers = _read_register_table(body, n, pixel_count)
         else:
             registers = _bit_planes(body, pixel_count, "session outcome payload", n)
         return SessionStore(master_seed=master_seed, registers=registers, **header)
     except ValueError as exc:
-        raise FormatError(f"invalid session file: {exc}") from None
+        raise FormatError(f"{exc} in session file") from None

@@ -18,6 +18,7 @@ controlled gates) rather than by building 2^n x 2^n matrices.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,10 +61,21 @@ class MarginalDistribution:
     probabilities: np.ndarray
 
 
+def int_in_range(value, low: int, high: int, message: str) -> int:
+    """``value`` as a Python int in ``low..high``, numpy integers included;
+    anything else (floats and strings too) raises ``ValueError(message.format(value))``."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        pass
+    if not (isinstance(value, int) and low <= value <= high):
+        raise ValueError(message.format(value))
+    return value
+
+
 def basis_state(n: int, index: int) -> StateVector:
     """Return the basis state |index> on n qubits.  n must lie in 1..MAX_QUBITS."""
-    if not isinstance(n, int) or n < 1 or n > MAX_QUBITS:
-        raise ValueError(f"register size must be in 1..{MAX_QUBITS}, got {n!r}")
+    n = int_in_range(n, 1, MAX_QUBITS, f"register size must be in 1..{MAX_QUBITS}, got {{!r}}")
     amps = np.zeros(1 << n, dtype=np.complex128)
     amps[index] = 1.0
     return StateVector(n, amps)
@@ -209,17 +221,14 @@ def probability_of(state: StateVector, bits) -> float:
     return float(abs(state.amplitudes[bits_to_index(bits)]) ** 2)
 
 
-def _check_subset(state: StateVector, subset) -> tuple[int, ...]:
-    subset = tuple(subset)
+def check_subset(n: int, subset) -> tuple[int, ...]:
+    """A non-empty subset of distinct qubits of an n-qubit register (the
+    participants of an n-party session), as a tuple of Python ints."""
+    subset = tuple(int_in_range(q, 1, n, f"qubit {{!r}} out of range 1..{n}") for q in subset)
     if not subset:
         raise ValueError("qubit subset must be non-empty")
     if len(set(subset)) != len(subset):
         raise ValueError(f"qubit subset contains duplicates: {subset!r}")
-    for q in subset:
-        if not isinstance(q, int) or q < 1 or q > state.num_qubits:
-            raise ValueError(
-                f"qubit {q!r} out of range for {state.num_qubits}-qubit register"
-            )
     return subset
 
 
@@ -230,7 +239,7 @@ def marginal_distribution(state: StateVector, subset) -> MarginalDistribution:
     indices follow the subset's own order: the first listed qubit is the
     most significant pattern bit.
     """
-    subset = _check_subset(state, subset)
+    subset = check_subset(state.num_qubits, subset)
     n = state.num_qubits
     idx = np.arange(state.dim)
     pattern = np.zeros(state.dim, dtype=np.int64)
