@@ -13,16 +13,16 @@ Image sharing draws every pixel's permutation from one counter-based key
 stream, ``np.random.Philox(key=seed)`` (Salmon et al., "Parallel random
 numbers: as easy as 1, 2, 3", SC'11): pixel l's m sort keys are raw
 64-bit words (l-1)*m .. l*m-1 of that stream, and its column order is the
-stable argsort of those keys.  Each key's low n bits are replaced in place
-by the white base's value for its column and each pixel's words are
-sorted in place once, which leaves the white values in that order in the
-low bits (see ``_sort_rows``).  The few pixels whose key prefixes tie are
-sorted again from keys drawn again from the stream, so no copy of the keys
-is kept.  Pixels are processed a few rows at a time in whole-array
-operations: the chunk's values are narrowed once into the share grid's
-layout and each share's bit plane is cut from them with two contiguous
-passes.  So the result depends neither on the chunking nor on anything
-but the seed, n and the pixel's index and colour.
+stable argsort of those keys.  Each pixel's sort words are its keys with
+their low n bits replaced by the white base's value for each column, and
+sorting them once leaves the white values in that order in the low bits
+(see ``_sort_rows``).  The few pixels whose key prefixes tie are sorted
+again by the stable argsort of the keys themselves.  Pixels are processed
+a few rows at a time in whole-array operations: the chunk's values are
+narrowed once into the share grid's layout and each share's bit plane is
+cut from them with two contiguous passes.  So the result depends neither
+on the chunking nor on anything but the seed, n and the pixel's index and
+colour.
 
 Boolean share matrices are plain numpy arrays of shape (n, m) with entries
 in {0, 1}, 1 meaning a black subpixel.
@@ -30,6 +30,7 @@ in {0, 1}, 1 meaning a black subpixel.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -42,6 +43,7 @@ from .parity import index_parities
 from .protocol import _check_seed
 # Re-exported: perfbench's tracer test looks pixel_rng up in this namespace.
 from .protocol import pixel_rng  # noqa: F401
+from .statevector import int_in_range
 
 #: Cap on n * 2^(n-1) * pixels, the subpixels (one byte each) that all n
 #: shares of an image hold together; also caps n * 2^(n-1) for the bases.
@@ -49,12 +51,11 @@ from .protocol import pixel_rng  # noqa: F401
 MAX_BASELINE_SUBPIXELS = 1 << 27
 
 #: Subpixels drawn per chunk (rounded down to whole image rows, at least
-#: one): 512 pixels at n=8.  A chunk's sort words, which replace its keys
-#: in place, take 8 bytes a subpixel, 512 KiB, and the tie check one
-#: temporary of that size, so they stay in a 2 MiB L2 cache through the
-#: sort, and the memory used beyond the shares themselves stays under
-#: 2 MiB.  At 128x128, n=8, 2^15 to 2^18 ran within 3% of each other; 2^19
-#: ran about 10% slower.
+#: one): 512 pixels at n=8.  A chunk's keys and its sort words take 8
+#: bytes a subpixel each, 512 KiB, and the tie check one temporary of that
+#: size, so they stay in a 2 MiB L2 cache through the sort, and the memory
+#: used beyond the shares themselves is about 2.1 MiB.  At 128x128, n=8,
+#: 2^15 to 2^18 ran within 3% of each other; 2^19 ran about 10% slower.
 _CHUNK_SUBPIXELS = 1 << 16
 
 
@@ -76,16 +77,17 @@ class MatrixSets:
         return self.c0_base.shape[1]
 
 
-def _check_expansion(n: int, pixels: int) -> None:
-    """Reject n, or an image of ``pixels`` pixels, before any allocation."""
-    if not isinstance(n, int) or n < 2:
-        raise ValueError(f"need at least 2 participants, got {n!r}")
+def _check_expansion(n: int, pixels: int) -> int:
+    """n as a Python int; rejects n, or an image of ``pixels`` pixels,
+    before any allocation."""
+    n = int_in_range(n, 2, math.inf, "need at least 2 participants, got {!r}")
     cap = MAX_BASELINE_SUBPIXELS
     if n > cap.bit_length() or (n * pixels) << (n - 1) > cap:
         raise ValueError(
             f"classical baseline at n={n} needs {n} x 2^{n - 1} x {pixels} "
             f"subpixels, over the cap of {cap}"
         )
+    return n
 
 
 def _white_columns(n: int) -> np.ndarray:
@@ -102,7 +104,7 @@ def _white_columns(n: int) -> np.ndarray:
 
 def build_nn_matrix_sets(n: int) -> MatrixSets:
     """Base matrices whose columns are the even/odd-parity n-bit vectors."""
-    _check_expansion(n, 1)
+    n = _check_expansion(n, 1)
     m = 1 << (n - 1)
     white = _white_columns(n)
 
@@ -168,36 +170,25 @@ def block_shape(n: int) -> tuple[int, int]:
     return 1 << half, 1 << (n - 1 - half)
 
 
-def _philox_words(seed: int, offset: int, count: int) -> np.ndarray:
-    """Raw words offset .. offset+count-1 of the ``Philox(key=seed)`` stream.
+def _sort_rows(keys: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Each row's ``values`` in the stable argsort order of its ``keys``.
 
-    Philox makes 4 words per counter step and ``advance`` counts steps, so
-    the stream is advanced to the step holding word ``offset`` and the
-    words before it in that step are dropped.
+    ``keys`` holds one row of m uint64 sort keys per pixel and is left
+    unchanged; ``values`` holds m ascending uint64 values below 2^b.  The
+    sort words are a new array: each key with its low b bits replaced by
+    its column's value, sorted along the row, and their low b bits are the
+    result; callers read only those bits.  If no two words of a row agree
+    above bit b (adjacent sorted words suffice to check), the row's key
+    prefixes are distinct: distinct prefixes order the keys exactly as the
+    keys do and no two keys tie, and the values rise with the column, so
+    the low bits are the values in stable argsort order.  Rows where two
+    prefixes agree, about m^2 / 2^(65-b) of random rows, are sorted again
+    by the stable argsort of their keys, so the result holds for every
+    input.
     """
-    stream = np.random.Philox(key=seed).advance(offset // 4)
-    return stream.random_raw(offset % 4 + count)[offset % 4 :]
-
-
-def _sort_rows(words: np.ndarray, values: np.ndarray, keys_of) -> np.ndarray:
-    """Each row's ``values`` in the stable argsort order of its keys, in place.
-
-    ``words`` holds one row of m uint64 sort keys per pixel and is
-    overwritten; ``values`` holds m ascending uint64 values below 2^b.
-    Each key's low b bits are replaced by its column's value, the words
-    are sorted in place, and their low b bits are the result; callers read
-    only those bits.  If no two words of a row agree above bit b (adjacent
-    sorted words suffice to check), the row's key prefixes are distinct:
-    distinct prefixes order the keys exactly as the keys do and no two
-    keys tie, and the values rise with the column, so the low bits are the
-    values in stable argsort order.  Rows where two prefixes agree, about
-    m^2 / 2^(65-b) of random rows, get their keys back from
-    ``keys_of(rows)`` and are sorted again by the stable argsort itself, so
-    the result holds for every input.
-    """
-    m = words.shape[1]
+    m = keys.shape[1]
     low = np.uint64((1 << int(values[-1]).bit_length()) - 1)
-    words &= ~low
+    words = keys & ~low
     words |= values
     words.sort(axis=1)
     flat = words.reshape(-1)
@@ -205,20 +196,8 @@ def _sort_rows(words: np.ndarray, values: np.ndarray, keys_of) -> np.ndarray:
     close[m - 1 :: m] = False  # the pair straddles two rows
     if close.any():
         tied = np.unique(np.flatnonzero(close) // m)
-        words[tied] = values[np.argsort(keys_of(tied), axis=1, kind="stable")]
+        words[tied] = values[np.argsort(keys[tied], axis=1, kind="stable")]
     return words
-
-
-def _column_orders(keys: np.ndarray) -> np.ndarray:
-    """``np.argsort(keys, axis=1, kind="stable")`` for m columns, m = 2^b.
-
-    ``_sort_rows`` with the column indices as values, on a copy of the
-    keys, which also serve its tied rows.
-    """
-    m = keys.shape[1]
-    orders = _sort_rows(keys.copy(), np.arange(m, dtype=np.uint64), keys.__getitem__)
-    orders &= np.uint64(m - 1)
-    return orders
 
 
 def classical_share_image(
@@ -231,7 +210,7 @@ def classical_share_image(
     keyed by ``seed``: a uniformly random member of that colour's set.
     """
     _check_seed(seed)
-    _check_expansion(n, image.pixel_count)
+    n = _check_expansion(n, image.pixel_count)
     bh, bw = block_shape(n)
     width, height = image.width * bw, image.height * bh
     if width > MAX_DIMENSION or height > MAX_DIMENSION:
@@ -249,14 +228,7 @@ def classical_share_image(
     for top in range(0, image.height, rows):
         chunk = colors[top : top + rows]
         count = chunk.shape[0]
-        first = top * image.width  # the chunk's first pixel, from 0
-        words = _sort_rows(
-            keys.random_raw(chunk.size * m).reshape(-1, m),
-            sort_values,
-            lambda tied: np.stack(
-                [_philox_words(seed, (first + p) * m, m) for p in tied.tolist()]
-            ),
-        )
+        words = _sort_rows(keys.random_raw(chunk.size * m).reshape(-1, m), sort_values)
         # The share grid's row-major layout: (image row, block row, image
         # column, block column).  Narrowing keeps bits 0..n-1, the white
         # value, and maybe prefix bits that no plane reads; black pixels
@@ -310,7 +282,7 @@ def decode_stacked(stacked: BinaryImage, n: int) -> BinaryImage:
     Block weight >= d reads black; d - alpha*m = m - 1 or less reads
     white.  Inverts the m-times expansion of classical_share_image.
     """
-    _check_expansion(n, 1)
+    n = _check_expansion(n, 1)
     d = 1 << (n - 1)
     weights = _block_weights(stacked, n)
     height, width = weights.shape
@@ -339,6 +311,7 @@ class ComparisonReport:
 def comparison_report(n: int, image: BinaryImage, seed: int = 0) -> ComparisonReport:
     """Run the classical baseline and the quantum pipeline side by side."""
     shares = classical_share_image(image, n, seed)
+    n = len(shares)  # n as a Python int
     stacked = classical_recover_image(shares)
     decoded = decode_stacked(stacked, n)
 

@@ -16,10 +16,18 @@ from . import statevector as sv
 from .errors import FormatError
 from .statevector import StateVector
 
-#: Gate kind -> operand count.
-GATE_ARITY = {"H": 1, "X": 1, "Z": 1, "CNOT": 2, "TOFFOLI": 3}
+#: Gate kind -> (assembly opcode, operand count, statevector operation).
+_GATES = {
+    "H": ("h", 1, sv.apply_h),
+    "X": ("x", 1, sv.apply_x),
+    "Z": ("z", 1, sv.apply_z),
+    "CNOT": ("cx", 2, sv.apply_cnot),
+    "TOFFOLI": ("ccx", 3, sv.apply_toffoli),
+}
 
-_OPCODES = {"H": "h", "X": "x", "Z": "z", "CNOT": "cx", "TOFFOLI": "ccx"}
+#: Gate kind -> operand count.
+GATE_ARITY = {kind: arity for kind, (_, arity, _) in _GATES.items()}
+_OPCODES = {kind: opcode for kind, (opcode, _, _) in _GATES.items()}
 _KINDS_BY_OPCODE = {v: k for k, v in _OPCODES.items()}
 
 
@@ -67,16 +75,7 @@ def simulate_circuit(circuit: CircuitDescription, initial: StateVector) -> State
         )
     state = initial
     for gate in circuit.gates:
-        if gate.kind == "H":
-            state = sv.apply_h(state, gate.qubits[0])
-        elif gate.kind == "X":
-            state = sv.apply_x(state, gate.qubits[0])
-        elif gate.kind == "Z":
-            state = sv.apply_z(state, gate.qubits[0])
-        elif gate.kind == "CNOT":
-            state = sv.apply_cnot(state, gate.qubits[0], gate.qubits[1])
-        else:
-            state = sv.apply_toffoli(state, *gate.qubits)
+        state = _GATES[gate.kind][2](state, *gate.qubits)
     return state
 
 

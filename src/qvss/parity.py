@@ -9,12 +9,13 @@ of the bits is uniformly distributed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .circuit import CircuitDescription, Gate
-from .statevector import MAX_QUBITS, StateVector, index_to_bits
+from .statevector import MAX_QUBITS, StateVector, index_to_bits, int_in_range
 
 #: Enumeration cap; past this the basis list no longer fits in memory
 #: sensibly (2^(n-1) tuples).
@@ -32,8 +33,8 @@ class ParitySpec:
     b: int
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 2:
-            raise ValueError(f"participant count must be an int >= 2, got {self.n!r}")
+        message = "participant count must be an int >= 2, got {!r}"
+        object.__setattr__(self, "n", int_in_range(self.n, 2, math.inf, message))
         if self.b not in (0, 1):
             raise ValueError(f"secret bit must be 0 or 1, got {self.b!r}")
 
@@ -90,8 +91,7 @@ def build_xor_circuit(n: int) -> CircuitDescription:
     On a basis-state input, qubit n ends up holding the XOR of all n input
     bits; that qubit is the decode bit.
     """
-    if not isinstance(n, int) or n < 2:
-        raise ValueError(f"XOR circuit needs at least 2 qubits, got {n!r}")
+    n = int_in_range(n, 2, math.inf, "XOR circuit needs at least 2 qubits, got {!r}")
     gates = tuple(Gate("CNOT", (q, n)) for q in range(1, n))
     return CircuitDescription(n, gates)
 

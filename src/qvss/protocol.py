@@ -247,6 +247,11 @@ class RegisterTable:
                 f"register index does not fit {self.index.dtype.name} for a "
                 f"table of {len(self.states)} entries"
             )
+        if len(self.index) and int(self.index.max()) >= len(self.states):
+            raise ValueError(
+                f"register index value {int(self.index.max())} out of range for "
+                f"a table of {len(self.states)} entries"
+            )
 
     def __len__(self) -> int:
         return len(self.index)
@@ -800,11 +805,6 @@ def _read_register_table(body, n: int, pixel_count: int) -> RegisterTable:
         index = np.unpackbits(packed, count=pixel_count)
     else:
         index = np.frombuffer(body, _index_dtype(length), pixel_count, offset).copy()
-    if pixel_count and int(index.max()) >= length:
-        raise FormatError(
-            f"register index value {int(index.max())} out of range for a "
-            f"table of {length} entries"
-        )
     return RegisterTable(n, states, index)
 
 

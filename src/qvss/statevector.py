@@ -127,32 +127,28 @@ def apply_z(state: StateVector, q: int) -> StateVector:
     return _apply_single(state, q, 1.0, 0.0, 0.0, -1.0)
 
 
+def _controlled_flip(state: StateVector, *qubits: int) -> StateVector:
+    """Flip the last qubit's bit on every basis state whose other (control)
+    qubits' bits are all 1."""
+    for q in qubits:
+        _check_qubit(state, q)
+    if len(set(qubits)) != len(qubits):
+        raise ValueError(f"control and target qubits must be distinct, got {qubits!r}")
+    *controls, target = qubits
+    cmask = sum(_bit_mask(state, q) for q in controls)
+    idx = np.arange(state.dim)
+    src = np.where((idx & cmask) == cmask, idx ^ _bit_mask(state, target), idx)
+    return StateVector(state.num_qubits, state.amplitudes[src])
+
+
 def apply_cnot(state: StateVector, control: int, target: int) -> StateVector:
     """Flip the target bit on every basis state whose control bit is 1."""
-    _check_qubit(state, control)
-    _check_qubit(state, target)
-    if control == target:
-        raise ValueError("control and target must be distinct qubits")
-    idx = np.arange(state.dim)
-    cmask = _bit_mask(state, control)
-    tmask = _bit_mask(state, target)
-    src = np.where(idx & cmask, idx ^ tmask, idx)
-    return StateVector(state.num_qubits, state.amplitudes[src])
+    return _controlled_flip(state, control, target)
 
 
 def apply_toffoli(state: StateVector, c1: int, c2: int, target: int) -> StateVector:
     """Flip the target bit iff both control bits are 1."""
-    for q in (c1, c2, target):
-        _check_qubit(state, q)
-    if len({c1, c2, target}) != 3:
-        raise ValueError("control and target qubits must be pairwise distinct")
-    idx = np.arange(state.dim)
-    m1 = _bit_mask(state, c1)
-    m2 = _bit_mask(state, c2)
-    tmask = _bit_mask(state, target)
-    both = (idx & m1).astype(bool) & (idx & m2).astype(bool)
-    src = np.where(both, idx ^ tmask, idx)
-    return StateVector(state.num_qubits, state.amplitudes[src])
+    return _controlled_flip(state, c1, c2, target)
 
 
 def index_to_bits(index: int, n: int) -> tuple[int, ...]:

@@ -219,6 +219,21 @@ def test_comparison_of_an_all_black_image_has_no_white_blocks():
     assert not report.baseline_white_blocks_dirty
 
 
+@pytest.mark.parametrize("dtype", [np.int8, np.int64, np.uint16])
+def test_numpy_integer_n_gives_the_plain_int_results(dtype):
+    report = comparison_report(dtype(3), DEMO_IMAGE, 1)
+    assert report == comparison_report(3, DEMO_IMAGE, 1)
+    assert type(report.n) is int
+    sets = build_nn_matrix_sets(dtype(5))
+    np.testing.assert_array_equal(sets.c1_base, build_nn_matrix_sets(5).c1_base)
+    stacked = classical_recover_image(report.baseline_shares)
+    assert decode_stacked(stacked, dtype(3)) == decode_stacked(stacked, 3)
+    with pytest.raises(ValueError, match="need at least 2 participants, got 1"):
+        comparison_report(dtype(1), DEMO_IMAGE, 1)
+    with pytest.raises(ValueError, match="over the cap of"):
+        build_nn_matrix_sets(dtype(29))
+
+
 # --- size bounds ---
 
 
@@ -347,11 +362,18 @@ def test_top_rows_crop_gets_the_top_rows_of_the_shares():
         np.testing.assert_array_equal(top.as_grid(), whole.as_grid()[: 3 * bh])
 
 
+def column_orders(keys):
+    """``np.argsort(keys, axis=1, kind="stable")`` for m = 2^b columns,
+    through ``_sort_rows`` with the column indices as values."""
+    m = keys.shape[1]
+    return baseline._sort_rows(keys, np.arange(m, dtype=np.uint64)) & np.uint64(m - 1)
+
+
 def test_column_orders_break_ties_like_a_stable_sort():
     keys = np.random.default_rng(7).integers(0, 3, size=(200, 8)).astype(np.uint64)
     keys[::2] = np.random.default_rng(8).permutation(8)  # rows without ties
     np.testing.assert_array_equal(
-        baseline._column_orders(keys), np.argsort(keys, axis=1, kind="stable")
+        column_orders(keys), np.argsort(keys, axis=1, kind="stable")
     )
 
 
@@ -384,7 +406,7 @@ def test_column_orders_sort_keys_that_share_a_prefix_like_a_stable_sort(m):
     keys[1::4, 0] = keys[1::4, -1]  # exact ties
     keys[3] = (keys[3, 0] & ~low) | rng.integers(0, m, size=m, dtype=np.uint64)
     np.testing.assert_array_equal(
-        baseline._column_orders(keys), np.argsort(keys, axis=1, kind="stable")
+        column_orders(keys), np.argsort(keys, axis=1, kind="stable")
     )
 
 
@@ -435,7 +457,7 @@ def test_share_image_peak_is_its_output_plus_a_chunk():
     assert peak - output < 4 << 20
 
 
-# --- white values in the sort words, tied rows drawn again ---
+# --- white values in the sort words, tied rows sorted by their keys ---
 
 
 def per_pixel_shares(image, n, keys):
@@ -474,14 +496,6 @@ def test_two_participant_shares_of_an_odd_width_equal_the_per_pixel_definition(
     np.testing.assert_array_equal([share.as_grid() for share in shares], expected)
 
 
-@pytest.mark.parametrize("offset", [0, 1, 2, 3, 4, 5, 6, 7, 1001, 4096])
-def test_philox_words_are_drawn_again_from_any_offset(offset):
-    stream = np.random.Philox(key=2**64 - 1).random_raw(offset + 9)
-    np.testing.assert_array_equal(
-        baseline._philox_words(2**64 - 1, offset, 9), stream[offset:]
-    )
-
-
 @pytest.mark.parametrize("n", [2, 4, 8])
 def test_sort_rows_puts_the_white_values_in_stable_key_order(n):
     # The sort words carry the n-bit white values, not column indices, so
@@ -495,7 +509,7 @@ def test_sort_rows_puts_the_white_values_in_stable_key_order(n):
         i, j = rng.choice(m, size=2, replace=False)
         row[j] = (row[i] & ~low) | rng.integers(0, 1 << n, dtype=np.uint64)
     keys[1::4, 0] = keys[1::4, -1]  # exact ties
-    words = baseline._sort_rows(keys.copy(), white.astype(np.uint64), keys.__getitem__)
+    words = baseline._sort_rows(keys, white.astype(np.uint64))
     np.testing.assert_array_equal(
         words & low, white[np.argsort(keys, axis=1, kind="stable")]
     )
@@ -505,18 +519,17 @@ class _CoarsePhilox:
     """Philox whose words keep only their top 3 bits and their lowest bit.
 
     Most rows of its keys tie above the white values' bits, and many tie
-    outright, so the share image re-sorts them from words drawn again.
+    outright, so the share image sorts them again by their keys.
+    ``constructed`` counts the streams made.
     """
 
     MASK = np.uint64(0xE000_0000_0000_0001)
     PHILOX = np.random.Philox
+    constructed = 0
 
     def __init__(self, key):
+        type(self).constructed += 1
         self.stream = self.PHILOX(key=key)
-
-    def advance(self, delta):
-        self.stream.advance(delta)
-        return self
 
     def random_raw(self, size):
         return self.stream.random_raw(size) & self.MASK
@@ -533,6 +546,25 @@ def test_tied_rows_drawn_again_match_the_per_pixel_definition(monkeypatch, n, wi
     np.testing.assert_array_equal(
         [share.as_grid() for share in shares], per_pixel_shares(image, n, keys)
     )
+
+
+def test_tied_rows_are_sorted_from_the_keys_of_the_one_stream(monkeypatch):
+    # At n=4 the coarse keys' prefixes are their top 3 bits, 8 values over
+    # 8 columns, so nearly every row ties; no second stream serves them.
+    image = BinaryImage(6, 5, np.random.default_rng(4).integers(0, 2, size=30))
+    monkeypatch.setattr(np.random, "Philox", _CoarsePhilox)
+    monkeypatch.setattr(_CoarsePhilox, "constructed", 0)
+    monkeypatch.setattr(baseline, "_CHUNK_SUBPIXELS", 2 * 6 << 3)
+    classical_share_image(image, 4, seed=23)
+    assert _CoarsePhilox.constructed == 1
+
+
+def test_sort_rows_leaves_its_keys_unchanged():
+    keys = np.random.default_rng(5).integers(0, 1 << 64, size=(16, 8), dtype=np.uint64)
+    keys[::2, 0] = keys[::2, 1]  # tied rows too
+    before = keys.copy()
+    baseline._sort_rows(keys, np.arange(8, dtype=np.uint64))
+    np.testing.assert_array_equal(keys, before)
 
 
 @pytest.mark.parametrize(

@@ -248,3 +248,21 @@ def test_decode_totality_over_enumerated_basis(n, b):
     # Recovery mechanism: every supported outcome decodes to the secret.
     for bits in enumerate_parity_basis(ParitySpec(n, b)):
         assert xor_decode_classical(bits) == b
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.int64, np.uint32])
+def test_numpy_integer_n_gives_the_plain_int_results(dtype):
+    spec = ParitySpec(dtype(4), 1)
+    assert spec == ParitySpec(4, 1)
+    assert type(spec.n) is int
+    np.testing.assert_array_equal(
+        prepare_parity_state_direct(spec).amplitudes,
+        prepare_parity_state_direct(ParitySpec(4, 1)).amplitudes,
+    )
+    circuit = build_xor_circuit(dtype(4))
+    assert circuit == build_xor_circuit(4)
+    assert type(circuit.num_qubits) is int
+    with pytest.raises(ValueError, match="participant count must be an int >= 2, got 1"):
+        ParitySpec(dtype(1), 0)
+    with pytest.raises(ValueError, match="XOR circuit needs at least 2 qubits, got 1"):
+        build_xor_circuit(dtype(1))

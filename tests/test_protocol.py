@@ -929,7 +929,7 @@ def test_session_id_depends_on_the_seed_and_the_size(backend):
 def test_collapse_equals_the_sorted_distinct_outcomes():
     outcomes = np.random.default_rng(3).integers(0, 1 << 16, size=5000)
     outcomes[[0, -1]] = [0, (1 << 16) - 1]
-    table = RegisterTable(16, [], np.zeros(5000, dtype=np.int64))
+    table = RegisterTable(16, [0], np.zeros(5000, dtype=np.int64))
     table.collapse(outcomes)
     values, index = np.unique(outcomes, return_inverse=True)
     assert table.states == values.tolist()
@@ -1068,6 +1068,13 @@ def test_a_one_entry_table_rejects_a_packed_index_of_1():
     message = "register index value 1 out of range for a table of 1 entries"
     with pytest.raises(FormatError, match=message):
         deserialize_session(recrc(bytes(data)))
+
+
+def test_a_register_table_rejects_an_index_past_its_entries():
+    even, odd = (prepare_parity_state_direct(ParitySpec(3, b)) for b in (0, 1))
+    message = "register index value 5 out of range for a table of 2 entries"
+    with pytest.raises(ValueError, match=message):
+        RegisterTable(3, [even, odd], [0, 5])
 
 
 def test_a_packed_index_with_a_set_pad_bit_is_rejected():
