@@ -13,11 +13,13 @@ Image sharing draws every pixel's permutation from one counter-based key
 stream, ``np.random.Philox(key=seed)`` (Salmon et al., "Parallel random
 numbers: as easy as 1, 2, 3", SC'11): pixel l's m sort keys are raw
 64-bit words (l-1)*m .. l*m-1 of that stream, and its column order is the
-stable argsort of those keys.  Each pixel's sort words are its keys with
-their low n bits replaced by the white base's value for each column, and
-sorting them once leaves the white values in that order in the low bits
-(see ``_sort_rows``).  The few pixels whose key prefixes tie are sorted
-again by the stable argsort of the keys themselves.  Pixels are processed
+stable argsort of those keys.  Each pixel's sort words are its keys'
+top 32 bits up to n=9 (the whole keys above), with their low n bits
+replaced by the white base's value for each column, and sorting them
+once leaves the white values in that order in the low bits (see
+``_sort_rows``, which picks the width from m and n).  The few pixels
+whose key prefixes tie are sorted again by the stable argsort of the
+keys themselves.  Pixels are processed
 a few rows at a time in whole-array operations: the chunk's values are
 narrowed once into the share grid's layout and each share's bit plane is
 cut from them with two contiguous passes.  So the result depends neither
@@ -51,11 +53,12 @@ from .statevector import int_in_range
 MAX_BASELINE_SUBPIXELS = 1 << 27
 
 #: Subpixels drawn per chunk (rounded down to whole image rows, at least
-#: one): 512 pixels at n=8.  A chunk's keys and its sort words take 8
-#: bytes a subpixel each, 512 KiB, and the tie check one temporary of that
-#: size, so they stay in a 2 MiB L2 cache through the sort, and the memory
-#: used beyond the shares themselves is about 2.1 MiB.  At 128x128, n=8,
-#: 2^15 to 2^18 ran within 3% of each other; 2^19 ran about 10% slower.
+#: one): 512 pixels at n=8.  A chunk's keys take 8 bytes a subpixel, 512
+#: KiB, and its sort words 4 bytes up to n=9 (8 above), 256 KiB, as does
+#: the tie check's one temporary, so they stay in a 2 MiB L2 cache through
+#: the sort, and the memory used beyond the shares themselves is about
+#: 1.4 MiB (256x256, n=8).  At 128x128, n=8, 2^15 to 2^19 ran within 7%
+#: of each other.
 _CHUNK_SUBPIXELS = 1 << 16
 
 
@@ -174,21 +177,29 @@ def _sort_rows(keys: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Each row's ``values`` in the stable argsort order of its ``keys``.
 
     ``keys`` holds one row of m uint64 sort keys per pixel and is left
-    unchanged; ``values`` holds m ascending uint64 values below 2^b.  The
-    sort words are a new array: each key with its low b bits replaced by
-    its column's value, sorted along the row, and their low b bits are the
-    result; callers read only those bits.  If no two words of a row agree
-    above bit b (adjacent sorted words suffice to check), the row's key
-    prefixes are distinct: distinct prefixes order the keys exactly as the
-    keys do and no two keys tie, and the values rise with the column, so
-    the low bits are the values in stable argsort order.  Rows where two
-    prefixes agree, about m^2 / 2^(65-b) of random rows, are sorted again
-    by the stable argsort of their keys, so the result holds for every
-    input.
+    unchanged; ``values`` holds m ascending unsigned values below 2^b.
+    The sort words are a new array: each key's top bits with their low b
+    bits replaced by its column's value, sorted along the row, and their
+    low b bits are the result; callers read only those bits.  The words
+    are the keys' top 32 bits while a row's expected prefix ties,
+    C(m, 2) * 2^(b-32), stay at or below 2^-8 (n <= 9 in the baseline,
+    where b = n and m = 2^(n-1)); otherwise they are the whole 64-bit
+    keys.  If no two words of a row agree above bit b (adjacent sorted
+    words suffice to check), the row's key prefixes are distinct:
+    distinct prefixes order the keys exactly as the keys do and no two
+    keys tie, and the values rise with the column, so the low bits are
+    the values in stable argsort order.  Rows where two prefixes agree
+    are sorted again by the stable argsort of their keys, so the result
+    holds for every input.
     """
     m = keys.shape[1]
-    low = np.uint64((1 << int(values[-1]).bit_length()) - 1)
-    words = keys & ~low
+    bits = int(values[-1]).bit_length()
+    narrow = m * (m - 1) << bits <= 1 << 25  # C(m, 2) * 2^(bits-32) <= 2^-8
+    words = np.empty(keys.shape, dtype=np.uint32 if narrow else np.uint64)
+    np.right_shift(keys, 32 if narrow else 0, out=words, casting="unsafe")
+    low = words.dtype.type((1 << bits) - 1)
+    values = values.astype(words.dtype)
+    words &= ~low
     words |= values
     words.sort(axis=1)
     flat = words.reshape(-1)
@@ -220,7 +231,6 @@ def classical_share_image(
         )
     m = bh * bw
     white = _white_columns(n)
-    sort_values = white.astype(np.uint64)
     keys = np.random.Philox(key=seed)
     planes = np.empty((n, height, width), dtype=np.uint8)
     colors = image.as_grid()
@@ -228,7 +238,7 @@ def classical_share_image(
     for top in range(0, image.height, rows):
         chunk = colors[top : top + rows]
         count = chunk.shape[0]
-        words = _sort_rows(keys.random_raw(chunk.size * m).reshape(-1, m), sort_values)
+        words = _sort_rows(keys.random_raw(chunk.size * m).reshape(-1, m), white)
         # The share grid's row-major layout: (image row, block row, image
         # column, block column).  Narrowing keeps bits 0..n-1, the white
         # value, and maybe prefix bits that no plane reads; black pixels

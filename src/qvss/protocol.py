@@ -219,6 +219,22 @@ def _renumber(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return used, lookup
 
 
+def _same_entry(a, b) -> bool:
+    """Whether two register-table entries hold the same register.
+
+    An int entry is a basis index: it equals another int by value, and a
+    ``StateVector`` whose one non-zero amplitude is a 1 at that index, so
+    no 2^n one-hot state is built to compare it.
+    """
+    if isinstance(a, StateVector) and isinstance(b, StateVector):
+        return np.array_equal(a.amplitudes, b.amplitudes)
+    if isinstance(a, StateVector):
+        a, b = b, a
+    if not isinstance(b, StateVector):
+        return a == b
+    return bool(b.amplitudes[a] == 1 and np.count_nonzero(b.amplitudes) == 1)
+
+
 class RegisterTable:
     """Every pixel's n-qubit register, as distinct registers plus an index.
 
@@ -280,8 +296,8 @@ class RegisterTable:
 
     def __setitem__(self, pixel: int, state: StateVector) -> None:
         self._check_entry(state)
-        for entry in range(len(self.states)):
-            if np.array_equal(self.state(entry).amplitudes, state.amplitudes):
+        for entry, value in enumerate(self.states):
+            if _same_entry(value, state):
                 break
         else:
             entry = len(self.states)
@@ -315,8 +331,7 @@ class RegisterTable:
             return False
         pairs = np.unique(np.stack([self.index, other.index]), axis=1)
         return all(
-            np.array_equal(self.state(a).amplitudes, other.state(b).amplitudes)
-            for a, b in pairs.T.tolist()
+            _same_entry(self.states[a], other.states[b]) for a, b in pairs.T.tolist()
         )
 
 

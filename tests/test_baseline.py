@@ -595,3 +595,47 @@ def test_block_weights_equal_a_per_block_count(n, side):
         for r in range(side)
     ]
     np.testing.assert_array_equal(baseline._block_weights(stacked, n), expected)
+
+
+# --- 32-bit sort words up to n=9 ---
+
+
+@pytest.mark.parametrize("n, dtype", [(2, np.uint32), (9, np.uint32), (10, np.uint64)])
+def test_sort_words_are_the_top_32_key_bits_while_prefix_ties_stay_rare(n, dtype):
+    # C(m, 2) * 2^(n-32), the expected prefix ties of a row, is about 2^-8
+    # at n=9 and 2^-5 at n=10.
+    m = 1 << (n - 1)
+    keys = np.random.default_rng(n).integers(0, 1 << 64, size=(4, m), dtype=np.uint64)
+    assert baseline._sort_rows(keys, baseline._white_columns(n)).dtype == dtype
+
+
+def test_keys_agreeing_above_the_32_bit_words_are_sorted_by_the_keys():
+    # At n=8 the words keep key bits 40..63.  Even rows' keys all agree
+    # there and descend with the column, so their prefix sort ties and the
+    # stable key order is the columns reversed; rows 1 mod 4 agree on bits
+    # 32..63 too and differ only in the bits the words drop.
+    n = 8
+    m = 1 << (n - 1)
+    white = baseline._white_columns(n)
+    rng = np.random.default_rng(40)
+    keys = rng.integers(0, 1 << 64, size=(32, m), dtype=np.uint64)
+    prefix = keys[:, :1] & ~np.uint64((1 << (32 + n)) - 1)
+    below = np.sort(rng.integers(0, 1 << (32 + n), size=(32, m), dtype=np.uint64))
+    keys[::2] = prefix[::2] | below[::2, ::-1]
+    keys[1::4] = (keys[1::4, :1] & ~np.uint64((1 << 32) - 1)) | (below[1::4] & 0xFFFF_FFFF)
+    keys[1::4, 5] = keys[1::4, 9]  # exact ties too
+    words = baseline._sort_rows(keys, white)
+    assert words.dtype == np.uint32
+    expected = white[np.argsort(keys, axis=1, kind="stable")]
+    np.testing.assert_array_equal(words & np.uint32((1 << n) - 1), expected)
+    np.testing.assert_array_equal(expected[::2], np.broadcast_to(white[::-1], (16, m)))
+
+
+@pytest.mark.parametrize("n", [9, 10])
+def test_shares_on_both_sides_of_the_word_width_switch_equal_the_per_pixel_definition(n):
+    image = BinaryImage(3, 2, np.random.default_rng(n).integers(0, 2, size=6))
+    shares = classical_share_image(image, n, seed=97)
+    np.testing.assert_array_equal(
+        [share.as_grid() for share in shares],
+        per_pixel_shares(image, n, philox_keys(image, n, 97)),
+    )

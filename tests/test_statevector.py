@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qvss import statevector
 from qvss.errors import StateCorruptionError
 from qvss.parity import ParitySpec, prepare_parity_state_direct
 from qvss.statevector import (
@@ -21,6 +22,7 @@ from qvss.statevector import (
     measure_shots,
     new_zero_state,
     probability_of,
+    sample,
 )
 
 S2 = 1.0 / np.sqrt(2.0)
@@ -218,6 +220,12 @@ def test_measure_rejects_corrupt_state():
         measure_all(bad, np.random.default_rng(0))
 
 
+def test_measure_rejects_a_state_with_a_nan_amplitude():
+    bad = StateVector(1, np.array([np.nan, 1.0], dtype=np.complex128))
+    with pytest.raises(StateCorruptionError):
+        measure_all(bad, np.random.default_rng(0))
+
+
 def test_measure_all_frequencies_match_probabilities():
     # Aggregate single draws and compare against exact probabilities
     # within 3-sigma binomial bounds per basis state.
@@ -278,6 +286,94 @@ def test_measurement_draws_are_pinned(name):
         assert probability_of(collapsed, outcome) == 1.0
     assert draws == expected_draws
     assert measure_shots(state, 1000, rng).tolist() == expected_counts
+
+
+# --- the guide-table sampler draws what Generator.choice draws ---
+
+
+def choice_probabilities(state: StateVector) -> np.ndarray:
+    probs = np.abs(state.amplitudes) ** 2
+    return probs / float(probs.sum())
+
+
+def assert_sample_is_generator_choice(state: StateVector, seed: int, size) -> None:
+    # Equal outcomes of equal type, and the same generator state after.
+    ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = sample(state, ours, size)
+    expected = theirs.choice(state.dim, size=size, p=choice_probabilities(state))
+    assert type(got) is type(expected)
+    if size is not None:
+        assert got.dtype == expected.dtype
+    np.testing.assert_array_equal(got, expected)
+    assert ours.random() == theirs.random()
+
+
+SAMPLE_STATES = {
+    "parity": lambda n, seed: prepare_parity_state_direct(ParitySpec(n, seed % 2)),
+    "basis": lambda n, seed: basis_state(index_to_bits(seed * 40503 % (1 << n), n)),
+    "random": lambda n, seed: random_state(n, seed),
+}
+
+
+@pytest.mark.parametrize(
+    "n, kind",
+    [(n, kind) for n in range(1, MAX_QUBITS + 1) for kind in SAMPLE_STATES
+     if n > 1 or kind != "parity"],
+)
+def test_sample_draws_what_generator_choice_draws(n, kind):
+    for seed in range(5):
+        state = SAMPLE_STATES[kind](n, seed)
+        for size in (None, 1, 7, 1 << 16):
+            assert_sample_is_generator_choice(state, seed, size)
+
+
+class _FixedUniforms:
+    """Stands in for a Generator whose ``random`` returns the given values."""
+
+    def __init__(self, values):
+        self.values = np.asarray(values, dtype=np.float64)
+
+    def random(self, size=None):
+        assert size == (None if self.values.ndim == 0 else len(self.values))
+        return self.values.copy()
+
+
+@pytest.mark.parametrize("kind", ["parity", "random"])
+def test_sample_of_draws_equal_to_a_cdf_value_or_a_bucket_edge_is_the_next_outcome(kind):
+    # u equal to cdf[i] lies past outcome i, and u = j/G starts bucket j:
+    # the ties a binary search with side="right" settles.
+    state = SAMPLE_STATES[kind](6, 1)
+    cdf = choice_probabilities(state).cumsum()
+    cdf /= cdf[-1]
+    u = np.concatenate([cdf[:-1], np.nextafter(cdf[:-1], 0), np.arange(64) / 64])
+    u = u[u < 1]  # random() never returns 1
+    expected = cdf.searchsorted(u, side="right")
+    for size in (len(u), 7, 1):
+        for start in range(0, len(u) - size + 1, size):
+            draws = sample(state, _FixedUniforms(u[start : start + size]), size)
+            np.testing.assert_array_equal(draws, expected[start : start + size])
+    for value, outcome in zip(u, expected):
+        assert sample(state, _FixedUniforms(value), None) == outcome
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_sample_binary_searches_draws_far_past_their_guide_entry(seed):
+    # Half the mass on outcome 0 and 2^-8 over the next 2^14 outcomes: 64
+    # of them per 2^-16 guide bucket, so draws that land there are still
+    # short of their outcome after the forward steps.
+    n, size = 16, 1 << 16
+    probs = np.full(1 << n, (0.5 - 2.0**-8) / ((1 << n) - (1 << 14) - 1))
+    probs[0] = 0.5
+    probs[1 : (1 << 14) + 1] = 2.0**-22
+    state = StateVector(n, np.sqrt(probs).astype(np.complex128))
+    assert_sample_is_generator_choice(state, seed, size)
+
+    cdf = choice_probabilities(state).cumsum()
+    cdf /= cdf[-1]
+    u = np.random.default_rng(seed).random(size)
+    start = cdf.searchsorted(np.floor(u * size) / size, side="right")
+    steps = cdf.searchsorted(u, side="right") - start
+    assert (steps > statevector._GUIDE_STEPS).sum() > 100
 
 
 # --- probability_of ---
