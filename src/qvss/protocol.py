@@ -28,28 +28,31 @@ the image around it.
 
 File formats (all integers little-endian):
 
-* Share (.qvs), version 4: magic ``QVSS``, version u8, backend id u8
+* Share (.qvs), version 5: magic ``QVSS``, version u8, backend id u8
   (1=statevector, 2=sampled), n u16, participant u16, pixel count u32,
   width u32, height u32, session id (16 bytes); payload: nothing
   (statevector) or the share's bit plane (sampled); CRC32 trailer.
-* Session (.qvse), version 4: magic ``QVSE``, the same header fields with
+* Session (.qvse), version 5: magic ``QVSE``, the same header fields with
   the participant slot zeroed, then the master seed as u64, then
-  - statevector: the register table length u32, each table entry as n u16
-    followed by 2^n little-endian complex128 amplitudes (the same bytes as
-    re/im float64 pairs), then one table index per pixel: packed MSB first
-    at one bit per pixel when the table has at most 2 entries (every fresh
+  - statevector: the register table length u32, then each table entry as
+    n u16, its support (a 2^n-bit map of the non-zero amplitudes, packed
+    MSB first with zero pad bits) and the little-endian complex128
+    amplitudes of the set bits in index order (the same bytes as re/im
+    float64 pairs), then one table index per pixel: packed MSB first at
+    one bit per pixel when the table has at most 2 entries (every fresh
     session), else as u8, u16 or u32, the narrowest whose range holds the
-    table length; writers cap the table at ``MAX_SESSION_TABLE_BYTES``
-    (256 MiB);
+    table length; writers and readers cap the table's dense states at
+    ``MAX_SESSION_TABLE_BYTES`` (256 MiB);
   - sampled: the n bit planes in participant order, share j's body being
     bytes ``[(j-1)*P, j*P)`` of them, P = ceil(pixels/8);
   then a CRC32 trailer.
 
-Versions 1 (per-pixel registers), 2 (a u8 index for small tables) and 3
-(sampled sessions packed row by row) are rejected.  One check,
-``_check_header``, bounds the backend, n, the image sides and the session
-id, both in a file's header and in a share or session built in memory, so
-anything that can be written can be read back.
+Versions 1 (per-pixel registers), 2 (a u8 index for small tables), 3
+(sampled sessions packed row by row) and 4 (all 2^n amplitudes of each
+table entry) are rejected.  One check, ``_check_header``, bounds the
+backend, n, the image sides and the session id, both in a file's header
+and in a share or session built in memory, so anything that can be
+written can be read back.
 """
 
 from __future__ import annotations
@@ -84,9 +87,10 @@ BACKEND_SAMPLED = "sampled"
 #: Sampled shares are classical bits, so the register cap does not bind.
 MAX_SAMPLED_QUBITS = 64
 
-#: Cap on a session file's statevector register table, checked before any
-#: of it is built.  A fresh session at n=16 needs about 2 MiB; a collapsed
-#: one holds an entry per distinct outcome, up to 2^n of 2^n amplitudes.
+#: Cap on the dense states of a session file's statevector register table,
+#: checked before any of them is built, by the writer and by the reader.  A
+#: fresh session at n=16 needs about 2 MiB; a collapsed one holds an entry
+#: per distinct outcome, up to 2^n of 2^n amplitudes.
 MAX_SESSION_TABLE_BYTES = 1 << 28
 
 #: Analytic uniformity tolerance (statevector audits).
@@ -98,7 +102,7 @@ AUDIT_P_THRESHOLD = 0.001
 _BACKEND_IDS = {BACKEND_STATEVECTOR: 1, BACKEND_SAMPLED: 2}
 _BACKEND_NAMES = {v: k for k, v in _BACKEND_IDS.items()}
 
-_FORMAT_VERSION = 4
+_FORMAT_VERSION = 5
 _SHARE_MAGIC = b"QVSS"
 _SESSION_MAGIC = b"QVSE"
 
@@ -107,6 +111,9 @@ _SEED_FIELD = struct.Struct("<Q")
 _TABLE_LENGTH = struct.Struct("<I")
 _REGISTER_SIZE = struct.Struct("<H")
 _CRC = struct.Struct("<I")
+
+#: The one stored amplitude of a basis state's table entry.
+_ONE = np.ones(1, dtype="<c16")
 
 #: Session index widths, narrowest first.
 _INDEX_DTYPES = tuple(np.dtype(t) for t in ("<u1", "<u2", "<u4"))
@@ -548,7 +555,8 @@ def recover_image(
     """Measure (or collect) every pixel's shares and XOR-decode the image.
 
     Requires all n distinct shares bound to the session; anything less
-    raises instead of guessing.  In the statevector backend the session's
+    raises instead of guessing, as does a sampled share whose plane is not
+    the session's.  In the statevector backend the session's
     registers collapse in place: one generator seeded with ``seed`` draws
     the outcomes of all pixels of each distinct register at once, in table
     order and then pixel order.
@@ -573,6 +581,13 @@ def recover_image(
     else:
         packed = np.zeros_like(session.registers[0])
         for share in shares:
+            j = share.participant
+            differs = np.flatnonzero(share.payload != session.registers[j - 1])
+            if len(differs):
+                raise IntegrityError(
+                    f"share {j} differs from the session's plane {j} at payload "
+                    f"byte {differs[0]}"
+                )
             packed ^= share.payload
         colors = np.unpackbits(packed, count=session.pixel_count)
     return BinaryImage(session.width, session.height, colors)
@@ -726,9 +741,22 @@ def _index_size(table_length: int, pixel_count: int) -> tuple[int, str]:
     return pixel_count * dtype.itemsize, dtype.name
 
 
+def _entry_head_size(n: int) -> int:
+    """Bytes of a register table entry before its amplitudes: the qubit
+    count and the 2^n-bit support."""
+    return _REGISTER_SIZE.size + ((1 << n) + 7) // 8
+
+
+def _dense_table_size(length: int, n: int) -> int:
+    """Bytes of ``length`` dense n-qubit table entries, as a count u16 and
+    2^n complex128 amplitudes each: what ``MAX_SESSION_TABLE_BYTES`` caps."""
+    return length * (_REGISTER_SIZE.size + (16 << n))
+
+
 def serialize_session(session: SessionStore) -> bytearray:
-    """The session file; a statevector table over ``MAX_SESSION_TABLE_BYTES``
-    raises ``ValueError`` before any of it is built.
+    """The session file; a statevector table whose dense states exceed
+    ``MAX_SESSION_TABLE_BYTES`` raises ``ValueError`` before any of it is
+    built.
 
     Sampled planes are written as they are.  A statevector index is written
     ``_CHUNK`` pixels at a time; a chunk holds a multiple of 8 pixels, so
@@ -741,25 +769,39 @@ def serialize_session(session: SessionStore) -> bytearray:
     # Only entries some pixel points at are written, in table order.
     table = session.registers
     used, lookup = _renumber(table.counts())
-    table_bytes = len(used) * (_REGISTER_SIZE.size + (16 << table.n))
-    if table_bytes > MAX_SESSION_TABLE_BYTES:
+    dense_bytes = _dense_table_size(len(used), table.n)
+    if dense_bytes > MAX_SESSION_TABLE_BYTES:
         raise ValueError(
-            f"register table of {len(used)} entries needs {table_bytes} bytes, "
+            f"register table of {len(used)} entries needs {dense_bytes} bytes, "
             f"over the {MAX_SESSION_TABLE_BYTES}-byte session table cap"
         )
     packed = len(used) <= _PACKED_INDEX_ENTRIES
+    all_used = len(used) == len(table.states)
+    values = [table.states[entry] for entry in used]
+    # A collapsed (int) entry's support is its one basis index.
+    amplitude_count = sum(
+        np.count_nonzero(value.amplitudes) if isinstance(value, StateVector) else 1
+        for value in values
+    )
+    table_bytes = len(used) * _entry_head_size(table.n) + 16 * amplitude_count
 
     def parts():
         yield seed
         yield _TABLE_LENGTH.pack(len(used))
-        for entry in used.tolist():
-            # A collapsed entry's dense state is built here and dropped
-            # once the writer has copied it.
-            register = table.state(entry)
-            yield _REGISTER_SIZE.pack(register.num_qubits)
-            yield np.ascontiguousarray(register.amplitudes, "<c16")
+        for value in values:
+            yield _REGISTER_SIZE.pack(table.n)
+            if isinstance(value, StateVector):
+                support = value.amplitudes != 0
+                yield np.packbits(support)
+                yield np.ascontiguousarray(value.amplitudes[support], "<c16")
+            else:  # basis state ``value``, written without building it
+                support = np.zeros(((1 << table.n) + 7) // 8, dtype=np.uint8)
+                support[value // 8] = 0x80 >> value % 8
+                yield support
+                yield _ONE
         for part in _chunks(len(table)):
-            index = lookup[table.index[part]]
+            # With every entry used, the index is its own renumbering.
+            index = table.index[part] if all_used else lookup[table.index[part]]
             yield np.packbits(index) if packed else index
 
     index_size, _ = _index_size(len(used), len(table))
@@ -768,26 +810,29 @@ def serialize_session(session: SessionStore) -> bytearray:
 
 
 def _read_register_table(body, n: int, pixel_count: int) -> RegisterTable:
-    """Parse a register table plus index, checking every size first."""
+    """Parse a register table plus index, checking every size first: the
+    table length against the bytes left and the cap, then each entry's
+    amplitude count, then the index size."""
     if len(body) < _TABLE_LENGTH.size:
         raise FormatError("truncated session file: missing register table length")
     (length,) = _TABLE_LENGTH.unpack_from(body)
     offset = _TABLE_LENGTH.size
-    entry_size = _REGISTER_SIZE.size + (16 << n)
-    table_size, remaining = length * entry_size, len(body) - offset
-    if table_size > remaining:
+    head = _entry_head_size(n)
+    heads_size, remaining = length * head, len(body) - offset
+    if heads_size > remaining:
         raise FormatError(
-            f"register table length {length} needs {table_size} bytes, "
+            f"register table length {length} needs at least {heads_size} bytes, "
             f"only {remaining} remain"
         )
-    index_size, width = _index_size(length, pixel_count)
-    if remaining - table_size != index_size:
+    dense_bytes = _dense_table_size(length, n)
+    if dense_bytes > MAX_SESSION_TABLE_BYTES:
         raise FormatError(
-            f"register index holds {remaining - table_size} bytes, expected "
-            f"{index_size} ({pixel_count} x {width})"
+            f"register table length {length} needs {dense_bytes} bytes of dense "
+            f"states, over the {MAX_SESSION_TABLE_BYTES}-byte session table cap"
         )
 
-    states = []
+    dim = 1 << n
+    entries = []  # (support, amplitude offset, amplitude count) per entry
     for entry in range(length):
         (reg_n,) = _REGISTER_SIZE.unpack_from(body, offset)
         if reg_n != n:
@@ -795,25 +840,48 @@ def _read_register_table(body, n: int, pixel_count: int) -> RegisterTable:
                 f"register table entry {entry} declares {reg_n} qubits, "
                 f"session declares {n}"
             )
-        amps = np.frombuffer(
-            body, dtype="<c16", count=1 << n, offset=offset + _REGISTER_SIZE.size
+        start = offset + _REGISTER_SIZE.size
+        offset += head
+        support = _bit_planes(body[start:offset], dim, f"register table entry {entry} support")
+        count = int(np.count_nonzero(np.unpackbits(support)))
+        # The heads of the entries after this one are already counted.
+        left = len(body) - offset - (length - entry - 1) * head
+        if 16 * count > left:
+            raise FormatError(
+                f"register table entry {entry} support needs {16 * count} bytes "
+                f"of amplitudes, only {left} remain"
+            )
+        entries.append((support, offset, count))
+        offset += 16 * count
+    index_size, width = _index_size(length, pixel_count)
+    if len(body) - offset != index_size:
+        raise FormatError(
+            f"register index holds {len(body) - offset} bytes, expected "
+            f"{index_size} ({pixel_count} x {width})"
         )
+
+    states = []
+    for entry, (support, start, count) in enumerate(entries):
+        stored = np.frombuffer(body, dtype="<c16", count=count, offset=start)
         # Bounding every component first keeps the squares finite, and
         # also rejects NaN, which the norm comparison below would pass.
-        peak = float(np.abs(amps.view("<f8")).max())
+        peak = float(np.abs(stored.view("<f8")).max(initial=0.0))
         if not peak <= 1.0 + NORM_GUARD:
             raise FormatError(
                 f"register table entry {entry} norm cannot be 1: an amplitude "
                 f"component has magnitude {peak:.3e}"
             )
-        norm = float((np.abs(amps) ** 2).sum())
+        norm = float((np.abs(stored) ** 2).sum())
         if abs(norm - 1.0) > NORM_GUARD:
             raise FormatError(
                 f"register table entry {entry} norm deviates from 1 by "
                 f"{abs(norm - 1.0):.3e}"
             )
-        states.append(StateVector(n, amps.copy()))
-        offset += entry_size
+        if np.count_nonzero(stored) != count:
+            raise FormatError(f"register table entry {entry} support holds a zero amplitude")
+        amplitudes = np.zeros(dim, dtype=np.complex128)
+        amplitudes[np.unpackbits(support, count=dim).view(bool)] = stored
+        states.append(StateVector(n, amplitudes))
 
     if length <= _PACKED_INDEX_ENTRIES:  # either way a fresh array: the table keeps it
         packed = _bit_planes(body[offset:], pixel_count, "register index")

@@ -168,7 +168,7 @@ def test_recover_of_a_version_2_file_exits_3(secret, tmp_path, capsys, old):
     out = tmp_path / "shares"
     main(share_args(secret, out, backend="sampled"))
     what = "session" if old.endswith(".qvse") else "share"
-    for version in (2, 3):
+    for version in (2, 3, 4):
         _with_version(out / old, version)
         rc = main(
             [
@@ -433,15 +433,46 @@ def test_generated_seed_replays(secret, tmp_path, capsys):
     assert (out1 / "share_1.qvs").read_bytes() == (out2 / "share_1.qvs").read_bytes()
 
 
-def test_python_dash_m_qvss_demo_runs_in_a_fresh_interpreter():
+def _python_dash_m_qvss(*argv):
     paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
-    result = subprocess.run(
-        [sys.executable, "-m", "qvss", "demo"],
+    return subprocess.run(
+        [sys.executable, "-m", "qvss", *argv],
         env=env,
         capture_output=True,
         text=True,
         timeout=120,
     )
+
+
+def test_python_dash_m_qvss_demo_runs_in_a_fresh_interpreter():
+    result = _python_dash_m_qvss("demo")
     assert result.returncode == 0, result.stderr
     assert "recovered image matches original: yes" in result.stdout.splitlines()
+
+
+def test_recover_of_an_altered_sampled_share_exits_3_in_a_fresh_interpreter(tmp_path):
+    image = BinaryImage(64, 64, np.random.default_rng(9).integers(0, 2, size=64 * 64))
+    secret = tmp_path / "secret.pbm"
+    secret.write_bytes(write_pbm(image, "p4"))
+    out = tmp_path / "shares"
+    assert main(share_args(secret, out, n=5, seed=9, backend="sampled")) == 0
+    # Flip 8 bits of participant 3's plane and recompute the CRC32.
+    share = out / "share_3.qvs"
+    body = bytearray(share.read_bytes()[:-4])
+    body[38 + 100] ^= 0xFF
+    share.write_bytes(bytes(body) + zlib.crc32(body).to_bytes(4, "little"))
+    recovered = tmp_path / "rec.pbm"
+    result = _python_dash_m_qvss(
+        "recover",
+        *[str(out / f"share_{j}.qvs") for j in range(1, 6)],
+        "--session",
+        str(out / "session.qvse"),
+        "--out",
+        str(recovered),
+    )
+    assert result.returncode == 3
+    assert result.stderr.splitlines() == [
+        "error: share 3 differs from the session's plane 3 at payload byte 100"
+    ]
+    assert not recovered.exists()

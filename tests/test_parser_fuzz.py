@@ -1,11 +1,13 @@
 """Fuzzing of the binary share/session parsers and the PBM reader.
 
 Every malformed input must end in ``FormatError``: no other exception and
-no warning.  Inputs are valid artifacts from both backends, truncated,
-overwritten byte by byte with the CRC recomputed so the parser proper is
-reached, or given oversized header fields.
+no warning.  Inputs are valid artifacts from both backends (among them
+statevector sessions whose table entries have different supports),
+truncated, overwritten byte by byte with the CRC recomputed so the parser
+proper is reached, or given oversized header fields.
 """
 
+import dataclasses
 import struct
 import warnings
 import zlib
@@ -17,19 +19,38 @@ from hypothesis import strategies as st
 
 from qvss.errors import FormatError
 from qvss.image_io import BinaryImage, read_pbm, write_pbm
+from qvss.parity import ParitySpec, prepare_parity_state_direct
 from qvss.protocol import (
     BACKEND_SAMPLED,
     BACKEND_STATEVECTOR,
+    RegisterTable,
     deserialize_session,
     deserialize_share,
     serialize_session,
     serialize_share,
     share_image,
 )
+from qvss.statevector import StateVector
 
 HEADER = struct.Struct("<4sBBHHIII16s")
 CRC_SIZE = 4
 IMAGE = BinaryImage(5, 3, np.random.default_rng(1).integers(0, 2, size=15))
+
+
+def _mixed_session(n):
+    """A statevector session whose table entries have different supports:
+    a parity state, a collapsed basis state and a state with all 2^n
+    amplitudes non-zero.  At n=2 each support has 4 pad bits."""
+    session, _ = share_image(IMAGE, n, BACKEND_STATEVECTOR, 9)
+    rng = np.random.default_rng(n)
+    full = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+    states = [
+        prepare_parity_state_direct(ParitySpec(n, 0)),
+        1,
+        StateVector(n, full / np.linalg.norm(full)),
+    ]
+    table = RegisterTable(n, states, np.arange(IMAGE.pixel_count) % 3)
+    return dataclasses.replace(session, registers=table)
 
 
 def _artifacts():
@@ -38,6 +59,11 @@ def _artifacts():
         session, shares = share_image(IMAGE, 3, backend, 9)
         out[f"{backend} share"] = (deserialize_share, serialize_share(shares[1]))
         out[f"{backend} session"] = (deserialize_session, serialize_session(session))
+    for n in (2, 3):
+        out[f"{BACKEND_STATEVECTOR} session, mixed supports, n={n}"] = (
+            deserialize_session,
+            serialize_session(_mixed_session(n)),
+        )
     return out
 
 

@@ -352,7 +352,7 @@ def test_share_header_layout():
     _, shares = share_image(DEMO_IMAGE, 3, BACKEND_STATEVECTOR, 42)
     data = serialize_share(shares[0])
     assert data[:4] == b"QVSS"
-    assert data[4] == 4  # version
+    assert data[4] == 5  # version
     assert data[5] == 1  # statevector backend id
     assert int.from_bytes(data[6:8], "little") == 3  # n
     assert int.from_bytes(data[8:10], "little") == 1  # participant
@@ -433,20 +433,61 @@ def recrc(blob: bytes) -> bytes:
     return body + zlib.crc32(body).to_bytes(CRC_SIZE, "little")
 
 
+def _table_entries(data, offset: int, n: int, length: int, sparse: bool):
+    """The amplitudes of the ``length`` register table entries at
+    ``offset``, each stored as a version 5 support and its non-zero
+    amplitudes (``sparse``) or as all 2^n of them, and the offset after."""
+    entries = []
+    for _ in range(length):
+        offset += 2  # the entry's qubit count
+        if sparse:
+            bitmap = np.frombuffer(data, np.uint8, ((1 << n) + 7) // 8, offset)
+            support = np.unpackbits(bitmap, count=1 << n).astype(bool)
+            count = int(support.sum())
+            offset += bitmap.size
+            amplitudes = np.zeros(1 << n, dtype="<c16")
+            amplitudes[support] = np.frombuffer(data, "<c16", count, offset)
+            offset += 16 * count
+        else:
+            amplitudes = np.frombuffer(data, "<c16", 1 << n, offset)
+            offset += 16 << n
+        entries.append(amplitudes)
+    return entries, offset
+
+
+def _table_bytes(entries, n: int, sparse: bool) -> bytes:
+    """The inverse of ``_table_entries``."""
+    out = b""
+    for amplitudes in entries:
+        out += struct.pack("<H", n)
+        if sparse:
+            support = amplitudes != 0
+            out += np.packbits(support).tobytes() + amplitudes[support].tobytes()
+        else:
+            out += amplitudes.tobytes()
+    return out
+
+
 def _convert(blob: bytes, version: int, index_bytes, bits_bytes) -> bytes:
     """``blob`` with its version byte set and its CRC32 recomputed.  In a
-    statevector session of at most two table entries, the register index
-    bytes become ``index_bytes(index, pixels)``; in a sampled session, the
-    bytes after the seed become ``bits_bytes(bits, n, pixels)``."""
+    statevector session, the register table entries are stored as
+    ``version`` stores them (version 5: support and non-zero amplitudes;
+    before: all 2^n amplitudes), and in a table of at most two entries,
+    the register index bytes become ``index_bytes(index, pixels)``; in a
+    sampled session, the bytes after the seed become
+    ``bits_bytes(bits, n, pixels)``."""
     data = bytearray(blob[:-CRC_SIZE])
-    data[4] = version
+    source, data[4] = data[4], version
     magic, _, backend, n, _, pixels = struct.unpack_from("<4sBBHHI", data)
     offset = HEADER_SIZE + SEED_SIZE
     if magic == b"QVSE" and backend == 1:
         (length,) = struct.unpack_from("<I", data, offset)
+        offset += TABLE_LENGTH_SIZE
+        entries, start = _table_entries(bytes(data), offset, n, length, source == 5)
+        index = bytes(data[start:])
         if length <= 2:
-            start = offset + TABLE_LENGTH_SIZE + length * (2 + (16 << n))
-            data[start:] = index_bytes(np.frombuffer(bytes(data[start:]), np.uint8), pixels)
+            index = index_bytes(np.frombuffer(index, np.uint8), pixels)
+        data[offset:] = _table_bytes(entries, n, version == 5) + index
     elif magic == b"QVSE":
         bits = np.frombuffer(bytes(data[offset:]), np.uint8)
         data[offset:] = bits_bytes(bits, n, pixels)
@@ -454,9 +495,10 @@ def _convert(blob: bytes, version: int, index_bytes, bits_bytes) -> bytes:
 
 
 def _as_v2(blob: bytes) -> bytes:
-    """A version 4 file as version 2 wrote it: the same bits, with a 1-bit
-    register index widened to one u8 per pixel, and a sampled session's n
-    bit planes turned into its (pixels, n) bit matrix packed row by row."""
+    """A version 5 file as version 2 wrote it: the same registers, with each
+    table entry's 2^n amplitudes in full, a 1-bit register index widened to
+    one u8 per pixel, and a sampled session's n bit planes turned into its
+    (pixels, n) bit matrix packed row by row."""
     return _convert(
         blob,
         2,
@@ -467,11 +509,11 @@ def _as_v2(blob: bytes) -> bytes:
     )
 
 
-def _as_v4(blob: bytes) -> bytes:
-    """A version 2 file as version 4 writes it: the inverse of ``_as_v2``."""
+def _as_v5(blob: bytes) -> bytes:
+    """A version 2 file as version 5 writes it: the inverse of ``_as_v2``."""
     return _convert(
         blob,
-        4,
+        5,
         lambda index, pixels: np.packbits(index).tobytes(),
         lambda rows, n, pixels: np.packbits(
             np.unpackbits(rows, count=pixels * n).reshape(pixels, n).T, axis=1
@@ -603,7 +645,8 @@ def test_session_rejects_index_value_beyond_table():
 def test_session_rejects_table_entry_with_bad_norm():
     session, _ = share_image(DEMO_IMAGE, 3, BACKEND_STATEVECTOR, 42)
     data = bytearray(serialize_session(session))
-    offset = HEADER_SIZE + SEED_SIZE + TABLE_LENGTH_SIZE + 2  # entry 0's first re
+    # Entry 0's first stored re, after its qubit count and 8-bit support.
+    offset = HEADER_SIZE + SEED_SIZE + TABLE_LENGTH_SIZE + 2 + 1
     data[offset : offset + 8] = struct.pack("<d", 2.0)
     with pytest.raises(FormatError, match="table entry 0 norm"):
         deserialize_session(recrc(bytes(data)))
@@ -714,8 +757,8 @@ PARENT_SAMPLED_OUTCOMES = [
 
 
 def test_sampled_files_from_the_tuple_implementation_still_recover():
-    shares = [deserialize_share(_as_v4(bytes.fromhex(h))) for h in PARENT_SAMPLED_SHARES]
-    session = deserialize_session(_as_v4(bytes.fromhex(PARENT_SAMPLED_SESSION)))
+    shares = [deserialize_share(_as_v5(bytes.fromhex(h))) for h in PARENT_SAMPLED_SHARES]
+    session = deserialize_session(_as_v5(bytes.fromhex(PARENT_SAMPLED_SESSION)))
     np.testing.assert_array_equal(_rows(session), PARENT_SAMPLED_OUTCOMES)
     image = from_pixel_list(3, 2, [0, 1, 1, 0, 1, 1])
     assert recover_image(shares, session, 1) == image
@@ -834,7 +877,8 @@ def test_header_sides_outside_the_image_cap_are_rejected(backend, width, height,
 def test_session_rejects_a_huge_or_non_finite_amplitude_without_warning(value):
     session, _ = share_image(DEMO_IMAGE, 3, BACKEND_STATEVECTOR, 42)
     data = bytearray(serialize_session(session))
-    offset = HEADER_SIZE + SEED_SIZE + TABLE_LENGTH_SIZE + 2  # entry 0's first re
+    # Entry 0's first stored re, after its qubit count and 8-bit support.
+    offset = HEADER_SIZE + SEED_SIZE + TABLE_LENGTH_SIZE + 2 + 1
     data[offset : offset + 8] = struct.pack("<d", value)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -1103,10 +1147,12 @@ def test_statevector_session_file_round_trips(width, height, n, seed, recovered)
         index_size = (pixels + 7) // 8
     else:
         index_size = pixels * (1 if entries <= 255 else 2)
+    # A fresh entry stores its parity's 2^(n-1) amplitudes, a collapsed one 1.
+    amplitudes = 1 if recovered else 1 << (n - 1)
     data = serialize_session(session)
     assert len(data) == (
-        HEADER_SIZE + SEED_SIZE + TABLE_LENGTH_SIZE + entries * (2 + (16 << n))
-        + index_size + CRC_SIZE
+        HEADER_SIZE + SEED_SIZE + TABLE_LENGTH_SIZE
+        + entries * (2 + ((1 << n) + 7) // 8 + 16 * amplitudes) + index_size + CRC_SIZE
     )
     restored = deserialize_session(data)
     assert restored == session
@@ -1144,12 +1190,13 @@ def _traced_peak(function, *args):
     return result, peak
 
 
-def test_a_fresh_session_at_the_size_cap_is_4_mib_and_serializes_in_32():
+def test_a_fresh_session_at_the_size_cap_is_3_mib_and_serializes_in_32():
     image = random_image(4096, 4096, seed=1)
     session, _ = share_image(image, 16, BACKEND_STATEVECTOR, 2)
     del image
     data, peak = _traced_peak(serialize_session, session)
-    assert len(data) == 38 + 8 + 4 + 2 * (2 + (16 << 16)) + (4096 * 4096) // 8 + 4
+    entry = 2 + (1 << 16) // 8 + 16 * (1 << 15)
+    assert len(data) == 38 + 8 + 4 + 2 * entry + (4096 * 4096) // 8 + 4
     assert peak < 32 << 20
 
 
@@ -1157,8 +1204,11 @@ def test_a_recovered_session_is_written_without_a_second_copy():
     image = random_image(64, 64, seed=3)
     session, shares = share_image(image, 10, BACKEND_STATEVECTOR, 4)
     recover_image(shares, session, 5)
+    entries = int(np.count_nonzero(session.registers.counts()))
+    assert entries > 255  # a u16 index
     data, peak = _traced_peak(serialize_session, session)
-    assert len(data) > 16_000_000
+    # Each collapsed entry: its qubit count, a 1024-bit support, one amplitude.
+    assert len(data) == 38 + 8 + 4 + entries * (2 + 128 + 16) + 64 * 64 * 2 + 4
     assert peak < 1.25 * len(data)
 
 
@@ -1229,3 +1279,180 @@ def test_a_fresh_session_at_the_size_cap_reads_back_holding_its_index_once():
     restored, peak = _traced_peak(deserialize_session, data)
     assert restored.registers.index.dtype == np.uint8
     assert peak < 20 << 20
+
+
+# --- table entries as their support and non-zero amplitudes (format v5) ---
+
+TABLE_START = HEADER_SIZE + SEED_SIZE + TABLE_LENGTH_SIZE
+
+
+def _mixed_session(n):
+    """A 5x3 statevector session whose table entries have different
+    supports: a parity state, a collapsed basis state and a state with all
+    2^n amplitudes non-zero."""
+    session, _ = share_image(random_image(5, 3, seed=1), n, BACKEND_STATEVECTOR, 9)
+    rng = np.random.default_rng(n)
+    full = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+    states = [
+        prepare_parity_state_direct(ParitySpec(n, 1)),
+        (1 << n) - 1,
+        StateVector(n, full / np.linalg.norm(full)),
+    ]
+    table = RegisterTable(n, states, np.arange(15) % 3)
+    return dataclasses.replace(session, registers=table)
+
+
+def test_a_fresh_n8_session_file_is_two_half_supports_and_a_packed_index():
+    image = random_image(13, 7, seed=2)
+    session, _ = share_image(image, 8, BACKEND_STATEVECTOR, 3)
+    assert len(session.registers.states) == 2
+    data = serialize_session(session)
+    # Per entry: its qubit count, a 256-bit support, 128 non-zero amplitudes.
+    assert len(data) == (
+        HEADER_SIZE + SEED_SIZE + 4 + 2 * (2 + 32 + 128 * 16) + (91 + 7) // 8 + CRC_SIZE
+    )
+    assert deserialize_session(data) == session
+
+
+def test_a_collapsed_session_stores_each_entry_as_a_one_bit_support():
+    image = random_image(16, 12, seed=6)
+    session, shares = share_image(image, 4, BACKEND_STATEVECTOR, 8)
+    recover_image(shares, session, 1)
+    outcomes = session.registers.states
+    data = serialize_session(session)
+    assert struct.unpack_from("<I", data, HEADER_SIZE + SEED_SIZE) == (len(outcomes),)
+    for entry, outcome in enumerate(outcomes):
+        offset = TABLE_START + entry * (2 + 2 + 16)
+        assert struct.unpack_from("<H", data, offset) == (4,)
+        support = np.unpackbits(np.frombuffer(data, np.uint8, 2, offset + 2))
+        assert np.flatnonzero(support).tolist() == [outcome]
+        assert struct.unpack_from("<dd", data, offset + 4) == (1.0, 0.0)
+    restored = deserialize_session(data)
+    assert restored == session
+    assert serialize_session(restored) == data
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_entries_of_every_support_round_trip(n):
+    session = _mixed_session(n)
+    data = serialize_session(session)
+    support = ((1 << n) + 7) // 8
+    amplitudes = (1 << (n - 1)) + 1 + (1 << n)
+    assert len(data) == (
+        TABLE_START + 3 * (2 + support) + 16 * amplitudes + 15 + CRC_SIZE
+    )
+    restored = deserialize_session(data)
+    assert restored == session
+    for entry in range(3):
+        np.testing.assert_array_equal(
+            restored.registers.state(entry).amplitudes,
+            session.registers.state(entry).amplitudes,
+        )
+    assert serialize_session(restored) == data
+
+
+def test_an_n2_support_with_a_set_pad_bit_names_its_entry():
+    data = bytearray(serialize_session(_mixed_session(2)))
+    # Entry 0 holds 2 amplitudes; entry 1's support is one byte, 4 bits used.
+    offset = TABLE_START + (2 + 1 + 2 * 16) + 2
+    assert data[offset] == 0b0001_0000  # basis state 3
+    data[offset] |= 0b0000_0001
+    message = "register table entry 1 support has non-zero pad bits after bit 4"
+    with pytest.raises(FormatError, match=message):
+        deserialize_session(recrc(bytes(data)))
+
+
+def test_a_support_whose_amplitudes_run_past_the_body_raises_before_allocating():
+    session, _ = share_image(from_pixel_list(2, 2, [1] * 4), 16, BACKEND_STATEVECTOR, 8)
+    data = bytearray(serialize_session(session))
+    support = TABLE_START + 2
+    data[support : support + (1 << 16) // 8] = b"\xff" * ((1 << 16) // 8)
+    data = recrc(bytes(data))
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError) as err:
+            deserialize_session(data)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 18  # the entry's dense state would take 1 MiB
+    assert str(err.value) == (
+        "register table entry 0 support needs 1048576 bytes of amplitudes, "
+        "only 524289 remain"
+    )
+
+
+def test_a_table_length_of_2_32_minus_1_is_refused_up_front():
+    session, _ = share_image(DEMO_IMAGE, 16, BACKEND_STATEVECTOR, 42)
+    data = bytearray(serialize_session(session))
+    remaining = len(data) - TABLE_START - CRC_SIZE
+    data[TABLE_START - TABLE_LENGTH_SIZE : TABLE_START] = (2**32 - 1).to_bytes(4, "little")
+    data = recrc(bytes(data))
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError) as err:
+            deserialize_session(data)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16
+    assert str(err.value) == (
+        f"register table length {2**32 - 1} needs at least {(2**32 - 1) * (2 + 8192)} "
+        f"bytes, only {remaining} remain"
+    )
+
+
+def test_a_table_over_the_session_cap_is_refused_before_it_is_read():
+    # 300 entries with empty supports fit the file, but their dense states
+    # would not fit the cap that the writer keeps.
+    session, _ = share_image(DEMO_IMAGE, 16, BACKEND_STATEVECTOR, 42)
+    entries = 300
+    body = (
+        struct.pack("<QI", 42, entries)
+        + (struct.pack("<H", 16) + bytes(8192)) * entries
+        + bytes(4 * 2)
+    )
+    data = with_header(bytes(serialize_session(session)), body)
+    dense = entries * (2 + (16 << 16))
+    assert dense > MAX_SESSION_TABLE_BYTES
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError) as err:
+            deserialize_session(data)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16
+    assert str(err.value) == (
+        f"register table length {entries} needs {dense} bytes of dense states, over "
+        f"the {MAX_SESSION_TABLE_BYTES}-byte session table cap"
+    )
+
+
+def test_a_support_bit_on_a_zero_amplitude_is_rejected():
+    session, _ = share_image(DEMO_IMAGE, 3, BACKEND_STATEVECTOR, 42)
+    data = bytes(serialize_session(session))[:-CRC_SIZE]
+    support = TABLE_START + 2
+    assert data[support] == 0b1001_0110  # entry 0: even parity, 0, 3, 5 and 6
+    # Mark index 1 too, and store a zero for it after index 0's amplitude.
+    second = support + 1 + 16
+    data = (
+        data[:support] + bytes([0b1101_0110]) + data[support + 1 : second]
+        + bytes(16) + data[second:]
+    )
+    with pytest.raises(FormatError, match="register table entry 0 support holds a zero"):
+        deserialize_session(recrc(data + bytes(CRC_SIZE)))
+
+
+# --- an altered sampled share is rejected ---
+
+
+def test_recovery_rejects_a_sampled_share_whose_plane_was_altered():
+    image = random_image(64, 64, seed=9)
+    session, shares = share_image(image, 5, BACKEND_SAMPLED, 9)
+    data = bytearray(serialize_share(shares[2]))
+    data[HEADER_SIZE + 100] ^= 0xFF  # 8 bits of participant 3's plane
+    shares[2] = deserialize_share(recrc(bytes(data)))
+    message = "share 3 differs from the session's plane 3 at payload byte 100"
+    with pytest.raises(IntegrityError, match=message):
+        recover_image(shares, session, 1)
