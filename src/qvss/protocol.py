@@ -248,21 +248,22 @@ class RegisterTable:
     ``states`` holds the distinct registers; pixel i's register is
     ``states[index[i]]``.  An entry is a ``StateVector`` or, once
     measured, an int basis index whose one-hot state is built only when
-    read.  Indexing by pixel returns the shared entry, so callers must not
-    mutate it in place (statevector operations never do).  Assigning a
-    state matches it to an equal entry or appends it, then repoints the
-    pixel.
+    read.  The table is written once: apart from ``collapse``, which is the
+    measurement, nothing changes it after construction.
     """
 
     def __init__(self, n: int, states, index):
         self.n = n
         self.states = list(states)
         for value in self.states:
-            self._check_entry(value)
+            if isinstance(value, StateVector):
+                if value.num_qubits != n:
+                    raise ValueError(f"register has {value.num_qubits} qubits, table holds {n}")
+            elif not 0 <= value < 1 << n:
+                raise ValueError(f"basis index {value!r} out of range for {n} qubits")
         # The index is held in the narrowest dtype whose range holds the
         # table length; a value that does not fit raises instead of
-        # wrapping.  An array of that dtype is kept, not copied, and written
-        # in place by ``__setitem__``: callers hand over one of their own.
+        # wrapping.  An array of that dtype is kept, not copied.
         index = np.asarray(index).reshape(-1)
         self.index = index.astype(_index_dtype(len(self.states)), copy=False)
         if index.dtype != self.index.dtype and not np.array_equal(index, self.index):
@@ -286,31 +287,9 @@ class RegisterTable:
             return value
         return basis_state(self.n, value)
 
-    def __getitem__(self, pixel: int) -> StateVector:
-        return self.state(int(self.index[pixel]))
-
     def __iter__(self):
         for entry in self.index.tolist():
             yield self.state(entry)
-
-    def _check_entry(self, value) -> None:
-        """An entry is an n-qubit ``StateVector`` or a basis index below 2^n."""
-        if isinstance(value, StateVector):
-            if value.num_qubits != self.n:
-                raise ValueError(f"register has {value.num_qubits} qubits, table holds {self.n}")
-        elif not 0 <= value < 1 << self.n:
-            raise ValueError(f"basis index {value!r} out of range for {self.n} qubits")
-
-    def __setitem__(self, pixel: int, state: StateVector) -> None:
-        self._check_entry(state)
-        for entry, value in enumerate(self.states):
-            if _same_entry(value, state):
-                break
-        else:
-            entry = len(self.states)
-            self.states.append(state)
-            self.index = self.index.astype(_index_dtype(len(self.states)), copy=False)
-        self.index[pixel] = entry
 
     def counts(self) -> np.ndarray:
         """Number of pixels pointing at each table entry."""
@@ -350,7 +329,8 @@ class SessionStore:
     the sampled backend it is the n bit planes, one
     ``(n, ceil(pixels/8))`` uint8 array: bit l-1 of plane j-1, packed MSB
     first, is participant j's bit of pixel l, and the pad bits are zero.
-    The session file stores it as it is.
+    The session file stores it as it is.  ``share_image`` makes the planes
+    read-only, since its shares' payloads are views of them.
     """
 
     n: int
@@ -398,9 +378,10 @@ class ShareFile:
 
     In the sampled backend the payload is the participant's bit plane (see
     ``SessionStore``), byte for byte the share file's body; ``share_image``
-    hands out the session's planes, not copies.  In the statevector backend
-    it is ``()``: participant j holds qubit j of every pixel's register,
-    which the header already fixes.
+    hands out read-only views of the session's planes, not copies, so an
+    edit in place raises and an edited copy fails ``recover_image``'s plane
+    check.  In the statevector backend it is ``()``: participant j holds
+    qubit j of every pixel's register, which the header already fixes.
     """
 
     participant: int
@@ -513,11 +494,15 @@ def share_image(
     )
     if backend == BACKEND_STATEVECTOR:
         # Entry b is colour b's parity state, so the pixels are the index:
-        # a copy, since the table writes its index in place.
+        # a copy, so that the session does not follow later in-place edits
+        # of the caller's image.
         states = [prepare_parity_state_direct(ParitySpec(n, b)) for b in (0, 1)]
         registers = RegisterTable(n, states, image.pixels.copy())
     else:
+        # The shares' payloads are views of these planes: read-only, so an
+        # edit to a share cannot also edit the session it is checked against.
         registers = _draw_planes(image, n, seed)
+        registers.flags.writeable = False
 
     session = SessionStore(master_seed=seed, registers=registers, **header)
     shares = [
@@ -561,6 +546,7 @@ def recover_image(
     the outcomes of all pixels of each distinct register at once, in table
     order and then pixel order.
     """
+    shares = list(shares)  # read twice: checked, then decoded
     _check_share_set(shares, session)
     seed = _check_seed(entropy_seed() if seed is None else seed)
 

@@ -129,29 +129,14 @@ def test_a_register_table_checks_every_entry_it_is_built_with():
         RegisterTable(3, [8], [0])
 
 
-def test_assigning_a_collapsed_pixel_its_own_outcome_adds_no_entry():
-    session, shares = share_image(random_image(4, 4, 3), 3, BACKEND_STATEVECTOR, 42)
-    recover_image(shares, session, 9)
-    table = session.registers
-    entries, index = len(table.states), table.index.copy()
-    table[0] = basis_state(3, table.states[table.index[0]])
-    assert len(table.states) == entries
-    np.testing.assert_array_equal(table.index, index)
-    table[0] = basis_state(3, table.states[table.index[1]])
-    assert len(table.states) == entries
-    assert table.index[0] == table.index[1]
-
-
-def test_assigning_into_a_collapsed_n16_table_builds_no_one_hot_state(monkeypatch):
-    # Several hundred int entries of 2^16 amplitudes each: matching or
-    # comparing them goes by their index, never through a 1 MiB basis state.
+def test_comparing_collapsed_n16_tables_builds_no_one_hot_state(monkeypatch):
+    # Several hundred int entries of 2^16 amplitudes each: comparing them
+    # goes by their index, never through a 1 MiB basis state.
     outcomes = np.random.default_rng(16).integers(0, 1 << 16, size=600)
     table = RegisterTable(16, [0], np.zeros(600, dtype=np.int64))
     table.collapse(outcomes)
     states, index = list(table.states), table.index.copy()
     absent = next(v for v in range(1 << 16) if v not in set(states))
-    existing = basis_state(16, states[index[1]])
-    even = prepare_parity_state_direct(ParitySpec(16, 0))
     fresh = basis_state(16, absent)
     same = RegisterTable(16, list(states), index.copy())
     same.states[index[2]] = basis_state(16, states[index[2]])
@@ -166,18 +151,10 @@ def test_assigning_into_a_collapsed_n16_table_builds_no_one_hot_state(monkeypatc
     try:
         assert table == same
         assert table != changed
-        table[0] = existing
-        table[2] = even
-        table[3] = fresh
-        table[4] = existing
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert len(states) > 500
-    assert table.states == [*states, even, fresh]
-    index[[0, 4]] = index[1]
-    index[[2, 3]] = [len(states), len(states) + 1]
-    np.testing.assert_array_equal(table.index, index)
     assert peak < 4 << 20
 
 

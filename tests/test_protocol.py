@@ -60,16 +60,24 @@ def _rows(session):
     return np.unpackbits(session.registers, axis=1, count=session.pixel_count).T
 
 
+def _with_register(table, pixels, state):
+    """``table`` with ``state`` as a new last entry that ``pixels`` point at."""
+    index = table.index.astype(np.uint32)
+    index[pixels] = len(table.states)
+    return RegisterTable(table.n, [*table.states, state], index)
+
+
 # --- sharing ---
 
 
 def test_share_statevector_states_follow_pixel_colors():
     session, shares = share_image(DEMO_IMAGE, 3, BACKEND_STATEVECTOR, 42)
     assert len(shares) == 3
+    table = session.registers
     for l, expected_b in zip(range(1, 5), [0, 1, 1, 0]):
         expected = prepare_parity_state_direct(ParitySpec(3, expected_b))
         np.testing.assert_allclose(
-            session.registers[l - 1].amplitudes, expected.amplitudes, atol=1e-15
+            table.state(int(table.index[l - 1])).amplitudes, expected.amplitudes, atol=1e-15
         )
 
 
@@ -236,7 +244,8 @@ def test_audit_full_subset_reports_recovery():
     # support only on parity strings: aggregated over a mix of white and
     # black pixels every pattern appears, but each pixel's marginal is
     # confined to its own parity class
-    per_pixel = marginal_distribution(session.registers[0], (1, 2, 3)).probabilities
+    table = session.registers
+    per_pixel = marginal_distribution(table.state(int(table.index[0])), (1, 2, 3)).probabilities
     assert np.count_nonzero(per_pixel > 1e-15) == 4
 
 
@@ -269,7 +278,8 @@ def test_audit_detects_dishonest_dealer():
 
     biased = np.zeros(8, dtype=np.complex128)
     biased[0b010] = 1.0
-    session.registers[1] = StateVector(3, biased)
+    table = _with_register(session.registers, 1, StateVector(3, biased))
+    session = dataclasses.replace(session, registers=table)
     report = audit_subset(session, [2])
     assert report.verdict == "information-leak"
 
@@ -525,8 +535,8 @@ def tampered_session():
     session, shares = share_image(DEMO_IMAGE, 3, BACKEND_STATEVECTOR, 42)
     biased = np.zeros(8, dtype=np.complex128)
     biased[0b010] = 1.0
-    session.registers[1] = StateVector(3, biased)
-    return session, shares
+    table = _with_register(session.registers, 1, StateVector(3, biased))
+    return dataclasses.replace(session, registers=table), shares
 
 
 def test_statevector_session_bytes_do_not_scale_with_pixels_times_dim():
@@ -567,8 +577,9 @@ def test_tampered_table_entry_survives_session_file():
     assert len(session.registers.states) == 3
     restored = deserialize_session(serialize_session(session))
     assert len(restored.registers.states) == 3
+    a, b = restored.registers, session.registers
     np.testing.assert_array_equal(
-        restored.registers[1].amplitudes, session.registers[1].amplitudes
+        a.state(int(a.index[1])).amplitudes, b.state(int(b.index[1])).amplitudes
     )
     assert audit_subset(restored, [2]).verdict == "information-leak"
 
@@ -613,7 +624,10 @@ def test_recovered_colors_are_parities_of_collapsed_outcomes():
 
 def test_recover_rejects_corrupted_table_entry():
     session, shares = share_image(DEMO_IMAGE, 3, BACKEND_STATEVECTOR, 42)
-    session.registers[0] = StateVector(3, np.full(8, 0.5, dtype=np.complex128))
+    corrupted = StateVector(3, np.full(8, 0.5, dtype=np.complex128))
+    session = dataclasses.replace(
+        session, registers=_with_register(session.registers, 0, corrupted)
+    )
     with pytest.raises(StateCorruptionError):
         recover_image(shares, session, 9)
 
@@ -677,15 +691,17 @@ def test_recover_of_a_collapsed_session_matches_per_entry_masks():
     image = random_image(16, 12, seed=6)
     session, shares = share_image(image, 4, BACKEND_STATEVECTOR, 8)
     recover_image(shares, session, 1)
-    table = session.registers
+    collapsed = session.registers
     # Up to 16 basis-state entries, plus superpositions scattered among them
     # so that the draw order changes the outcomes.
     amplitudes = np.random.default_rng(2).normal(size=16) + 0j
     scattered = StateVector(4, amplitudes / np.linalg.norm(amplitudes))
-    for pixel in range(0, len(table), 5):
-        table[pixel] = prepare_parity_state_direct(ParitySpec(4, image.pixels[pixel]))
-    for pixel in range(3, len(table), 7):
-        table[pixel] = scattered
+    parity = [prepare_parity_state_direct(ParitySpec(4, b)) for b in (0, 1)]
+    index = collapsed.index.astype(np.uint32)
+    index[::5] = len(collapsed.states) + image.pixels[::5]
+    index[3::7] = len(collapsed.states) + 2
+    table = RegisterTable(4, [*collapsed.states, *parity, scattered], index)
+    session = dataclasses.replace(session, registers=table)
     assert len(table.states) > 10
     before = RegisterTable(4, table.states, table.index.copy())
 
@@ -926,7 +942,8 @@ def test_statevector_sessions_differing_in_one_register_are_unequal():
     session, _ = share_image(image, 4, BACKEND_STATEVECTOR, 21)
     other, _ = share_image(image, 4, BACKEND_STATEVECTOR, 21)
     flipped = ParitySpec(4, 1 - image.pixel(18))
-    other.registers[17] = prepare_parity_state_direct(flipped)
+    table = _with_register(other.registers, 17, prepare_parity_state_direct(flipped))
+    other = dataclasses.replace(other, registers=table)
     assert session != other
 
 
@@ -1033,13 +1050,11 @@ def test_register_index_that_does_not_fit_is_rejected(index):
         RegisterTable(3, states, np.array(index))
 
 
-def test_appending_a_256th_entry_widens_the_index():
-    table = RegisterTable(8, range(255), np.arange(255))
-    assert table.index.dtype == np.uint8
-    table[0] = prepare_parity_state_direct(ParitySpec(8, 1))
-    assert table.index.dtype == np.uint16
-    assert table.index.tolist() == [255, *range(1, 255)]
-    assert table[0] is table.states[255]
+@pytest.mark.parametrize("entries,dtype", [(255, np.uint8), (256, np.uint16)])
+def test_a_256th_entry_widens_the_index(entries, dtype):
+    table = RegisterTable(8, range(entries), np.arange(entries))
+    assert table.index.dtype == dtype
+    assert table.index.tolist() == list(range(entries))
 
 
 # --- statevector file bytes; the session table cap ---
@@ -1095,7 +1110,8 @@ def test_signed_zero_amplitudes_survive_the_session_file():
     amplitudes = np.zeros(8, dtype=np.complex128)
     amplitudes[:] = complex(-0.0, -0.0)
     amplitudes[0b101] = complex(-0.0, 1.0)
-    session.registers[2] = StateVector(3, amplitudes)
+    table = _with_register(session.registers, 2, StateVector(3, amplitudes))
+    session = dataclasses.replace(session, registers=table)
     data = serialize_session(session)
     restored = deserialize_session(data)
     assert serialize_session(restored) == data
@@ -1249,13 +1265,13 @@ def test_a_pad_bit_in_any_session_plane_is_rejected():
         deserialize_session(recrc(bytes(data)))
 
 
-def test_tampering_a_fresh_session_leaves_the_image_unchanged():
+def test_editing_the_image_after_sharing_leaves_the_session_unchanged():
     image = random_image(6, 5, seed=3)
-    pixels = image.pixels.copy()
-    session, _ = share_image(image, 3, BACKEND_STATEVECTOR, 8)
-    for pixel in range(image.pixel_count):
-        session.registers[pixel] = prepare_parity_state_direct(ParitySpec(3, 1))
-    np.testing.assert_array_equal(image.pixels, pixels)
+    expected = BinaryImage(image.width, image.height, image.pixels.copy())
+    session, shares = share_image(image, 3, BACKEND_STATEVECTOR, 8)
+    image.pixels ^= 1
+    np.testing.assert_array_equal(session.registers.index, expected.pixels)
+    assert recover_image(shares, session, 9) == expected
 
 
 def test_sharing_and_writing_a_sampled_session_peaks_under_three_times_its_planes():
@@ -1456,3 +1472,33 @@ def test_recovery_rejects_a_sampled_share_whose_plane_was_altered():
     message = "share 3 differs from the session's plane 3 at payload byte 100"
     with pytest.raises(IntegrityError, match=message):
         recover_image(shares, session, 1)
+
+
+def test_a_shares_payload_cannot_be_edited_in_place():
+    image = random_image(64, 64, seed=9)
+    session, shares = share_image(image, 5, BACKEND_SAMPLED, 9)
+    with pytest.raises(ValueError, match="read-only"):
+        shares[2].payload[100] ^= 0xFF
+    assert session == share_image(image, 5, BACKEND_SAMPLED, 9)[0]
+    assert recover_image(shares, session, 1) == image
+
+
+def test_an_edited_copy_of_a_shares_payload_is_rejected():
+    image = random_image(64, 64, seed=9)
+    session, shares = share_image(image, 5, BACKEND_SAMPLED, 9)
+    payload = shares[2].payload.copy()
+    payload[100] ^= 0xFF
+    shares[2] = dataclasses.replace(shares[2], payload=payload)
+    message = "share 3 differs from the session's plane 3 at payload byte 100"
+    with pytest.raises(IntegrityError, match=message):
+        recover_image(shares, session, 1)
+
+
+# --- shares are read once ---
+
+
+@pytest.mark.parametrize("backend", [BACKEND_STATEVECTOR, BACKEND_SAMPLED])
+def test_recover_reads_shares_passed_as_a_generator(backend):
+    image = random_image(64, 64, seed=9)
+    session, shares = share_image(image, 5, backend, 9)
+    assert recover_image((share for share in shares), session, 1) == image
