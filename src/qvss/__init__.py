@@ -9,6 +9,7 @@ classical pixel-expansion baseline the scheme improves on.
 
 from .baseline import (
     MatrixSets,
+    Transparencies,
     build_nn_matrix_sets,
     classical_recover_image,
     classical_share_image,

@@ -21,10 +21,13 @@ once leaves the white values in that order in the low bits (see
 whose key prefixes tie are sorted again by the stable argsort of the
 keys themselves.  Pixels are processed
 a few rows at a time in whole-array operations: the chunk's values are
-narrowed once into the share grid's layout and each share's bit plane is
-cut from them with two contiguous passes.  So the result depends neither
-on the chunking nor on anything but the seed, n and the pixel's index and
-colour.
+narrowed once into the share grid's layout and each share's rows are
+masked to its bit and packed.  So the result depends neither on the
+chunking nor on anything but the seed, n and the pixel's index and colour.
+
+The n shares are one ``Transparencies``: n packed bit planes, one bit per
+subpixel, each plane a share's P4 raster.  Stacking ORs the planes and
+unpacks the result into a ``BinaryImage``, one byte per subpixel.
 
 Boolean share matrices are plain numpy arrays of shape (n, m) with entries
 in {0, 1}, 1 meaning a black subpixel.
@@ -47,9 +50,10 @@ from .protocol import _check_seed
 from .protocol import pixel_rng  # noqa: F401
 from .statevector import int_in_range
 
-#: Cap on n * 2^(n-1) * pixels, the subpixels (one byte each) that all n
-#: shares of an image hold together; also caps n * 2^(n-1) for the bases.
-#: 2^27 admits n=8 at the largest share dimensions and n up to 23.
+#: Cap on n * 2^(n-1) * pixels, the subpixels that all n shares of an
+#: image hold together (one bit each; the stacked image takes one byte per
+#: subpixel of a share); also caps n * 2^(n-1) for the bases.  2^27 admits
+#: n=8 at the largest share dimensions and n up to 23.
 MAX_BASELINE_SUBPIXELS = 1 << 27
 
 #: Subpixels drawn per chunk (rounded down to whole image rows, at least
@@ -60,6 +64,51 @@ MAX_BASELINE_SUBPIXELS = 1 << 27
 #: 1.4 MiB (256x256, n=8).  At 128x128, n=8, 2^15 to 2^19 ran within 7%
 #: of each other.
 _CHUNK_SUBPIXELS = 1 << 16
+
+
+@dataclass(frozen=True)
+class Transparencies:
+    """The n shares of an image as packed bit planes.
+
+    ``planes`` is a ``(n, height, ceil(width/8))`` uint8 array: plane j-1
+    is share j's rows packed MSB first with zero pad bits, its P4 raster.
+    ``len()`` is n; ``shares[j]`` and iteration give unpacked
+    ``BinaryImage``s.
+    """
+
+    width: int
+    height: int
+    planes: np.ndarray = field(repr=False)
+
+    def __post_init__(self):
+        if not (1 <= self.width <= MAX_DIMENSION and 1 <= self.height <= MAX_DIMENSION):
+            raise ValueError(
+                f"share dimensions must be 1..{MAX_DIMENSION}, got {self.width}x{self.height}"
+            )
+        planes = self.planes
+        if not (isinstance(planes, np.ndarray) and planes.ndim == 3 and len(planes)):
+            raise ValueError("share planes must be a 3-D array holding at least one plane")
+        rows = len(planes) * self.height
+        protocol._bit_planes(planes.reshape(-1, planes.shape[2]), self.width, "share planes", rows)
+
+    def __len__(self) -> int:
+        return len(self.planes)
+
+    def __getitem__(self, j: int) -> BinaryImage:
+        pixels = np.unpackbits(self.planes[j], axis=1, count=self.width)
+        return BinaryImage(self.width, self.height, pixels)
+
+    def __iter__(self):
+        return (self[j] for j in range(len(self)))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Transparencies):
+            return NotImplemented
+        return (
+            self.width == other.width
+            and self.height == other.height
+            and bool(np.array_equal(self.planes, other.planes))
+        )
 
 
 @dataclass(frozen=True)
@@ -211,9 +260,7 @@ def _sort_rows(keys: np.ndarray, values: np.ndarray) -> np.ndarray:
     return words
 
 
-def classical_share_image(
-    image: BinaryImage, n: int, seed: int
-) -> list[BinaryImage]:
+def classical_share_image(image: BinaryImage, n: int, seed: int) -> Transparencies:
     """Expand every pixel into per-share subpixel blocks; returns n shares.
 
     Pixel l's share matrix is its colour's base with the columns in the
@@ -232,7 +279,7 @@ def classical_share_image(
     m = bh * bw
     white = _white_columns(n)
     keys = np.random.Philox(key=seed)
-    planes = np.empty((n, height, width), dtype=np.uint8)
+    planes = np.empty((n, height, (width + 7) // 8), dtype=np.uint8)
     colors = image.as_grid()
     rows = max(1, _CHUNK_SUBPIXELS // (image.width * m))
     for top in range(0, image.height, rows):
@@ -247,28 +294,20 @@ def classical_share_image(
         values = np.empty(words.shape, dtype=white.dtype)
         np.copyto(values, words, casting="unsafe")
         values ^= chunk[:, None, :, None]
-        band = planes[:, top * bh : (top + count) * bh].reshape(n, *values.shape)
+        grid = values.reshape(count * bh, width)
+        bits = np.empty_like(grid)
         for row in range(n):
-            np.right_shift(values, n - 1 - row, out=band[row])
-            band[row] &= 1
-    return [BinaryImage(width, height, plane) for plane in planes]
+            # packbits reads every non-zero value as a 1.
+            np.bitwise_and(grid, 1 << (n - 1 - row), out=bits)
+            planes[row, top * bh : (top + count) * bh] = np.packbits(bits, axis=1)
+    return Transparencies(width, height, planes)
 
 
-def classical_recover_image(shares: list[BinaryImage]) -> BinaryImage:
+def classical_recover_image(shares: Transparencies) -> BinaryImage:
     """Stack transparencies: per-subpixel OR of all shares (black wins)."""
-    if not shares:
-        raise ValueError("need at least one share to stack")
-    first = shares[0]
-    for share in shares[1:]:
-        if share.width != first.width or share.height != first.height:
-            raise FormatError(
-                f"share dimensions disagree: {share.width}x{share.height} vs "
-                f"{first.width}x{first.height}"
-            )
-    stacked = first.pixels.copy()
-    for share in shares[1:]:
-        stacked |= share.pixels
-    return BinaryImage(first.width, first.height, stacked)
+    stacked = np.bitwise_or.reduce(shares.planes, axis=0)
+    pixels = np.unpackbits(stacked, axis=1, count=shares.width)
+    return BinaryImage(shares.width, shares.height, pixels)
 
 
 def _block_weights(stacked: BinaryImage, n: int) -> np.ndarray:
@@ -303,7 +342,8 @@ def decode_stacked(stacked: BinaryImage, n: int) -> BinaryImage:
 class ComparisonReport:
     """Three property rows plus measured evidence from end-to-end runs.
 
-    ``baseline_shares`` are the classical shares the evidence came from.
+    ``baseline_shares`` are the classical shares the evidence came from and
+    ``baseline_stacked`` is their stack.
     """
 
     n: int
@@ -315,7 +355,8 @@ class ComparisonReport:
     baseline_white_blocks_dirty: bool
     quantum_share_entries_per_pixel: int
     quantum_recovered_equal: bool
-    baseline_shares: list[BinaryImage] = field(repr=False)
+    baseline_shares: Transparencies = field(repr=False)
+    baseline_stacked: BinaryImage = field(repr=False)
 
 
 def comparison_report(n: int, image: BinaryImage, seed: int = 0) -> ComparisonReport:
@@ -346,10 +387,11 @@ def comparison_report(n: int, image: BinaryImage, seed: int = 0) -> ComparisonRe
             "pixel expansion": ("Yes", "No"),
             "loss in resolution": ("Yes", "No"),
         },
-        baseline_share_dims=(shares[0].width, shares[0].height),
+        baseline_share_dims=(shares.width, shares.height),
         baseline_decode_matches=decoded == image,
         baseline_white_blocks_dirty=dirty,
         quantum_share_entries_per_pixel=1,
         quantum_recovered_equal=recovered == image,
         baseline_shares=shares,
+        baseline_stacked=stacked,
     )

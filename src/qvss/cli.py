@@ -248,7 +248,7 @@ def cmd_compare(args) -> int:
         shares = report.baseline_shares
         for j, share in enumerate(shares, start=1):
             _write_atomic(out_dir / f"baseline_share_{j}.pbm", write_pbm(share, args.format))
-        stacked = baseline.classical_recover_image(shares)
+        stacked = report.baseline_stacked
         _write_atomic(out_dir / "baseline_stacked.pbm", write_pbm(stacked, args.format))
         print(f"wrote baseline share/stacked images to {out_dir}")
     return EXIT_OK

@@ -9,6 +9,7 @@ from scipy.stats import chisquare
 
 from qvss import baseline
 from qvss.baseline import (
+    Transparencies,
     block_shape,
     build_nn_matrix_sets,
     classical_recover_image,
@@ -19,8 +20,7 @@ from qvss.baseline import (
     restricted_sets_indistinguishable,
     stack_and_weight,
 )
-from qvss.errors import FormatError
-from qvss.image_io import BinaryImage, from_pixel_list
+from qvss.image_io import BinaryImage, from_pixel_list, write_pbm
 
 DEMO_IMAGE = from_pixel_list(4, 1, [0, 1, 1, 0])
 
@@ -179,12 +179,46 @@ def test_white_pixel_block_is_not_all_white():
     assert decode_stacked(stacked, 3) == image
 
 
-def test_recover_rejects_mismatched_share_dims():
-    image = from_pixel_list(2, 1, [0, 1])
-    shares = classical_share_image(image, 2, seed=3)
-    other = classical_share_image(from_pixel_list(1, 1, [0]), 2, seed=3)
-    with pytest.raises(FormatError):
-        classical_recover_image([shares[0], other[0]])
+@pytest.mark.parametrize(
+    "width, height, planes, message",
+    [
+        (10, 2, np.zeros((3, 2, 2), dtype=np.uint16), "uint8 array"),
+        (10, 2, np.zeros((3, 2, 3), dtype=np.uint8), "shape \\(6, 2\\)"),
+        (10, 2, np.zeros((3, 3, 2), dtype=np.uint8), "shape \\(6, 2\\)"),
+        (10, 2, np.zeros((2, 2), dtype=np.uint8), "3-D array"),
+        (10, 2, np.zeros((0, 2, 2), dtype=np.uint8), "at least one plane"),
+        (10, 2, np.zeros((3, 2, 2), dtype=np.uint8).tolist(), "3-D array"),
+        (0, 2, np.zeros((3, 2, 0), dtype=np.uint8), "dimensions"),
+        (4097, 1, np.zeros((3, 1, 513), dtype=np.uint8), "dimensions"),
+    ],
+)
+def test_transparencies_reject_a_wrong_dtype_or_shape(width, height, planes, message):
+    with pytest.raises(ValueError, match=message):
+        Transparencies(width, height, planes)
+
+
+def test_transparencies_reject_set_pad_bits():
+    # A 10-subpixel row leaves 6 pad bits in its second byte.
+    planes = np.zeros((3, 2, 2), dtype=np.uint8)
+    Transparencies(10, 2, planes.copy())
+    planes[2, 1, 1] = 0b0010_0000
+    with pytest.raises(ValueError, match="non-zero pad bits"):
+        Transparencies(10, 2, planes)
+
+
+def test_transparencies_index_and_iterate_as_unpacked_images():
+    image = BinaryImage(5, 3, np.random.default_rng(2).integers(0, 2, size=15))
+    shares = classical_share_image(image, 3, seed=4)
+    assert len(shares) == 3
+    assert shares.planes.shape == (3, 6, 2)
+    unpacked = list(shares)
+    assert unpacked == [shares[0], shares[1], shares[2]] and unpacked[-1] == shares[-1]
+    for j, share in enumerate(unpacked):
+        assert (share.width, share.height) == (10, 6)
+        np.testing.assert_array_equal(np.packbits(share.as_grid(), axis=1), shares.planes[j])
+    assert shares == Transparencies(10, 6, shares.planes.copy())
+    assert shares != Transparencies(10, 6, shares.planes[::-1].copy())
+    assert shares != unpacked
 
 
 # --- comparison ---
@@ -442,8 +476,8 @@ def test_share_image_chunks_of_whole_rows_agree_with_one_chunk(monkeypatch, rows
 
 
 def test_share_image_peak_is_its_output_plus_a_chunk():
-    # 8 shares of 4096x2048 subpixels are 64 MiB; everything else is one
-    # chunk's keys, sort words and planes.
+    # 8 shares of 4096x2048 subpixels at one bit each are 8 MiB; everything
+    # else is one chunk's keys, sort words, values and packed rows.
     pixels = np.random.default_rng(11).integers(0, 2, size=256 * 256)
     image = BinaryImage(256, 256, pixels)
     tracemalloc.start()
@@ -452,9 +486,36 @@ def test_share_image_peak_is_its_output_plus_a_chunk():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    output = sum(share.pixels.nbytes for share in shares)
-    assert output == 64 << 20
+    output = shares.planes.nbytes
+    assert output == 8 << 20
     assert peak - output < 4 << 20
+
+
+def test_share_stack_decode_peak_at_the_cap():
+    # The 8 MiB of packed shares, their 1 MiB packed stack and the 8 MiB
+    # stacked image: about 17 MiB.  One byte per subpixel of the shares
+    # would be 64 MiB.
+    pixels = np.random.default_rng(12).integers(0, 2, size=256 * 256)
+    image = BinaryImage(256, 256, pixels)
+    tracemalloc.start()
+    try:
+        decoded = decode_stacked(classical_recover_image(classical_share_image(image, 8, 3)), 8)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert decoded == image
+    assert peak < 20 << 20
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("width", [1, 3, 5, 7])
+def test_share_planes_are_the_p4_rasters(n, width):
+    # Share widths 2 * width (n=2, 3) are not whole bytes, so rows carry pad bits.
+    image = BinaryImage(width, 3, np.random.default_rng(width).integers(0, 2, size=width * 3))
+    shares = classical_share_image(image, n, seed=6)
+    for j, share in enumerate(shares):
+        header = f"P4\n{shares.width} {shares.height}\n".encode("ascii")
+        assert write_pbm(share, "p4") == header + shares.planes[j].tobytes()
 
 
 # --- white values in the sort words, tied rows sorted by their keys ---

@@ -362,7 +362,26 @@ def test_compare_out_dir_computes_the_baseline_once(secret, tmp_path, monkeypatc
     assert rc == 0
     assert len(calls) == 1
     shares = [read_pbm((out / f"baseline_share_{j}.pbm").read_bytes()) for j in (1, 2, 3)]
-    assert shares == share(DEMO_IMAGE, 3, 5)
+    assert shares == list(share(DEMO_IMAGE, 3, 5))
+
+
+def test_compare_out_dir_stacks_the_shares_once(secret, tmp_path, monkeypatch):
+    calls = []
+    recover = baseline.classical_recover_image
+
+    def counted(shares):
+        calls.append(shares)
+        return recover(shares)
+
+    monkeypatch.setattr(baseline, "classical_recover_image", counted)
+    out = tmp_path / "cmp"
+    rc = main(
+        ["compare", str(secret), "--n", "3", "--seed", "5", "--out-dir", str(out)]
+    )
+    assert rc == 0
+    assert len(calls) == 1
+    stacked = read_pbm((out / "baseline_stacked.pbm").read_bytes())
+    assert stacked == recover(baseline.classical_share_image(DEMO_IMAGE, 3, 5))
 
 
 def test_compare_rejects_an_oversized_baseline_before_allocating(secret, capsys):
