@@ -42,13 +42,13 @@ from fractions import Fraction
 import numpy as np
 
 from . import protocol
-from .errors import FormatError
-from .image_io import MAX_DIMENSION, BinaryImage
+from .errors import FormatError, int_in_range
+from .image_io import MAX_DIMENSION, BinaryImage, check_sides
 from .parity import index_parities
 from .protocol import _check_seed
 # Re-exported: perfbench's tracer test looks pixel_rng up in this namespace.
 from .protocol import pixel_rng  # noqa: F401
-from .statevector import int_in_range
+from .statevector import check_subset
 
 #: Cap on n * 2^(n-1) * pixels, the subpixels that all n shares of an
 #: image hold together (one bit each; the stacked image takes one byte per
@@ -81,10 +81,9 @@ class Transparencies:
     planes: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        if not (1 <= self.width <= MAX_DIMENSION and 1 <= self.height <= MAX_DIMENSION):
-            raise ValueError(
-                f"share dimensions must be 1..{MAX_DIMENSION}, got {self.width}x{self.height}"
-            )
+        width, height = check_sides(self.width, self.height)
+        object.__setattr__(self, "width", width)
+        object.__setattr__(self, "height", height)
         planes = self.planes
         if not (isinstance(planes, np.ndarray) and planes.ndim == 3 and len(planes)):
             raise ValueError("share planes must be a 3-D array holding at least one plane")
@@ -184,10 +183,8 @@ def classical_share_pixel(
 
 def stack_and_weight(matrix: np.ndarray, rows) -> tuple[np.ndarray, int]:
     """Per-column OR of the selected 1-based rows, plus its Hamming weight."""
-    rows = list(rows)
-    if not rows:
-        raise ValueError("row subset must be non-empty")
-    stacked = np.bitwise_or.reduce(matrix[[r - 1 for r in rows]], axis=0)
+    rows = [r - 1 for r in check_subset(len(matrix), rows)]
+    stacked = np.bitwise_or.reduce(matrix[rows], axis=0)
     return stacked, int(stacked.sum())
 
 
@@ -198,9 +195,7 @@ def restricted_sets_indistinguishable(sets: MatrixSets, rows) -> bool:
     restricted collections are equal multisets exactly when the restricted
     bases have the same column multiset.
     """
-    rows = [r - 1 for r in rows]
-    if not rows:
-        raise ValueError("row subset must be non-empty")
+    rows = [r - 1 for r in check_subset(sets.n, rows)]
 
     def column_values(base: np.ndarray) -> np.ndarray:
         restricted = base[rows]

@@ -9,11 +9,12 @@ one-based).  Identical circuits always emit byte-identical text.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 
 from . import statevector as sv
-from .errors import FormatError
+from .errors import FormatError, int_in_range
 from .statevector import StateVector
 
 #: Gate kind -> (assembly opcode, operand count, statevector operation).
@@ -56,14 +57,11 @@ class CircuitDescription:
     gates: tuple[Gate, ...]
 
     def __post_init__(self):
-        if self.num_qubits < 1:
-            raise ValueError(f"circuit needs at least one qubit, got {self.num_qubits}")
-        for gate in self.gates:
-            for q in gate.qubits:
-                if q < 1 or q > self.num_qubits:
-                    raise ValueError(
-                        f"{gate.kind} operand {q} out of range 1..{self.num_qubits}"
-                    )
+        message = "circuit qubit count must be an int >= 1, got {!r}"
+        n = int_in_range(self.num_qubits, 1, math.inf, message)
+        gates = tuple(Gate(gate.kind, sv.check_subset(n, gate.qubits)) for gate in self.gates)
+        object.__setattr__(self, "num_qubits", n)
+        object.__setattr__(self, "gates", gates)
 
 
 def simulate_circuit(circuit: CircuitDescription, initial: StateVector) -> StateVector:

@@ -31,6 +31,7 @@ from .errors import (
     IncompleteSharesError,
     IntegrityError,
     StateCorruptionError,
+    int_in_range,
 )
 from .image_io import BinaryImage, from_pixel_list, read_pbm, write_pbm
 from .parity import ParitySpec, build_parity_circuit, build_xor_circuit
@@ -168,8 +169,7 @@ def cmd_audit(args) -> int:
 
 def cmd_emit_circuit(args) -> int:
     cap = protocol.MAX_SAMPLED_QUBITS
-    if not 2 <= args.n <= cap:
-        raise ValueError(f"--n must be in 2..{cap} (the largest share), got {args.n}")
+    int_in_range(args.n, 2, cap, f"--n must be in 2..{cap} (the largest share), got {{!r}}")
     if args.kind == "prepare":
         circuit = build_parity_circuit(ParitySpec(args.n, args.b))
     else:
@@ -187,7 +187,7 @@ def cmd_emit_circuit(args) -> int:
     if args.kind == "prepare":
         state = simulate_circuit(circuit, new_zero_state(args.n))
         counts = None
-        if args.shots:
+        if args.shots is not None:
             seed = _resolve_seed(args.seed)
             counts = measure_shots(state, args.shots, np.random.default_rng(seed))
             print(f"state    probability  empirical({args.shots})")

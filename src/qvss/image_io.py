@@ -20,9 +20,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import FormatError, int_in_range
 
 MAX_DIMENSION = 4096
+
+
+def check_sides(width, height) -> tuple[int, int]:
+    """The sides of an image as Python ints, each in 1..MAX_DIMENSION."""
+    bound = f"outside 1..{MAX_DIMENSION}"
+    return tuple(
+        int_in_range(side, 1, MAX_DIMENSION, f"image dimensions: {name} {{!r}} {bound}")
+        for name, side in (("width", width), ("height", height))
+    )
+
 
 #: PBM's whitespace; in a bytes pattern ``\s`` matches exactly these bytes.
 _WHITESPACE = b" \t\r\n\x0b\x0c"
@@ -42,14 +52,7 @@ class BinaryImage:
     pixels: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        if self.width < 1 or self.height < 1:
-            raise ValueError(
-                f"image dimensions must be positive, got {self.width}x{self.height}"
-            )
-        if self.width > MAX_DIMENSION or self.height > MAX_DIMENSION:
-            raise ValueError(
-                f"image dimensions exceed {MAX_DIMENSION}: {self.width}x{self.height}"
-            )
+        self.width, self.height = check_sides(self.width, self.height)
         pixels = np.asarray(self.pixels).reshape(-1)
         if pixels.size != self.width * self.height:
             raise ValueError(

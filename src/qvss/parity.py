@@ -15,11 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuit import CircuitDescription, Gate
-from .statevector import MAX_QUBITS, StateVector, index_to_bits, int_in_range
-
-#: Enumeration cap; past this the basis list no longer fits in memory
-#: sensibly (2^(n-1) tuples).
-MAX_ENUMERATION_QUBITS = 24
+from .errors import int_in_range
+from .statevector import MAX_QUBITS, StateVector, index_to_bits
 
 
 @dataclass(frozen=True)
@@ -33,10 +30,10 @@ class ParitySpec:
     b: int
 
     def __post_init__(self):
-        message = "participant count must be an int >= 2, got {!r}"
-        object.__setattr__(self, "n", int_in_range(self.n, 2, math.inf, message))
-        if self.b not in (0, 1):
-            raise ValueError(f"secret bit must be 0 or 1, got {self.b!r}")
+        n = int_in_range(self.n, 2, math.inf, "participant count must be an int >= 2, got {!r}")
+        b = int_in_range(self.b, 0, 1, "secret bit must be 0 or 1, got {!r}")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "b", b)
 
 
 def index_parities(size: int) -> np.ndarray:
@@ -47,26 +44,23 @@ def index_parities(size: int) -> np.ndarray:
     return (v & np.uint64(1)).astype(np.uint8)
 
 
+def _register_size(spec: ParitySpec) -> int:
+    message = f"statevector registers support at most {MAX_QUBITS} qubits, got {{!r}}"
+    return int_in_range(spec.n, 2, MAX_QUBITS, message)
+
+
 def prepare_parity_state_direct(spec: ParitySpec) -> StateVector:
     """Construct the parity state by writing its amplitudes directly."""
-    if spec.n > MAX_QUBITS:
-        raise ValueError(
-            f"statevector registers support at most {MAX_QUBITS} qubits, got {spec.n}"
-        )
-    size = 1 << spec.n
+    size = 1 << _register_size(spec)
     amp = 1.0 / np.sqrt(1 << (spec.n - 1))
     amps = np.where(index_parities(size) == spec.b, amp, 0.0).astype(np.complex128)
     return StateVector(spec.n, amps)
 
 
 def enumerate_parity_basis(spec: ParitySpec) -> list[tuple[int, ...]]:
-    """All 2^(n-1) bitstrings of parity b, in ascending integer order."""
-    if spec.n > MAX_ENUMERATION_QUBITS:
-        raise ValueError(
-            f"refusing to enumerate 2^{spec.n - 1} basis states (n > "
-            f"{MAX_ENUMERATION_QUBITS})"
-        )
-    size = 1 << spec.n
+    """All 2^(n-1) bitstrings of parity b, in ascending integer order, for
+    n up to the register cap."""
+    size = 1 << _register_size(spec)
     indices = np.nonzero(index_parities(size) == spec.b)[0]
     return [index_to_bits(int(i), spec.n) for i in indices]
 

@@ -67,8 +67,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.stats import chisquare
 
-from .errors import FormatError, IncompleteSharesError, IntegrityError
-from .image_io import MAX_DIMENSION, BinaryImage
+from .errors import FormatError, IncompleteSharesError, IntegrityError, int_in_range
+from .image_io import BinaryImage, check_sides
 from .parity import ParitySpec, index_parities, prepare_parity_state_direct
 from .statevector import (
     MAX_QUBITS,
@@ -76,7 +76,6 @@ from .statevector import (
     StateVector,
     basis_state,
     check_subset,
-    int_in_range,
     marginal_distribution,
     sample,
 )
@@ -162,10 +161,7 @@ def _check_header(n, backend, width, height, session_id) -> tuple:
         raise ValueError(f"unknown backend {backend!r}")
     cap = MAX_QUBITS if backend == BACKEND_STATEVECTOR else MAX_SAMPLED_QUBITS
     n = int_in_range(n, 2, cap, f"n {{!r}} outside 2..{cap} for {backend}")
-    width, height = (
-        int_in_range(side, 1, MAX_DIMENSION, f"{name} {{!r}} outside 1..{MAX_DIMENSION}")
-        for name, side in (("width", width), ("height", height))
-    )
+    width, height = check_sides(width, height)
     if not (isinstance(session_id, bytes) and len(session_id) == 16):
         raise ValueError(f"session id must be 16 bytes, got {session_id!r}")
     return n, backend, width, height, session_id

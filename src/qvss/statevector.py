@@ -18,12 +18,11 @@ controlled gates) rather than by building 2^n x 2^n matrices.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import StateCorruptionError
+from .errors import StateCorruptionError, int_in_range
 
 #: Hard per-register size cap; pixels in one parity class share a register,
 #: so memory stays trivial well below this.
@@ -61,21 +60,10 @@ class MarginalDistribution:
     probabilities: np.ndarray
 
 
-def int_in_range(value, low: int, high: int, message: str) -> int:
-    """``value`` as a Python int in ``low..high``, numpy integers included;
-    anything else (floats and strings too) raises ``ValueError(message.format(value))``."""
-    try:
-        value = operator.index(value)
-    except TypeError:
-        pass
-    if not (isinstance(value, int) and low <= value <= high):
-        raise ValueError(message.format(value))
-    return value
-
-
 def basis_state(n: int, index: int) -> StateVector:
     """Return the basis state |index> on n qubits.  n must lie in 1..MAX_QUBITS."""
     n = int_in_range(n, 1, MAX_QUBITS, f"register size must be in 1..{MAX_QUBITS}, got {{!r}}")
+    index = int_in_range(index, 0, (1 << n) - 1, f"basis index {{!r}} out of range for {n} qubits")
     amps = np.zeros(1 << n, dtype=np.complex128)
     amps[index] = 1.0
     return StateVector(n, amps)
@@ -86,11 +74,12 @@ def new_zero_state(n: int) -> StateVector:
     return basis_state(n, 0)
 
 
-def _check_qubit(state: StateVector, q: int) -> None:
-    if not isinstance(q, int) or q < 1 or q > state.num_qubits:
-        raise IndexError(
-            f"qubit index {q!r} out of range for {state.num_qubits}-qubit register"
-        )
+def _check_qubit(state: StateVector, q: int) -> int:
+    message = f"qubit index {{!r}} out of range for {state.num_qubits}-qubit register"
+    try:
+        return int_in_range(q, 1, state.num_qubits, message)
+    except ValueError as exc:
+        raise IndexError(*exc.args) from None
 
 
 def _bit_mask(state: StateVector, q: int) -> int:
@@ -101,7 +90,7 @@ def _bit_mask(state: StateVector, q: int) -> int:
 def _apply_single(
     state: StateVector, q: int, m00: complex, m01: complex, m10: complex, m11: complex
 ) -> StateVector:
-    _check_qubit(state, q)
+    q = _check_qubit(state, q)
     n = state.num_qubits
     a = state.amplitudes.reshape(1 << (q - 1), 2, 1 << (n - q))
     a0 = a[:, 0, :]
@@ -130,11 +119,8 @@ def apply_z(state: StateVector, q: int) -> StateVector:
 def _controlled_flip(state: StateVector, *qubits: int) -> StateVector:
     """Flip the last qubit's bit on every basis state whose other (control)
     qubits' bits are all 1."""
-    for q in qubits:
-        _check_qubit(state, q)
-    if len(set(qubits)) != len(qubits):
-        raise ValueError(f"control and target qubits must be distinct, got {qubits!r}")
-    *controls, target = qubits
+    # An out-of-range qubit raises IndexError before the check for repeats.
+    *controls, target = check_subset(state.num_qubits, [_check_qubit(state, q) for q in qubits])
     cmask = sum(_bit_mask(state, q) for q in controls)
     idx = np.arange(state.dim)
     src = np.where((idx & cmask) == cmask, idx ^ _bit_mask(state, target), idx)
@@ -193,12 +179,12 @@ def sample(state: StateVector, rng: np.random.Generator, size: int | None = None
     ``cdf[idx] <= u``, a few vectorised passes, and the draws still short
     are binary-searched.  G is the power of two nearest to the smaller of
     the draw count and 2^n, so it never exceeds 2^n and a single draw
-    builds a one-entry table.
+    (or none) builds a one-entry table.
     """
     cdf = _checked_probabilities(state).cumsum()
     cdf /= cdf[-1]
     u = np.atleast_1d(rng.random(size))
-    buckets = 1 << round(math.log2(min(len(u), state.dim)))
+    buckets = 1 << round(math.log2(min(len(u), state.dim) or 1))
     guide = cdf.searchsorted(np.arange(buckets) / buckets, side="right")
     idx = np.empty(len(u), dtype=np.intp)
     np.multiply(u, buckets, out=idx, casting="unsafe")  # floor(u * G)
@@ -237,8 +223,7 @@ def measure_shots(
     Models repeated preparation and measurement of the same state, so the
     register is not collapsed.
     """
-    if shots < 1:
-        raise ValueError(f"shot count must be positive, got {shots}")
+    shots = int_in_range(shots, 1, math.inf, "shot count must be an int >= 1, got {!r}")
     return np.bincount(sample(state, rng, shots), minlength=state.dim)
 
 

@@ -259,6 +259,16 @@ def test_emit_prepare_simulate_with_shots(capsys):
         assert abs(float(empirical) - 1 / 32) < 0.006
 
 
+@pytest.mark.parametrize("shots", ["0", "-1"])
+def test_emit_prepare_refuses_a_shot_count_below_one(shots, capsys):
+    rc = main(["emit-circuit", "--kind", "prepare", "--n", "3", "--simulate",
+               "--shots", shots, "--seed", "1"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: shot count must be an int >= 1, got {shots}\n"
+    assert "probability" not in captured.out
+
+
 def test_emit_xor_decode(capsys):
     rc = main(
         ["emit-circuit", "--kind", "xor", "--n", "6", "--input", "101000", "--simulate"]

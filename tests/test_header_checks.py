@@ -1,7 +1,10 @@
 """One check per rule: what can be built can be written and read back, and
 numpy integers act as the plain ints they hold."""
 
+import argparse
+import contextlib
 import dataclasses
+import io
 import struct
 import tracemalloc
 import zlib
@@ -11,10 +14,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qvss import protocol
+from qvss import cli, protocol
+from qvss.baseline import (
+    Transparencies,
+    build_nn_matrix_sets,
+    restricted_sets_indistinguishable,
+    stack_and_weight,
+)
+from qvss.circuit import CircuitDescription, Gate
 from qvss.errors import FormatError, IntegrityError
 from qvss.image_io import BinaryImage, from_pixel_list
-from qvss.parity import ParitySpec, prepare_parity_state_direct
+from qvss.parity import ParitySpec, enumerate_parity_basis, prepare_parity_state_direct
 from qvss.protocol import (
     BACKEND_SAMPLED,
     BACKEND_STATEVECTOR,
@@ -29,7 +39,13 @@ from qvss.protocol import (
     serialize_share,
     share_image,
 )
-from qvss.statevector import basis_state, marginal_distribution, new_zero_state
+from qvss.statevector import (
+    apply_h,
+    basis_state,
+    marginal_distribution,
+    measure_shots,
+    new_zero_state,
+)
 
 BACKENDS = [BACKEND_STATEVECTOR, BACKEND_SAMPLED]
 BACKEND_IDS = {BACKEND_STATEVECTOR: 1, BACKEND_SAMPLED: 2}
@@ -218,3 +234,73 @@ def test_non_integral_values_are_rejected(value):
     session, _ = share_image(DEMO_IMAGE, 3, BACKEND_STATEVECTOR, 1)
     with pytest.raises(ValueError):
         audit_subset(session, [1, value])
+
+
+# --- every argument check: numpy integers count as ints, the rest is refused ---
+
+
+SETS = build_nn_matrix_sets(3)
+
+
+def _emit_xor(n):
+    args = argparse.Namespace(kind="xor", n=n, b=0, input=None, out=None,
+                              simulate=True, shots=None, seed=None)
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        cli.cmd_emit_circuit(args)
+    return out.getvalue()
+
+
+#: Call site -> (call, a valid value, values it refuses, the type it raises).
+#: A call returns what the site stores, or what it computes from the value.
+ARGUMENT_CHECKS = {
+    "BinaryImage width": (
+        lambda w: BinaryImage(w, 1, np.zeros(int(w), dtype=np.uint8)).width,
+        2, [2.0, 0, 4097], ValueError),
+    "Transparencies width": (
+        lambda w: Transparencies(w, 1, np.zeros((2, 1, (int(w) + 7) // 8), np.uint8)).width,
+        10, [10.0, 0, 4097], ValueError),
+    "share header width": (
+        lambda w: ShareFile(participant=1, n=3, backend=BACKEND_STATEVECTOR, width=w,
+                            height=1, session_id=bytes(16), payload=()).width,
+        4, [4.0, 0, 4097], ValueError),
+    "stack_and_weight rows": (
+        lambda rows: stack_and_weight(SETS.c0_base, rows),
+        (1, 3), [(0,), (1.5,), (4,), (1, 1)], ValueError),
+    "restricted_sets_indistinguishable rows": (
+        lambda rows: restricted_sets_indistinguishable(SETS, rows),
+        (1, 2), [(0,), (2.5,), (4,), (2, 2)], ValueError),
+    "CircuitDescription qubit count": (
+        lambda n: CircuitDescription(n, ()).num_qubits,
+        2, [2.5, 0], ValueError),
+    "gate operand": (
+        lambda q: CircuitDescription(2, (Gate("H", (q,)),)).gates[0].qubits,
+        2, [1.5, 0, 3], ValueError),
+    "apply_h qubit": (
+        lambda q: apply_h(new_zero_state(2), q).amplitudes,
+        1, [1.0, 0, 3], IndexError),
+    "basis_state index": (
+        lambda i: basis_state(3, i).amplitudes,
+        5, [5.0, -1, 8], ValueError),
+    "measure_shots count": (
+        lambda s: measure_shots(new_zero_state(1), s, np.random.default_rng(0)),
+        3, [3.0, 0, -1], ValueError),
+    "emit-circuit --n": (_emit_xor, 3, [3.0, 1, 65], ValueError),
+    "ParitySpec secret bit": (lambda b: ParitySpec(3, b).b, 1, [1.0, 2, -1], ValueError),
+    "enumerate_parity_basis n": (
+        lambda n: enumerate_parity_basis(ParitySpec(n, 0)),
+        3, [3.0, 17], ValueError),
+    "prepare_parity_state_direct n": (
+        lambda n: prepare_parity_state_direct(ParitySpec(n, 0)).amplitudes,
+        3, [3.0, 17], ValueError),
+}
+
+
+@pytest.mark.parametrize("site", ARGUMENT_CHECKS)
+def test_an_argument_check_takes_numpy_integers_and_refuses_the_rest(site):
+    call, valid, refused, error = ARGUMENT_CHECKS[site]
+    numpy_form = np.array(valid) if isinstance(valid, tuple) else np.int64(valid)
+    # repr tells np.int64(2) from 2, and an array's repr holds its values.
+    assert repr(call(numpy_form)) == repr(call(valid))
+    for value in refused:
+        with pytest.raises(error):
+            call(value)

@@ -323,7 +323,7 @@ SAMPLE_STATES = {
 def test_sample_draws_what_generator_choice_draws(n, kind):
     for seed in range(5):
         state = SAMPLE_STATES[kind](n, seed)
-        for size in (None, 1, 7, 1 << 16):
+        for size in (None, 0, 1, 7, 1 << 16):
             assert_sample_is_generator_choice(state, seed, size)
 
 
