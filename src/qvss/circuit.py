@@ -96,30 +96,40 @@ _GATE_RE = re.compile(r"^([a-z]+) (q\[\d+\](?:,q\[\d+\])*);$")
 
 
 def parse_assembly(text: str) -> CircuitDescription:
-    """Read back the dialect produced by :func:`emit_assembly`."""
+    """Read back the dialect produced by :func:`emit_assembly`.
+
+    Malformed input raises ``FormatError`` naming its line.
+    """
     num_qubits = None
     gates: list[Gate] = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith(("OPENQASM", "include", "creg")):
             continue
-        m = _QREG_RE.match(line)
-        if m:
-            if num_qubits is not None:
-                raise FormatError(f"line {lineno}: duplicate qreg declaration")
-            num_qubits = int(m.group(1))
-            continue
-        m = _GATE_RE.match(line)
-        if m is None:
-            raise FormatError(f"line {lineno}: unrecognized statement {line!r}")
-        opcode, operands = m.groups()
-        kind = _KINDS_BY_OPCODE.get(opcode)
-        if kind is None:
-            raise FormatError(f"line {lineno}: unknown opcode {opcode!r}")
-        if num_qubits is None:
-            raise FormatError(f"line {lineno}: gate before qreg declaration")
-        qubits = tuple(int(s[2:-1]) + 1 for s in operands.split(","))
-        gates.append(Gate(kind, qubits))
+        # Every check raises ValueError; the line number is added once, below.
+        try:
+            m = _QREG_RE.match(line)
+            if m:
+                if num_qubits is not None:
+                    raise ValueError("duplicate qreg declaration")
+                message = "qreg size must be an int >= 1, got {!r}"
+                num_qubits = int_in_range(int(m.group(1)), 1, math.inf, message)
+                continue
+            m = _GATE_RE.match(line)
+            if m is None:
+                raise ValueError(f"unrecognized statement {line!r}")
+            opcode, operands = m.groups()
+            kind = _KINDS_BY_OPCODE.get(opcode)
+            if kind is None:
+                raise ValueError(f"unknown opcode {opcode!r}")
+            if num_qubits is None:
+                raise ValueError("gate before qreg declaration")
+            message = f"operand q[{{}}] outside qreg q[{num_qubits}]"
+            slots = [int_in_range(int(s[2:-1]), 0, num_qubits - 1, message)
+                     for s in operands.split(",")]
+            gates.append(Gate(kind, tuple(slot + 1 for slot in slots)))
+        except ValueError as exc:
+            raise FormatError(f"line {lineno}: {exc}") from None
     if num_qubits is None:
         raise FormatError("missing qreg declaration")
     return CircuitDescription(num_qubits, tuple(gates))

@@ -5,7 +5,10 @@ flags: --n, --backend {statevector,sampled}, --seed, --out-dir, --subset
 (comma list), --shots, --format {p1,p4}.
 
 Every command is deterministic under a fixed --seed; omitting --seed draws
-one from entropy and prints it for replay.  Output files are written to a
+one from entropy and prints it for replay.  A flag is refused (exit 2)
+where the command would not read it: ``recover --seed`` on a sampled
+session, which was measured when it was shared, and each ``emit-circuit``
+flag off its own ``--kind`` / ``--simulate`` path.  Output files are written to a
 temporary name and renamed, so no partial files survive an error.
 
 Exit codes: 0 success, 1 a failed ``recover --reference`` match or demo,
@@ -135,7 +138,12 @@ def cmd_recover(args) -> int:
     shares = [
         protocol.deserialize_share(Path(path).read_bytes()) for path in args.shares
     ]
-    seed = _resolve_seed(args.seed)
+    # A sampled session was measured when it was shared: it takes no seed.
+    seed = args.seed
+    if session.backend == protocol.BACKEND_STATEVECTOR:
+        seed = _resolve_seed(seed)
+    elif seed is not None:
+        raise ValueError("--seed applies only to statevector sessions")
     image = protocol.recover_image(shares, session, seed)
     _write_atomic(Path(args.out), write_pbm(image, args.format))
     print(f"recovered {image.pixel_count} pixels to {args.out}")
@@ -170,37 +178,42 @@ def cmd_audit(args) -> int:
 def cmd_emit_circuit(args) -> int:
     cap = protocol.MAX_SAMPLED_QUBITS
     int_in_range(args.n, 2, cap, f"--n must be in 2..{cap} (the largest share), got {{!r}}")
-    if args.kind == "prepare":
-        circuit = build_parity_circuit(ParitySpec(args.n, args.b))
+    prepare = args.kind == "prepare"
+    # Each optional flag is read on one path and refused on every other.
+    for flag, accepted, where in (
+        ("b", prepare, "--kind prepare"),
+        ("shots", prepare and args.simulate, "--kind prepare --simulate"),
+        ("input", args.simulate and not prepare, "--kind xor --simulate"),
+        ("seed", args.shots is not None, "--shots"),
+    ):
+        if getattr(args, flag) is not None and not accepted:
+            raise ValueError(f"--{flag} applies only with {where}")
+    if args.shots is not None:
+        int_in_range(args.shots, 1, math.inf, "shot count must be an int >= 1, got {!r}")
+    if prepare:
+        circuit = build_parity_circuit(ParitySpec(args.n, args.b or 0))
     else:
         circuit = build_xor_circuit(args.n)
-    text = emit_assembly(circuit)
-    if args.out:
-        _write_atomic(Path(args.out), text.encode("utf-8"))
-        print(f"wrote {args.out} ({len(circuit.gates)} gates)")
-    else:
-        sys.stdout.write(text)
 
-    if not args.simulate:
-        return EXIT_OK
-
-    if args.kind == "prepare":
+    # The simulation runs before anything is printed, so that a refusal
+    # leaves stdout empty; only a generated seed's line comes first.
+    report = []
+    if args.simulate and prepare:
         state = simulate_circuit(circuit, new_zero_state(args.n))
-        counts = None
-        if args.shots is not None:
-            seed = _resolve_seed(args.seed)
-            counts = measure_shots(state, args.shots, np.random.default_rng(seed))
-            print(f"state    probability  empirical({args.shots})")
-        else:
-            print("state    probability")
         probs = np.abs(state.amplitudes) ** 2
-        for index in np.nonzero(probs > 1e-12)[0]:
+        rows = np.nonzero(probs > 1e-12)[0]
+        if args.shots is None:
+            report.append("state    probability")
+            empirical = [""] * len(rows)
+        else:
+            rng = np.random.default_rng(_resolve_seed(args.seed))
+            counts = measure_shots(state, args.shots, rng)
+            report.append(f"state    probability  empirical({args.shots})")
+            empirical = [f"     {counts[i] / args.shots:.6f}" for i in rows]
+        for index, tail in zip(rows, empirical):
             bits = _format_bits(index_to_bits(int(index), args.n))
-            if counts is None:
-                print(f"{bits}  {probs[index]:.6f}")
-            else:
-                print(f"{bits}  {probs[index]:.6f}     {counts[index] / args.shots:.6f}")
-    else:
+            report.append(f"{bits}  {probs[index]:.6f}{tail}")
+    elif args.simulate:
         bits = _parse_bits(args.input) if args.input else (0,) * args.n
         if len(bits) != args.n:
             raise ValueError(f"input {args.input!r} is not {args.n} bits")
@@ -208,7 +221,16 @@ def cmd_emit_circuit(args) -> int:
         outcome = index_to_bits(int(np.argmax(np.abs(state.amplitudes))), args.n)
         result = outcome[-1]
         color = "black" if result else "white"
-        print(f"input |{_format_bits(bits)}>: result state |{result}> ({color})")
+        report.append(f"input |{_format_bits(bits)}>: result state |{result}> ({color})")
+
+    text = emit_assembly(circuit)
+    if args.out:
+        _write_atomic(Path(args.out), text.encode("utf-8"))
+        print(f"wrote {args.out} ({len(circuit.gates)} gates)")
+    else:
+        sys.stdout.write(text)
+    for line in report:
+        print(line)
     return EXIT_OK
 
 
@@ -301,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--session", required=True, help="session file (.qvse)")
     p.add_argument("--out", required=True, help="output PBM path")
     p.add_argument("--reference", help="compare the result against this PBM")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=int, help="measurement seed (statevector sessions only)")
     p.add_argument("--format", choices=["p1", "p4"], default="p1")
     p.set_defaults(func=cmd_recover)
 
@@ -313,12 +335,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("emit-circuit", help="emit a circuit as assembly text")
     p.add_argument("--kind", choices=["prepare", "xor"], required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--b", type=int, choices=[0, 1], default=0, help="secret bit (prepare)")
-    p.add_argument("--input", help="basis-state input bits (xor simulation)")
+    p.add_argument("--b", type=int, choices=[0, 1], help="secret bit (prepare; default 0)")
+    p.add_argument("--input", help="basis-state input bits (xor --simulate)")
     p.add_argument("--out", help="write assembly here instead of stdout")
     p.add_argument("--simulate", action="store_true")
-    p.add_argument("--shots", type=int)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--shots", type=int, help="sample this many shots (prepare --simulate)")
+    p.add_argument("--seed", type=int, help="seed for the shots (with --shots)")
     p.set_defaults(func=cmd_emit_circuit)
 
     p = sub.add_parser("compare", help="three-row comparison against the classical baseline")

@@ -222,30 +222,16 @@ def _renumber(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return used, lookup
 
 
-def _same_entry(a, b) -> bool:
-    """Whether two register-table entries hold the same register.
-
-    An int entry is a basis index: it equals another int by value, and a
-    ``StateVector`` whose one non-zero amplitude is a 1 at that index, so
-    no 2^n one-hot state is built to compare it.
-    """
-    if isinstance(a, StateVector) and isinstance(b, StateVector):
-        return np.array_equal(a.amplitudes, b.amplitudes)
-    if isinstance(a, StateVector):
-        a, b = b, a
-    if not isinstance(b, StateVector):
-        return a == b
-    return bool(b.amplitudes[a] == 1 and np.count_nonzero(b.amplitudes) == 1)
-
-
 class RegisterTable:
     """Every pixel's n-qubit register, as distinct registers plus an index.
 
     ``states`` holds the distinct registers; pixel i's register is
     ``states[index[i]]``.  An entry is a ``StateVector`` or, once
     measured, an int basis index whose one-hot state is built only when
-    read.  The table is written once: apart from ``collapse``, which is the
-    measurement, nothing changes it after construction.
+    read.  Equality and the session file see every entry in one sparse
+    form, ``_sparse``: its support and its non-zero amplitudes.  The table
+    is written once: apart from ``collapse``, which is the measurement,
+    nothing changes it after construction.
     """
 
     def __init__(self, n: int, states, index):
@@ -283,6 +269,16 @@ class RegisterTable:
             return value
         return basis_state(self.n, value)
 
+    def _sparse(self, entry: int) -> tuple[np.ndarray, np.ndarray]:
+        """Table entry ``entry`` as the ascending basis indices of its
+        non-zero amplitudes, and those amplitudes; an int entry ``i`` is
+        ``([i], [1])``, with no 2^n state built."""
+        value = self.states[entry]
+        if isinstance(value, StateVector):
+            support = np.flatnonzero(value.amplitudes)
+            return support, value.amplitudes[support]
+        return np.array([value]), _ONE
+
     def __iter__(self):
         for entry in self.index.tolist():
             yield self.state(entry)
@@ -313,7 +309,8 @@ class RegisterTable:
             return False
         pairs = np.unique(np.stack([self.index, other.index]), axis=1)
         return all(
-            _same_entry(self.states[a], other.states[b]) for a, b in pairs.T.tolist()
+            all(map(np.array_equal, self._sparse(a), other._sparse(b)))
+            for a, b in pairs.T.tolist()
         )
 
 
@@ -538,17 +535,19 @@ def recover_image(
     Requires all n distinct shares bound to the session; anything less
     raises instead of guessing, as does a sampled share whose plane is not
     the session's.  In the statevector backend the session's
-    registers collapse in place: one generator seeded with ``seed`` draws
-    the outcomes of all pixels of each distinct register at once, in table
-    order and then pixel order.
+    registers collapse in place: one generator seeded with ``seed`` (drawn
+    from entropy if None) draws the outcomes of all pixels of each distinct
+    register at once, in table order and then pixel order.  A sampled
+    session draws nothing, but a seed given for it is still checked.
     """
     shares = list(shares)  # read twice: checked, then decoded
     _check_share_set(shares, session)
-    seed = _check_seed(entropy_seed() if seed is None else seed)
+    if seed is not None:
+        seed = _check_seed(seed)
 
     if session.backend == BACKEND_STATEVECTOR:
         table = session.registers
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(entropy_seed() if seed is None else seed)
         # Outcomes lie below 2^n <= 2^16.
         outcomes = np.empty(session.pixel_count, dtype=np.uint16)
         # Pixels grouped by entry, each group in pixel order; numpy radix
@@ -759,28 +758,20 @@ def serialize_session(session: SessionStore) -> bytearray:
         )
     packed = len(used) <= _PACKED_INDEX_ENTRIES
     all_used = len(used) == len(table.states)
-    values = [table.states[entry] for entry in used]
-    # A collapsed (int) entry's support is its one basis index.
-    amplitude_count = sum(
-        np.count_nonzero(value.amplitudes) if isinstance(value, StateVector) else 1
-        for value in values
-    )
+    # Each entry's sparse view is built where it is needed and dropped.
+    amplitude_count = sum(len(table._sparse(entry)[0]) for entry in used)
     table_bytes = len(used) * _entry_head_size(table.n) + 16 * amplitude_count
 
     def parts():
         yield seed
         yield _TABLE_LENGTH.pack(len(used))
-        for value in values:
+        for entry in used:
+            support, amplitudes = table._sparse(entry)
+            bits = np.zeros(1 << table.n, dtype=bool)
+            bits[support] = True
             yield _REGISTER_SIZE.pack(table.n)
-            if isinstance(value, StateVector):
-                support = value.amplitudes != 0
-                yield np.packbits(support)
-                yield np.ascontiguousarray(value.amplitudes[support], "<c16")
-            else:  # basis state ``value``, written without building it
-                support = np.zeros(((1 << table.n) + 7) // 8, dtype=np.uint8)
-                support[value // 8] = 0x80 >> value % 8
-                yield support
-                yield _ONE
+            yield np.packbits(bits)
+            yield np.ascontiguousarray(amplitudes, "<c16")
         for part in _chunks(len(table)):
             # With every entry used, the index is its own renumbering.
             index = table.index[part] if all_used else lookup[table.index[part]]

@@ -20,6 +20,7 @@ from qvss.baseline import (
     restricted_sets_indistinguishable,
     stack_and_weight,
 )
+from qvss.errors import FormatError
 from qvss.image_io import BinaryImage, from_pixel_list, write_pbm
 
 DEMO_IMAGE = from_pixel_list(4, 1, [0, 1, 1, 0])
@@ -422,6 +423,15 @@ def test_decode_stacked_does_not_build_the_bases():
         tracemalloc.stop()
     assert decoded == BinaryImage(1, 1, [1])
     assert peak < 4 << 20
+
+
+@pytest.mark.parametrize("width,height", [(5, 2), (4, 3), (1, 1)])
+def test_decode_stacked_refuses_an_image_of_partial_blocks(width, height):
+    # n=3: each pixel was expanded into a 2x2 block of subpixels.
+    stacked = BinaryImage(width, height, np.zeros(width * height, dtype=np.uint8))
+    with pytest.raises(FormatError, match=f"stacked image {width}x{height} is not a whole "
+                       "number of 2x2 blocks"):
+        decode_stacked(stacked, 3)
 
 
 # --- one sort per chunk, contiguous bit planes ---

@@ -118,3 +118,24 @@ def test_parse_rejects_unknown_statement():
 def test_parse_rejects_missing_register_declaration():
     with pytest.raises(FormatError):
         parse_assembly("h q[0];\n")
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("qreg q[2];\nh q[5];\n", "line 2: operand q[5] outside qreg q[2]"),
+        ("qreg q[0];\n", "line 1: qreg size must be an int >= 1, got 0"),
+        ("qreg q[2];\ncx q[0],q[0];\n", "line 2: CNOT operands must be distinct"),
+        ("qreg q[2];\nh q[0],q[1];\n", "line 2: H takes 1 operand(s)"),
+        ("qreg q[2];\nh q[0];\nqreg q[3];\n", "line 3: duplicate qreg declaration"),
+        ("qreg q[2];\nh q[0]\n", "line 2: unrecognized statement 'h q[0]'"),
+        ("qreg q[2];\nswap q[0],q[1];\n", "line 2: unknown opcode 'swap'"),
+        ("h q[0];\n", "line 1: gate before qreg declaration"),
+        ("OPENQASM 2.0;\ncreg c[2];\n", "missing qreg declaration"),
+        pytest.param(f"qreg q[{'9' * 5000}];\n", "line 1: ", id="over-int-digit-limit"),
+    ],
+)
+def test_malformed_assembly_is_a_format_error_naming_its_line(text, message):
+    with pytest.raises(FormatError) as err:
+        parse_assembly(text)
+    assert str(err.value).startswith(message)

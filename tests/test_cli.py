@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qvss import baseline
+from qvss import baseline, protocol
 from qvss.cli import main
 from qvss.image_io import BinaryImage, from_pixel_list, read_pbm, write_pbm
 
@@ -505,3 +505,107 @@ def test_recover_of_an_altered_sampled_share_exits_3_in_a_fresh_interpreter(tmp_
         "error: share 3 differs from the session's plane 3 at payload byte 100"
     ]
     assert not recovered.exists()
+
+
+# --- each flag where it is read, and nowhere else ---
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["--kind", "xor", "--simulate", "--shots", "0"],
+         "--shots applies only with --kind prepare --simulate"),
+        (["--kind", "xor", "--simulate", "--shots", "5"],
+         "--shots applies only with --kind prepare --simulate"),
+        (["--kind", "prepare", "--shots", "0"],
+         "--shots applies only with --kind prepare --simulate"),
+        (["--kind", "prepare", "--simulate", "--shots", "0"],
+         "shot count must be an int >= 1, got 0"),
+        (["--kind", "prepare", "--simulate", "--seed", "1"], "--seed applies only with --shots"),
+        (["--kind", "xor", "--seed", "1"], "--seed applies only with --shots"),
+        (["--kind", "xor", "--input", "101"], "--input applies only with --kind xor --simulate"),
+        (["--kind", "prepare", "--simulate", "--input", "101"],
+         "--input applies only with --kind xor --simulate"),
+        (["--kind", "xor", "--b", "1"], "--b applies only with --kind prepare"),
+        (["--kind", "xor", "--simulate", "--b", "0"], "--b applies only with --kind prepare"),
+        (["--kind", "xor", "--simulate", "--input", "10"], "input '10' is not 3 bits"),
+    ],
+)
+def test_emit_refuses_a_flag_off_its_path_before_printing(argv, message, tmp_path, capsys):
+    target = tmp_path / "circuit.qasm"
+    rc = main(["emit-circuit", "--n", "3", *argv, "--out", str(target)])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+    assert not target.exists()
+    rc = main(["emit-circuit", "--n", "3", *argv])
+    assert rc == 2
+    assert capsys.readouterr().out == ""
+
+
+def _recover_args(out, recovered, *extra):
+    return ["recover", *[str(out / f"share_{j}.qvs") for j in (1, 2, 3)],
+            "--session", str(out / "session.qvse"), "--out", str(recovered), *extra]
+
+
+def test_recover_of_a_sampled_session_draws_and_takes_no_seed(
+    secret, tmp_path, capsys, monkeypatch
+):
+    out = tmp_path / "shares"
+    main(share_args(secret, out, backend="sampled"))
+    capsys.readouterr()
+
+    def no_entropy():
+        raise AssertionError("a seed was drawn")
+
+    monkeypatch.setattr("qvss.protocol.entropy_seed", no_entropy)
+    recovered = tmp_path / "rec.pbm"
+    assert main(_recover_args(out, recovered)) == 0
+    assert "seed" not in capsys.readouterr().out
+    assert read_pbm(recovered.read_bytes()) == DEMO_IMAGE
+
+    refused = tmp_path / "refused.pbm"
+    assert main(_recover_args(out, refused, "--seed", "1")) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: --seed applies only to statevector sessions\n"
+    assert captured.out == ""
+    assert not refused.exists()
+
+
+def test_recover_against_a_differing_reference_exits_1(secret, tmp_path, capsys):
+    out = tmp_path / "shares"
+    main(share_args(secret, out))
+    other = tmp_path / "other.pbm"
+    other.write_bytes(write_pbm(from_pixel_list(4, 1, [1, 1, 1, 0])))
+    recovered = tmp_path / "rec.pbm"
+    assert main(_recover_args(out, recovered, "--seed", "9", "--reference", str(other))) == 1
+    assert "reference match: no" in capsys.readouterr().out.splitlines()
+    assert read_pbm(recovered.read_bytes()) == DEMO_IMAGE
+
+
+def test_compare_over_the_register_cap_takes_the_sampled_backend(tmp_path, capsys, monkeypatch):
+    secret = tmp_path / "secret.pbm"
+    secret.write_bytes(write_pbm(from_pixel_list(4, 2, [0, 1, 1, 0, 1, 0, 0, 1])))
+    backends = []
+    share_image = protocol.share_image
+
+    def recording_share_image(image, n, backend, seed):
+        backends.append(backend)
+        return share_image(image, n, backend, seed)
+
+    monkeypatch.setattr(protocol, "share_image", recording_share_image)
+    assert main(["compare", str(secret), "--n", "17", "--seed", "3"]) == 0
+    assert backends == [protocol.BACKEND_SAMPLED]
+    assert "  quantum recovered equals original: yes" in capsys.readouterr().out.splitlines()
+
+
+def test_audit_of_a_sampled_session_prints_its_p_value(secret, tmp_path, capsys):
+    out = tmp_path / "shares"
+    main(share_args(secret, out, backend="sampled"))
+    capsys.readouterr()
+    assert main(["audit", "--session", str(out / "session.qvse"), "--subset", "1,2"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    p_lines = [line for line in lines if line.startswith("chi-square p-value: ")]
+    assert len(p_lines) == 1
+    assert 0.0 <= float(p_lines[0].split(": ")[1]) <= 1.0

@@ -243,7 +243,7 @@ SETS = build_nn_matrix_sets(3)
 
 
 def _emit_xor(n):
-    args = argparse.Namespace(kind="xor", n=n, b=0, input=None, out=None,
+    args = argparse.Namespace(kind="xor", n=n, b=None, input=None, out=None,
                               simulate=True, shots=None, seed=None)
     with contextlib.redirect_stdout(io.StringIO()) as out:
         cli.cmd_emit_circuit(args)

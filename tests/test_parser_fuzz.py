@@ -4,7 +4,8 @@ Every malformed input must end in ``FormatError``: no other exception and
 no warning.  Inputs are valid artifacts from both backends (among them
 statevector sessions whose table entries have different supports),
 truncated, overwritten byte by byte with the CRC recomputed so the parser
-proper is reached, or given oversized header fields.
+proper is reached, or given oversized header fields; and circuit assembly
+text built from the dialect's own statements.
 """
 
 import dataclasses
@@ -17,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qvss.circuit import CircuitDescription, emit_assembly, parse_assembly
 from qvss.errors import FormatError
 from qvss.image_io import BinaryImage, read_pbm, write_pbm
 from qvss.parity import ParitySpec, prepare_parity_state_direct
@@ -167,3 +169,21 @@ def test_oversized_pbm_sides_are_rejected(magic, side, which):
     width, height = (side, "1") if which == "width" else ("1", side)
     data = magic + f"\n{width} {height}\n".encode() + b"0\n"
     assert parse_quietly(read_pbm, data) is None
+
+
+#: Statements of the assembly dialect, well formed or not, to join at random.
+ASSEMBLY_LINES = st.one_of(
+    st.from_regex(r"\Aqreg q\[[0-9]{1,3}\];\Z"),
+    st.from_regex(r"\A(h|x|z|cx|ccx|swap) q\[[0-9]{1,2}\](,q\[[0-9]{1,2}\]){0,3};\Z"),
+    st.sampled_from(["OPENQASM 2.0;", 'include "qelib1.inc";', "creg c[2];", ""]),
+    st.text(max_size=12),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(ASSEMBLY_LINES, max_size=6))
+def test_assembly_text_parses_or_raises_format_error(lines):
+    circuit = parse_quietly(parse_assembly, "\n".join(lines))
+    if circuit is not None:
+        assert isinstance(circuit, CircuitDescription)
+        assert parse_assembly(emit_assembly(circuit)) == circuit

@@ -42,6 +42,7 @@ from qvss.protocol import (
 from qvss.statevector import (
     StateVector,
     _checked_probabilities,
+    basis_state,
     marginal_distribution,
     measure_all,
 )
@@ -958,6 +959,75 @@ def test_register_tables_compare_registers_not_their_layout():
     split.collapse(np.array([0, 1, 0, 0]))
     assert split == merged
     assert split != RegisterTable(3, [even], [0, 0, 0, 0])
+
+
+def _entry(kind, n, draw):
+    """One register-table entry of the given kind, for the property below."""
+    if kind == "int":
+        return draw(st.integers(0, (1 << n) - 1))
+    if kind == "basis":  # the dense twin of an int entry
+        return basis_state(n, draw(st.integers(0, (1 << n) - 1)))
+    if kind in (0, 1):
+        return prepare_parity_state_direct(ParitySpec(n, kind))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    amplitudes = (rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)) * (
+        rng.random(1 << n) < draw(st.sampled_from([0.1, 0.5, 1.0]))
+    )
+    amplitudes[rng.integers(1 << n)] += 1
+    return StateVector(n, amplitudes / np.linalg.norm(amplitudes))
+
+
+@st.composite
+def mixed_table_pairs(draw):
+    """Two tables of one n and pixel count, their entries drawn from one
+    pool of parity states, random states, basis states and int entries,
+    the second table sometimes a copy of the first."""
+    n = draw(st.integers(2, 8))
+    kinds = st.sampled_from(["int", "basis", "random", 0, 1])
+    pool = [_entry(kind, n, draw) for kind in draw(st.lists(kinds, min_size=1, max_size=5))]
+    pixels = draw(st.integers(1, 12))
+
+    def table():
+        picks = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=4))
+        index = draw(st.lists(st.integers(0, len(picks) - 1), min_size=pixels, max_size=pixels))
+        return RegisterTable(n, picks, index)
+
+    first = table()
+    if draw(st.booleans()):
+        return first, RegisterTable(n, list(first.states), first.index.copy())
+    return first, table()
+
+
+def _dense(table):
+    """``table`` with each int entry replaced by its basis state."""
+    states = [
+        value if isinstance(value, StateVector) else basis_state(table.n, value)
+        for value in table.states
+    ]
+    return RegisterTable(table.n, states, table.index.copy())
+
+
+def _table_session(table):
+    return protocol.SessionStore(
+        n=table.n, backend=BACKEND_STATEVECTOR, master_seed=0, width=len(table),
+        height=1, session_id=bytes(16), registers=table,
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(mixed_table_pairs())
+def test_int_entries_compare_and_serialize_as_their_basis_states(tables):
+    first, second = tables
+    same_registers = all(
+        np.array_equal(a.amplitudes, b.amplitudes) for a, b in zip(first, second)
+    )
+    for a in (first, _dense(first)):
+        for b in (second, _dense(second)):
+            assert (a == b) is same_registers
+    for table in tables:
+        data = serialize_session(_table_session(table))
+        assert serialize_session(_table_session(_dense(table))) == data
+        assert deserialize_session(data).registers == table
 
 
 @pytest.mark.parametrize("backend", [BACKEND_STATEVECTOR, BACKEND_SAMPLED])
