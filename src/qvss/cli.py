@@ -284,14 +284,17 @@ def cmd_demo(args) -> int:
         image, 3, protocol.BACKEND_STATEVECTOR, seed
     )
     table = session.registers
-    rendered = [_format_state(register) for register in table]
+    # Each distinct entry is rendered once, and each pixel's entry read,
+    # before recovery collapses the table.
+    rendered = [_format_state(table.state(e)) for e in range(len(table.states))]
+    entries = table.index.tolist()
     recovered = protocol.recover_image(shares, session, seed)
     print(f"{'pixel':<7}{'state':<30}{'collapsed':<11}{'result':<8}color")
-    for l, state in enumerate(rendered, start=1):
+    for l, entry in enumerate(entries, start=1):
         outcome = index_to_bits(table.states[table.index[l - 1]], table.n)
         bit = recovered.pixel(l)
         print(
-            f"{l:<7}{state:<30}|{_format_bits(outcome)}>     "
+            f"{l:<7}{rendered[entry]:<30}|{_format_bits(outcome)}>     "
             f"|{bit}>     {'black' if bit else 'white'}"
         )
     match = recovered == image

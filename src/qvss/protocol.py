@@ -28,28 +28,31 @@ the image around it.
 
 File formats (all integers little-endian):
 
-* Share (.qvs), version 5: magic ``QVSS``, version u8, backend id u8
+* Share (.qvs), version 6: magic ``QVSS``, version u8, backend id u8
   (1=statevector, 2=sampled), n u16, participant u16, pixel count u32,
   width u32, height u32, session id (16 bytes); payload: nothing
   (statevector) or the share's bit plane (sampled); CRC32 trailer.
-* Session (.qvse), version 5: magic ``QVSE``, the same header fields with
+* Session (.qvse), version 6: magic ``QVSE``, the same header fields with
   the participant slot zeroed, then the master seed as u64, then
   - statevector: the register table length u32, then each table entry as
-    n u16, its support (a 2^n-bit map of the non-zero amplitudes, packed
-    MSB first with zero pad bits) and the little-endian complex128
-    amplitudes of the set bits in index order (the same bytes as re/im
-    float64 pairs), then one table index per pixel: packed MSB first at
-    one bit per pixel when the table has at most 2 entries (every fresh
-    session), else as u8, u16 or u32, the narrowest whose range holds the
-    table length; writers and readers cap the table's dense states at
-    ``MAX_SESSION_TABLE_BYTES`` (256 MiB);
+    its amplitude form u8, its support (a 2^n-bit map of the non-zero
+    amplitudes, packed MSB first with zero pad bits) and little-endian
+    complex128 amplitudes (the same bytes as re/im float64 pairs): form 1
+    stores one amplitude that every support bit shares (a parity state, a
+    basis state), form 0 one per set bit in index order, used only when
+    the amplitudes' bytes are not all equal; then one table
+    index per pixel: packed MSB first at one bit per pixel when the table
+    has at most 2 entries (every fresh session), else as u8, u16 or u32,
+    the narrowest whose range holds the table length; writers and readers
+    cap the table's dense states at ``MAX_SESSION_TABLE_BYTES`` (256 MiB);
   - sampled: the n bit planes in participant order, share j's body being
     bytes ``[(j-1)*P, j*P)`` of them, P = ceil(pixels/8);
   then a CRC32 trailer.
 
 Versions 1 (per-pixel registers), 2 (a u8 index for small tables), 3
-(sampled sessions packed row by row) and 4 (all 2^n amplitudes of each
-table entry) are rejected.  One check, ``_check_header``, bounds the
+(sampled sessions packed row by row), 4 (all 2^n amplitudes of each
+table entry) and 5 (one amplitude per support bit, after a u16 qubit
+count) are rejected.  One check, ``_check_header``, bounds the
 backend, n, the image sides and the session id, both in a file's header
 and in a share or session built in memory, so anything that can be
 written can be read back.
@@ -101,18 +104,22 @@ AUDIT_P_THRESHOLD = 0.001
 _BACKEND_IDS = {BACKEND_STATEVECTOR: 1, BACKEND_SAMPLED: 2}
 _BACKEND_NAMES = {v: k for k, v in _BACKEND_IDS.items()}
 
-_FORMAT_VERSION = 5
+_FORMAT_VERSION = 6
 _SHARE_MAGIC = b"QVSS"
 _SESSION_MAGIC = b"QVSE"
 
 _HEADER = struct.Struct("<4sBBHHIII16s")
 _SEED_FIELD = struct.Struct("<Q")
 _TABLE_LENGTH = struct.Struct("<I")
-_REGISTER_SIZE = struct.Struct("<H")
+_ENTRY_FORM = struct.Struct("<B")
 _CRC = struct.Struct("<I")
 
 #: The one stored amplitude of a basis state's table entry.
 _ONE = np.ones(1, dtype="<c16")
+
+#: A table entry's amplitude forms: one amplitude per support bit, or one
+#: that every support bit shares.
+_FORM_PER_BIT, _FORM_SHARED = 0, 1
 
 #: Session index widths, narrowest first.
 _INDEX_DTYPES = tuple(np.dtype(t) for t in ("<u1", "<u2", "<u4"))
@@ -580,9 +587,12 @@ def audit_subset(session: SessionStore, subset) -> AuditReport:
     Statevector sessions get exact per-pixel marginals; sampled sessions
     get empirical frequencies over pixels plus a chi-square uniformity
     test.  A proper subset of an honest session is uniform, hence the
-    "no-information" verdict; the full set decodes and gets
-    "full-recovery".  Subsets of more than ``MAX_QUBITS`` participants are
-    rejected before the 2^k pattern bins are allocated.
+    "no-information" verdict.  The full set gets "full-recovery" when every
+    pixel decodes to one colour: always for sampled sessions, and for
+    statevector sessions when the support of every entry some pixel points
+    at lies in one parity class; else "unreliable-recovery".  Subsets of
+    more than ``MAX_QUBITS`` participants are rejected before the 2^k
+    pattern bins are allocated.
     """
     subset = check_subset(session.n, subset)
     k = len(subset)
@@ -595,11 +605,13 @@ def audit_subset(session: SessionStore, subset) -> AuditReport:
     uniform = 1.0 / patterns
     is_full = k == session.n
     p_value = None
+    reliable = True  # every pixel's outcomes share one parity
 
     if session.backend == BACKEND_STATEVECTOR:
         # Pixels sharing a register share its marginal: one per entry,
         # weighted by how many pixels point at it.
         table = session.registers
+        parities = index_parities(1 << table.n) if is_full else None
         total = np.zeros(patterns)
         max_dev = 0.0
         for entry, count in enumerate(table.counts()):
@@ -608,6 +620,9 @@ def audit_subset(session: SessionStore, subset) -> AuditReport:
             marg = marginal_distribution(table.state(entry), subset).probabilities
             total += count * marg
             max_dev = max(max_dev, float(np.abs(marg - uniform).max()))
+            if is_full:
+                classes = parities[table._sparse(entry)[0]]
+                reliable = reliable and classes.min() == classes.max()
         distribution = total / session.pixel_count
     else:
         # Pattern index: participant subset[0]'s bit is the most significant;
@@ -623,7 +638,7 @@ def audit_subset(session: SessionStore, subset) -> AuditReport:
             p_value = float(chisquare(counts).pvalue)
 
     if is_full:
-        verdict = "full-recovery"
+        verdict = "full-recovery" if reliable else "unreliable-recovery"
     elif session.backend == BACKEND_STATEVECTOR:
         verdict = "no-information" if max_dev < AUDIT_TOLERANCE else "information-leak"
     else:
@@ -723,15 +738,25 @@ def _index_size(table_length: int, pixel_count: int) -> tuple[int, str]:
 
 
 def _entry_head_size(n: int) -> int:
-    """Bytes of a register table entry before its amplitudes: the qubit
-    count and the 2^n-bit support."""
-    return _REGISTER_SIZE.size + ((1 << n) + 7) // 8
+    """Bytes of a register table entry before its amplitudes: the amplitude
+    form and the 2^n-bit support."""
+    return _ENTRY_FORM.size + ((1 << n) + 7) // 8
 
 
 def _dense_table_size(length: int, n: int) -> int:
-    """Bytes of ``length`` dense n-qubit table entries, as a count u16 and
+    """Bytes of ``length`` dense n-qubit table entries, as a form byte and
     2^n complex128 amplitudes each: what ``MAX_SESSION_TABLE_BYTES`` caps."""
-    return length * (_REGISTER_SIZE.size + (16 << n))
+    return length * (_ENTRY_FORM.size + (16 << n))
+
+
+def _stored_amplitudes(amplitudes: np.ndarray) -> tuple[int, np.ndarray]:
+    """A table entry's amplitude form and the amplitudes the file stores:
+    the first alone when all of them equal it bit for bit (so the sign of
+    a zero component survives), else all."""
+    bits = np.ascontiguousarray(amplitudes, "<c16").view("<u8").reshape(-1, 2)
+    if (bits == bits[0]).all():
+        return _FORM_SHARED, amplitudes[:1]
+    return _FORM_PER_BIT, amplitudes
 
 
 def serialize_session(session: SessionStore) -> bytearray:
@@ -759,7 +784,9 @@ def serialize_session(session: SessionStore) -> bytearray:
     packed = len(used) <= _PACKED_INDEX_ENTRIES
     all_used = len(used) == len(table.states)
     # Each entry's sparse view is built where it is needed and dropped.
-    amplitude_count = sum(len(table._sparse(entry)[0]) for entry in used)
+    amplitude_count = sum(
+        len(_stored_amplitudes(table._sparse(entry)[1])[1]) for entry in used
+    )
     table_bytes = len(used) * _entry_head_size(table.n) + 16 * amplitude_count
 
     def parts():
@@ -767,11 +794,12 @@ def serialize_session(session: SessionStore) -> bytearray:
         yield _TABLE_LENGTH.pack(len(used))
         for entry in used:
             support, amplitudes = table._sparse(entry)
+            form, stored = _stored_amplitudes(amplitudes)
             bits = np.zeros(1 << table.n, dtype=bool)
             bits[support] = True
-            yield _REGISTER_SIZE.pack(table.n)
+            yield _ENTRY_FORM.pack(form)
             yield np.packbits(bits)
-            yield np.ascontiguousarray(amplitudes, "<c16")
+            yield np.ascontiguousarray(stored, "<c16")
         for part in _chunks(len(table)):
             # With every entry used, the index is its own renumbering.
             index = table.index[part] if all_used else lookup[table.index[part]]
@@ -785,7 +813,7 @@ def serialize_session(session: SessionStore) -> bytearray:
 def _read_register_table(body, n: int, pixel_count: int) -> RegisterTable:
     """Parse a register table plus index, checking every size first: the
     table length against the bytes left and the cap, then each entry's
-    amplitude count, then the index size."""
+    amplitude form and stored amplitude count, then the index size."""
     if len(body) < _TABLE_LENGTH.size:
         raise FormatError("truncated session file: missing register table length")
     (length,) = _TABLE_LENGTH.unpack_from(body)
@@ -805,27 +833,28 @@ def _read_register_table(body, n: int, pixel_count: int) -> RegisterTable:
         )
 
     dim = 1 << n
-    entries = []  # (support, amplitude offset, amplitude count) per entry
+    entries = []  # (support, form, support bits, amplitude offset) per entry
     for entry in range(length):
-        (reg_n,) = _REGISTER_SIZE.unpack_from(body, offset)
-        if reg_n != n:
+        (form,) = _ENTRY_FORM.unpack_from(body, offset)
+        if form not in (_FORM_PER_BIT, _FORM_SHARED):
             raise FormatError(
-                f"register table entry {entry} declares {reg_n} qubits, "
-                f"session declares {n}"
+                f"register table entry {entry} has amplitude form {form}, expected "
+                f"{_FORM_PER_BIT} or {_FORM_SHARED}"
             )
-        start = offset + _REGISTER_SIZE.size
+        start = offset + _ENTRY_FORM.size
         offset += head
         support = _bit_planes(body[start:offset], dim, f"register table entry {entry} support")
         count = int(np.count_nonzero(np.unpackbits(support)))
+        amplitude_bytes = 16 if form == _FORM_SHARED else 16 * count
         # The heads of the entries after this one are already counted.
         left = len(body) - offset - (length - entry - 1) * head
-        if 16 * count > left:
+        if amplitude_bytes > left:
             raise FormatError(
-                f"register table entry {entry} support needs {16 * count} bytes "
+                f"register table entry {entry} support needs {amplitude_bytes} bytes "
                 f"of amplitudes, only {left} remain"
             )
-        entries.append((support, offset, count))
-        offset += 16 * count
+        entries.append((support, form, count, offset))
+        offset += amplitude_bytes
     index_size, width = _index_size(length, pixel_count)
     if len(body) - offset != index_size:
         raise FormatError(
@@ -834,8 +863,9 @@ def _read_register_table(body, n: int, pixel_count: int) -> RegisterTable:
         )
 
     states = []
-    for entry, (support, start, count) in enumerate(entries):
-        stored = np.frombuffer(body, dtype="<c16", count=count, offset=start)
+    for entry, (support, form, count, start) in enumerate(entries):
+        shared = form == _FORM_SHARED
+        stored = np.frombuffer(body, dtype="<c16", count=1 if shared else count, offset=start)
         # Bounding every component first keeps the squares finite, and
         # also rejects NaN, which the norm comparison below would pass.
         peak = float(np.abs(stored.view("<f8")).max(initial=0.0))
@@ -845,14 +875,23 @@ def _read_register_table(body, n: int, pixel_count: int) -> RegisterTable:
                 f"component has magnitude {peak:.3e}"
             )
         norm = float((np.abs(stored) ** 2).sum())
+        if shared:  # the one amplitude stands for every support bit
+            norm *= count
         if abs(norm - 1.0) > NORM_GUARD:
             raise FormatError(
                 f"register table entry {entry} norm deviates from 1 by "
                 f"{abs(norm - 1.0):.3e}"
             )
-        if np.count_nonzero(stored) != count:
+        if not stored.all():
             raise FormatError(f"register table entry {entry} support holds a zero amplitude")
+        # One table has one encoding: form 0 only where the writer uses it.
+        if not shared and _stored_amplitudes(stored)[0] == _FORM_SHARED:
+            raise FormatError(
+                f"register table entry {entry} stores {count} equal amplitudes "
+                f"in form {_FORM_PER_BIT}, expected form {_FORM_SHARED}"
+            )
         amplitudes = np.zeros(dim, dtype=np.complex128)
+        # A form-1 entry's one amplitude is broadcast over its support.
         amplitudes[np.unpackbits(support, count=dim).view(bool)] = stored
         states.append(StateVector(n, amplitudes))
 

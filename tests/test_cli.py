@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -11,6 +12,7 @@ import pytest
 from qvss import baseline, protocol
 from qvss.cli import main
 from qvss.image_io import BinaryImage, from_pixel_list, read_pbm, write_pbm
+from qvss.statevector import StateVector
 
 DEMO_IMAGE = from_pixel_list(4, 1, [0, 1, 1, 0])
 
@@ -168,7 +170,7 @@ def test_recover_of_a_version_2_file_exits_3(secret, tmp_path, capsys, old):
     out = tmp_path / "shares"
     main(share_args(secret, out, backend="sampled"))
     what = "session" if old.endswith(".qvse") else "share"
-    for version in (2, 3, 4):
+    for version in (2, 3, 4, 5):
         _with_version(out / old, version)
         rc = main(
             [
@@ -202,6 +204,19 @@ def test_audit_full_subset(secret, tmp_path, capsys):
     rc = main(["audit", "--session", str(out / "session.qvse"), "--subset", "1,2,3"])
     assert rc == 0
     assert "verdict: full-recovery" in capsys.readouterr().out
+
+
+def test_audit_of_a_uniform_superposition_reads_unreliable_recovery(tmp_path, capsys):
+    image = from_pixel_list(8, 8, [0, 1] * 32)
+    session, _ = protocol.share_image(image, 3, protocol.BACKEND_STATEVECTOR, 5)
+    uniform = StateVector(3, np.full(8, 8**-0.5, dtype=np.complex128))
+    registers = protocol.RegisterTable(3, [uniform], np.zeros(64, dtype=np.uint8))
+    path = tmp_path / "session.qvse"
+    path.write_bytes(
+        protocol.serialize_session(dataclasses.replace(session, registers=registers))
+    )
+    assert main(["audit", "--session", str(path), "--subset", "1,2,3"]) == 0
+    assert "verdict: unreliable-recovery" in capsys.readouterr().out
 
 
 def test_audit_bad_subset(secret, tmp_path):

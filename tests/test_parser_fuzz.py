@@ -40,18 +40,24 @@ IMAGE = BinaryImage(5, 3, np.random.default_rng(1).integers(0, 2, size=15))
 
 
 def _mixed_session(n):
-    """A statevector session whose table entries have different supports:
-    a parity state, a collapsed basis state and a state with all 2^n
-    amplitudes non-zero.  At n=2 each support has 4 pad bits."""
+    """A statevector session whose table entries have different supports
+    and amplitude forms: a parity state, a collapsed basis state, a state
+    with all 2^n amplitudes non-zero, the uniform superposition of all 2^n
+    strings and the colour-1 parity state with a sign flipped on |0..010>.
+    At n=2 each support has 4 pad bits."""
     session, _ = share_image(IMAGE, n, BACKEND_STATEVECTOR, 9)
     rng = np.random.default_rng(n)
     full = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+    leak = prepare_parity_state_direct(ParitySpec(n, 1)).amplitudes.copy()
+    leak[0b010] *= -1
     states = [
         prepare_parity_state_direct(ParitySpec(n, 0)),
         1,
         StateVector(n, full / np.linalg.norm(full)),
+        StateVector(n, np.full(1 << n, (1 << n) ** -0.5, dtype=np.complex128)),
+        StateVector(n, leak),
     ]
-    table = RegisterTable(n, states, np.arange(IMAGE.pixel_count) % 3)
+    table = RegisterTable(n, states, np.arange(IMAGE.pixel_count) % 5)
     return dataclasses.replace(session, registers=table)
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import re
 import struct
 import tracemalloc
 import warnings
@@ -250,6 +251,29 @@ def test_audit_full_subset_reports_recovery():
     assert np.count_nonzero(per_pixel > 1e-15) == 4
 
 
+def _uniform_session(n=3, side=8):
+    """A session whose one entry is the uniform superposition of all 2^n
+    strings: no pixel's outcome parity is fixed."""
+    image = random_image(side, side, seed=4)
+    session, shares = share_image(image, n, BACKEND_STATEVECTOR, 5)
+    uniform = StateVector(n, np.full(1 << n, (1 << n) ** -0.5, dtype=np.complex128))
+    table = RegisterTable(n, [uniform], np.zeros(image.pixel_count, dtype=np.uint8))
+    return dataclasses.replace(session, registers=table), shares, image
+
+
+def test_a_full_set_audit_reads_full_recovery_only_if_every_entry_has_one_parity():
+    session, shares, image = _uniform_session()
+    report = audit_subset(session, [1, 2, 3])
+    assert report.verdict == "unreliable-recovery"
+    np.testing.assert_allclose(report.distribution, np.full(8, 1 / 8), atol=1e-15)
+    assert audit_subset(session, [3, 1]).verdict == "no-information"
+    assert recover_image(shares, session, 1) != image
+    # Measured, every pixel holds a basis state: one parity each.
+    assert audit_subset(session, [1, 2, 3]).verdict == "full-recovery"
+    # A biased basis entry decodes to one colour, so it is reliable too.
+    assert audit_subset(tampered_session()[0], [1, 2, 3]).verdict == "full-recovery"
+
+
 def test_audit_five_of_six_uniform():
     image = from_pixel_list(2, 1, [0, 1])
     session, _ = share_image(image, 6, BACKEND_STATEVECTOR, 8)
@@ -363,7 +387,7 @@ def test_share_header_layout():
     _, shares = share_image(DEMO_IMAGE, 3, BACKEND_STATEVECTOR, 42)
     data = serialize_share(shares[0])
     assert data[:4] == b"QVSS"
-    assert data[4] == 5  # version
+    assert data[4] == 6  # version
     assert data[5] == 1  # statevector backend id
     assert int.from_bytes(data[6:8], "little") == 3  # n
     assert int.from_bytes(data[8:10], "little") == 1  # participant
@@ -446,20 +470,24 @@ def recrc(blob: bytes) -> bytes:
 
 def _table_entries(data, offset: int, n: int, length: int, sparse: bool):
     """The amplitudes of the ``length`` register table entries at
-    ``offset``, each stored as a version 5 support and its non-zero
-    amplitudes (``sparse``) or as all 2^n of them, and the offset after."""
+    ``offset``, each stored as a version 6 amplitude form, support and
+    stored amplitudes (``sparse``: one shared by the support in form 1, one
+    per support bit in form 0) or as a qubit count u16 and all 2^n
+    amplitudes, and the offset after."""
     entries = []
     for _ in range(length):
-        offset += 2  # the entry's qubit count
         if sparse:
+            form = data[offset]
+            offset += 1
             bitmap = np.frombuffer(data, np.uint8, ((1 << n) + 7) // 8, offset)
             support = np.unpackbits(bitmap, count=1 << n).astype(bool)
-            count = int(support.sum())
+            count = 1 if form == 1 else int(support.sum())
             offset += bitmap.size
             amplitudes = np.zeros(1 << n, dtype="<c16")
             amplitudes[support] = np.frombuffer(data, "<c16", count, offset)
             offset += 16 * count
         else:
+            offset += 2  # the entry's qubit count
             amplitudes = np.frombuffer(data, "<c16", 1 << n, offset)
             offset += 16 << n
         entries.append(amplitudes)
@@ -470,20 +498,23 @@ def _table_bytes(entries, n: int, sparse: bool) -> bytes:
     """The inverse of ``_table_entries``."""
     out = b""
     for amplitudes in entries:
-        out += struct.pack("<H", n)
         if sparse:
             support = amplitudes != 0
-            out += np.packbits(support).tobytes() + amplitudes[support].tobytes()
+            stored = amplitudes[support]
+            bits = stored.view("<u8").reshape(-1, 2)
+            shared = bool((bits == bits[0]).all())
+            out += bytes([shared]) + np.packbits(support).tobytes()
+            out += stored[:1].tobytes() if shared else stored.tobytes()
         else:
-            out += amplitudes.tobytes()
+            out += struct.pack("<H", n) + amplitudes.tobytes()
     return out
 
 
 def _convert(blob: bytes, version: int, index_bytes, bits_bytes) -> bytes:
     """``blob`` with its version byte set and its CRC32 recomputed.  In a
     statevector session, the register table entries are stored as
-    ``version`` stores them (version 5: support and non-zero amplitudes;
-    before: all 2^n amplitudes), and in a table of at most two entries,
+    ``version`` stores them (version 6: amplitude form, support and stored
+    amplitudes; version 2: all 2^n amplitudes), and in a table of at most two entries,
     the register index bytes become ``index_bytes(index, pixels)``; in a
     sampled session, the bytes after the seed become
     ``bits_bytes(bits, n, pixels)``."""
@@ -494,11 +525,11 @@ def _convert(blob: bytes, version: int, index_bytes, bits_bytes) -> bytes:
     if magic == b"QVSE" and backend == 1:
         (length,) = struct.unpack_from("<I", data, offset)
         offset += TABLE_LENGTH_SIZE
-        entries, start = _table_entries(bytes(data), offset, n, length, source == 5)
+        entries, start = _table_entries(bytes(data), offset, n, length, source == 6)
         index = bytes(data[start:])
         if length <= 2:
             index = index_bytes(np.frombuffer(index, np.uint8), pixels)
-        data[offset:] = _table_bytes(entries, n, version == 5) + index
+        data[offset:] = _table_bytes(entries, n, version == 6) + index
     elif magic == b"QVSE":
         bits = np.frombuffer(bytes(data[offset:]), np.uint8)
         data[offset:] = bits_bytes(bits, n, pixels)
@@ -506,7 +537,7 @@ def _convert(blob: bytes, version: int, index_bytes, bits_bytes) -> bytes:
 
 
 def _as_v2(blob: bytes) -> bytes:
-    """A version 5 file as version 2 wrote it: the same registers, with each
+    """A version 6 file as version 2 wrote it: the same registers, with each
     table entry's 2^n amplitudes in full, a 1-bit register index widened to
     one u8 per pixel, and a sampled session's n bit planes turned into its
     (pixels, n) bit matrix packed row by row."""
@@ -520,11 +551,11 @@ def _as_v2(blob: bytes) -> bytes:
     )
 
 
-def _as_v5(blob: bytes) -> bytes:
-    """A version 2 file as version 5 writes it: the inverse of ``_as_v2``."""
+def _as_v6(blob: bytes) -> bytes:
+    """A version 2 file as version 6 writes it: the inverse of ``_as_v2``."""
     return _convert(
         blob,
-        5,
+        6,
         lambda index, pixels: np.packbits(index).tobytes(),
         lambda rows, n, pixels: np.packbits(
             np.unpackbits(rows, count=pixels * n).reshape(pixels, n).T, axis=1
@@ -660,8 +691,8 @@ def test_session_rejects_index_value_beyond_table():
 def test_session_rejects_table_entry_with_bad_norm():
     session, _ = share_image(DEMO_IMAGE, 3, BACKEND_STATEVECTOR, 42)
     data = bytearray(serialize_session(session))
-    # Entry 0's first stored re, after its qubit count and 8-bit support.
-    offset = HEADER_SIZE + SEED_SIZE + TABLE_LENGTH_SIZE + 2 + 1
+    # Entry 0's first stored re, after its form byte and 8-bit support.
+    offset = HEADER_SIZE + SEED_SIZE + TABLE_LENGTH_SIZE + 1 + 1
     data[offset : offset + 8] = struct.pack("<d", 2.0)
     with pytest.raises(FormatError, match="table entry 0 norm"):
         deserialize_session(recrc(bytes(data)))
@@ -774,8 +805,8 @@ PARENT_SAMPLED_OUTCOMES = [
 
 
 def test_sampled_files_from_the_tuple_implementation_still_recover():
-    shares = [deserialize_share(_as_v5(bytes.fromhex(h))) for h in PARENT_SAMPLED_SHARES]
-    session = deserialize_session(_as_v5(bytes.fromhex(PARENT_SAMPLED_SESSION)))
+    shares = [deserialize_share(_as_v6(bytes.fromhex(h))) for h in PARENT_SAMPLED_SHARES]
+    session = deserialize_session(_as_v6(bytes.fromhex(PARENT_SAMPLED_SESSION)))
     np.testing.assert_array_equal(_rows(session), PARENT_SAMPLED_OUTCOMES)
     image = from_pixel_list(3, 2, [0, 1, 1, 0, 1, 1])
     assert recover_image(shares, session, 1) == image
@@ -894,8 +925,8 @@ def test_header_sides_outside_the_image_cap_are_rejected(backend, width, height,
 def test_session_rejects_a_huge_or_non_finite_amplitude_without_warning(value):
     session, _ = share_image(DEMO_IMAGE, 3, BACKEND_STATEVECTOR, 42)
     data = bytearray(serialize_session(session))
-    # Entry 0's first stored re, after its qubit count and 8-bit support.
-    offset = HEADER_SIZE + SEED_SIZE + TABLE_LENGTH_SIZE + 2 + 1
+    # Entry 0's first stored re, after its form byte and 8-bit support.
+    offset = HEADER_SIZE + SEED_SIZE + TABLE_LENGTH_SIZE + 1 + 1
     data[offset : offset + 8] = struct.pack("<d", value)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -1159,7 +1190,7 @@ def test_session_table_over_the_cap_raises_before_allocating():
     session, shares = share_image(image, 14, BACKEND_STATEVECTOR, 4)
     recover_image(shares, session, 5)
     entries = np.count_nonzero(session.registers.counts())
-    needed = entries * (2 + 16 * (1 << 14))
+    needed = entries * (1 + 16 * (1 << 14))
     assert needed > MAX_SESSION_TABLE_BYTES
     tracemalloc.start()
     try:
@@ -1233,12 +1264,11 @@ def test_statevector_session_file_round_trips(width, height, n, seed, recovered)
         index_size = (pixels + 7) // 8
     else:
         index_size = pixels * (1 if entries <= 255 else 2)
-    # A fresh entry stores its parity's 2^(n-1) amplitudes, a collapsed one 1.
-    amplitudes = 1 if recovered else 1 << (n - 1)
+    # A fresh entry and a collapsed one both store one shared amplitude.
     data = serialize_session(session)
     assert len(data) == (
         HEADER_SIZE + SEED_SIZE + TABLE_LENGTH_SIZE
-        + entries * (2 + ((1 << n) + 7) // 8 + 16 * amplitudes) + index_size + CRC_SIZE
+        + entries * (1 + ((1 << n) + 7) // 8 + 16) + index_size + CRC_SIZE
     )
     restored = deserialize_session(data)
     assert restored == session
@@ -1281,7 +1311,7 @@ def test_a_fresh_session_at_the_size_cap_is_3_mib_and_serializes_in_32():
     session, _ = share_image(image, 16, BACKEND_STATEVECTOR, 2)
     del image
     data, peak = _traced_peak(serialize_session, session)
-    entry = 2 + (1 << 16) // 8 + 16 * (1 << 15)
+    entry = 1 + (1 << 16) // 8 + 16
     assert len(data) == 38 + 8 + 4 + 2 * entry + (4096 * 4096) // 8 + 4
     assert peak < 32 << 20
 
@@ -1293,8 +1323,8 @@ def test_a_recovered_session_is_written_without_a_second_copy():
     entries = int(np.count_nonzero(session.registers.counts()))
     assert entries > 255  # a u16 index
     data, peak = _traced_peak(serialize_session, session)
-    # Each collapsed entry: its qubit count, a 1024-bit support, one amplitude.
-    assert len(data) == 38 + 8 + 4 + entries * (2 + 128 + 16) + 64 * 64 * 2 + 4
+    # Each collapsed entry: its form byte, a 1024-bit support, one amplitude.
+    assert len(data) == 38 + 8 + 4 + entries * (1 + 128 + 16) + 64 * 64 * 2 + 4
     assert peak < 1.25 * len(data)
 
 
@@ -1374,17 +1404,24 @@ TABLE_START = HEADER_SIZE + SEED_SIZE + TABLE_LENGTH_SIZE
 
 def _mixed_session(n):
     """A 5x3 statevector session whose table entries have different
-    supports: a parity state, a collapsed basis state and a state with all
-    2^n amplitudes non-zero."""
+    supports and amplitude forms: a parity state, a collapsed basis state
+    and the uniform superposition of all 2^n strings (one shared amplitude
+    each), a state with all 2^n amplitudes different, and the colour-1
+    parity state with the sign of |0..010>'s amplitude flipped (-1/2 at
+    n=3; equal magnitudes, unequal amplitudes: one per support bit)."""
     session, _ = share_image(random_image(5, 3, seed=1), n, BACKEND_STATEVECTOR, 9)
     rng = np.random.default_rng(n)
     full = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+    leak = prepare_parity_state_direct(ParitySpec(n, 1)).amplitudes.copy()
+    leak[0b010] *= -1
     states = [
         prepare_parity_state_direct(ParitySpec(n, 1)),
         (1 << n) - 1,
         StateVector(n, full / np.linalg.norm(full)),
+        StateVector(n, np.full(1 << n, (1 << n) ** -0.5, dtype=np.complex128)),
+        StateVector(n, leak),
     ]
-    table = RegisterTable(n, states, np.arange(15) % 3)
+    table = RegisterTable(n, states, np.arange(15) % 5)
     return dataclasses.replace(session, registers=table)
 
 
@@ -1393,9 +1430,9 @@ def test_a_fresh_n8_session_file_is_two_half_supports_and_a_packed_index():
     session, _ = share_image(image, 8, BACKEND_STATEVECTOR, 3)
     assert len(session.registers.states) == 2
     data = serialize_session(session)
-    # Per entry: its qubit count, a 256-bit support, 128 non-zero amplitudes.
+    # Per entry: its form byte, a 256-bit support, one shared amplitude.
     assert len(data) == (
-        HEADER_SIZE + SEED_SIZE + 4 + 2 * (2 + 32 + 128 * 16) + (91 + 7) // 8 + CRC_SIZE
+        HEADER_SIZE + SEED_SIZE + 4 + 2 * (1 + 32 + 16) + (91 + 7) // 8 + CRC_SIZE
     )
     assert deserialize_session(data) == session
 
@@ -1408,11 +1445,11 @@ def test_a_collapsed_session_stores_each_entry_as_a_one_bit_support():
     data = serialize_session(session)
     assert struct.unpack_from("<I", data, HEADER_SIZE + SEED_SIZE) == (len(outcomes),)
     for entry, outcome in enumerate(outcomes):
-        offset = TABLE_START + entry * (2 + 2 + 16)
-        assert struct.unpack_from("<H", data, offset) == (4,)
-        support = np.unpackbits(np.frombuffer(data, np.uint8, 2, offset + 2))
+        offset = TABLE_START + entry * (1 + 2 + 16)
+        assert data[offset] == 1  # one shared amplitude
+        support = np.unpackbits(np.frombuffer(data, np.uint8, 2, offset + 1))
         assert np.flatnonzero(support).tolist() == [outcome]
-        assert struct.unpack_from("<dd", data, offset + 4) == (1.0, 0.0)
+        assert struct.unpack_from("<dd", data, offset + 3) == (1.0, 0.0)
     restored = deserialize_session(data)
     assert restored == session
     assert serialize_session(restored) == data
@@ -1423,13 +1460,14 @@ def test_entries_of_every_support_round_trip(n):
     session = _mixed_session(n)
     data = serialize_session(session)
     support = ((1 << n) + 7) // 8
-    amplitudes = (1 << (n - 1)) + 1 + (1 << n)
+    # Shared: the parity, basis and uniform entries; one per bit: the rest.
+    amplitudes = 1 + 1 + (1 << n) + 1 + (1 << (n - 1))
     assert len(data) == (
-        TABLE_START + 3 * (2 + support) + 16 * amplitudes + 15 + CRC_SIZE
+        TABLE_START + 5 * (1 + support) + 16 * amplitudes + 15 + CRC_SIZE
     )
     restored = deserialize_session(data)
     assert restored == session
-    for entry in range(3):
+    for entry in range(5):
         np.testing.assert_array_equal(
             restored.registers.state(entry).amplitudes,
             session.registers.state(entry).amplitudes,
@@ -1439,8 +1477,8 @@ def test_entries_of_every_support_round_trip(n):
 
 def test_an_n2_support_with_a_set_pad_bit_names_its_entry():
     data = bytearray(serialize_session(_mixed_session(2)))
-    # Entry 0 holds 2 amplitudes; entry 1's support is one byte, 4 bits used.
-    offset = TABLE_START + (2 + 1 + 2 * 16) + 2
+    # Entry 0 holds 1 shared amplitude; entry 1's support is one byte, 4 bits used.
+    offset = TABLE_START + (1 + 1 + 16) + 1
     assert data[offset] == 0b0001_0000  # basis state 3
     data[offset] |= 0b0000_0001
     message = "register table entry 1 support has non-zero pad bits after bit 4"
@@ -1451,7 +1489,8 @@ def test_an_n2_support_with_a_set_pad_bit_names_its_entry():
 def test_a_support_whose_amplitudes_run_past_the_body_raises_before_allocating():
     session, _ = share_image(from_pixel_list(2, 2, [1] * 4), 16, BACKEND_STATEVECTOR, 8)
     data = bytearray(serialize_session(session))
-    support = TABLE_START + 2
+    data[TABLE_START] = 0  # one amplitude per support bit
+    support = TABLE_START + 1
     data[support : support + (1 << 16) // 8] = b"\xff" * ((1 << 16) // 8)
     data = recrc(bytes(data))
     tracemalloc.start()
@@ -1464,7 +1503,7 @@ def test_a_support_whose_amplitudes_run_past_the_body_raises_before_allocating()
     assert peak < 1 << 18  # the entry's dense state would take 1 MiB
     assert str(err.value) == (
         "register table entry 0 support needs 1048576 bytes of amplitudes, "
-        "only 524289 remain"
+        "only 17 remain"
     )
 
 
@@ -1483,7 +1522,7 @@ def test_a_table_length_of_2_32_minus_1_is_refused_up_front():
         tracemalloc.stop()
     assert peak < 1 << 16
     assert str(err.value) == (
-        f"register table length {2**32 - 1} needs at least {(2**32 - 1) * (2 + 8192)} "
+        f"register table length {2**32 - 1} needs at least {(2**32 - 1) * (1 + 8192)} "
         f"bytes, only {remaining} remain"
     )
 
@@ -1495,11 +1534,11 @@ def test_a_table_over_the_session_cap_is_refused_before_it_is_read():
     entries = 300
     body = (
         struct.pack("<QI", 42, entries)
-        + (struct.pack("<H", 16) + bytes(8192)) * entries
+        + bytes(1 + 8192) * entries
         + bytes(4 * 2)
     )
     data = with_header(bytes(serialize_session(session)), body)
-    dense = entries * (2 + (16 << 16))
+    dense = entries * (1 + (16 << 16))
     assert dense > MAX_SESSION_TABLE_BYTES
     tracemalloc.start()
     try:
@@ -1518,16 +1557,128 @@ def test_a_table_over_the_session_cap_is_refused_before_it_is_read():
 def test_a_support_bit_on_a_zero_amplitude_is_rejected():
     session, _ = share_image(DEMO_IMAGE, 3, BACKEND_STATEVECTOR, 42)
     data = bytes(serialize_session(session))[:-CRC_SIZE]
-    support = TABLE_START + 2
+    support = TABLE_START + 1
     assert data[support] == 0b1001_0110  # entry 0: even parity, 0, 3, 5 and 6
-    # Mark index 1 too, and store a zero for it after index 0's amplitude.
-    second = support + 1 + 16
+    # Store entry 0 one amplitude per bit, mark index 1 too, and store a
+    # zero for it after index 0's amplitude.
+    amplitude = data[support + 1 : support + 17]
     data = (
-        data[:support] + bytes([0b1101_0110]) + data[support + 1 : second]
-        + bytes(16) + data[second:]
+        data[:TABLE_START] + bytes([0, 0b1101_0110]) + amplitude + bytes(16)
+        + amplitude * 3 + data[support + 17 :]
     )
     with pytest.raises(FormatError, match="register table entry 0 support holds a zero"):
         deserialize_session(recrc(data + bytes(CRC_SIZE)))
+
+
+# --- one shared amplitude or one per support bit (format v6) ---
+
+
+def _entry_heads(data, n: int) -> list[tuple[int, int]]:
+    """The offset and amplitude form of each register table entry."""
+    (length,) = struct.unpack_from("<I", data, TABLE_START - TABLE_LENGTH_SIZE)
+    heads, offset, support = [], TABLE_START, ((1 << n) + 7) // 8
+    for _ in range(length):
+        form = data[offset]
+        bits = np.unpackbits(np.frombuffer(data, np.uint8, support, offset + 1))
+        heads.append((offset, form))
+        offset += 1 + support + 16 * (1 if form == 1 else int(bits.sum()))
+    return heads
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_an_entry_shares_one_amplitude_only_if_all_are_equal(n):
+    data = serialize_session(_mixed_session(n))
+    # Parity, basis and uniform entries share one; the random and the
+    # sign-flipped entries (equal magnitudes, unequal amplitudes) do not.
+    assert [form for _, form in _entry_heads(data, n)] == [1, 1, 0, 1, 0]
+
+
+def _with_entry_3(edit) -> bytes:
+    """``_mixed_session(3)``'s file, with ``edit(data, offset)`` applied to
+    entry 3 (the uniform superposition, one shared amplitude 8^-1/2)."""
+    data = bytearray(serialize_session(_mixed_session(3)))
+    offset, form = _entry_heads(data, 3)[3]
+    assert form == 1 and data[offset + 1] == 0xFF
+    edit(data, offset)
+    return recrc(bytes(data))
+
+
+def test_an_amplitude_form_of_2_names_its_entry():
+    data = _with_entry_3(lambda data, offset: data.__setitem__(offset, 2))
+    message = "register table entry 3 has amplitude form 2, expected 0 or 1"
+    with pytest.raises(FormatError, match=message):
+        deserialize_session(data)
+
+
+def _shared_amplitude(value: complex):
+    def edit(data, offset):
+        data[offset + 2 : offset + 18] = struct.pack("<dd", value.real, value.imag)
+
+    return edit
+
+
+@pytest.mark.parametrize("off", [2, -2])
+def test_a_shared_amplitude_whose_norm_is_off_names_its_entry(off):
+    # popcount * |a|^2 = 8 |a|^2 is 1 + off * NORM_GUARD.
+    guard = protocol.NORM_GUARD
+    amplitude = ((1 + off * guard) / 8) ** 0.5
+    with pytest.raises(FormatError, match="register table entry 3 norm deviates from 1"):
+        deserialize_session(_with_entry_3(_shared_amplitude(amplitude)))
+    within = ((1 + off * guard / 4) / 8) ** 0.5
+    restored = deserialize_session(_with_entry_3(_shared_amplitude(within)))
+    np.testing.assert_array_equal(restored.registers.state(3).amplitudes, np.full(8, within))
+
+
+@pytest.mark.parametrize(
+    "amplitude,message",
+    [
+        (0j, "norm deviates from 1 by 1.000e+00"),
+        (complex(float("nan"), 0.0), "norm cannot be 1"),
+        (complex(0.0, float("nan")), "norm cannot be 1"),
+    ],
+)
+def test_a_zero_or_nan_shared_amplitude_names_its_entry(amplitude, message):
+    with pytest.raises(FormatError, match=re.escape(f"register table entry 3 {message}")):
+        deserialize_session(_with_entry_3(_shared_amplitude(amplitude)))
+
+
+@pytest.mark.parametrize("value", [1e300, float("inf"), float("nan")])
+def test_a_huge_or_non_finite_per_bit_amplitude_names_its_entry(value):
+    # Entry 2 of _mixed_session stores one amplitude per support bit.
+    data = bytearray(serialize_session(_mixed_session(3)))
+    offset, form = _entry_heads(data, 3)[2]
+    assert form == 0
+    data[offset + 2 : offset + 10] = struct.pack("<d", value)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FormatError, match="register table entry 2 norm cannot be 1"):
+            deserialize_session(recrc(bytes(data)))
+
+
+def test_equal_amplitudes_in_form_0_name_their_entry():
+    # Entry 3's 8 equal amplitudes, one per support bit: the form the
+    # writer never uses for them, so a table has one encoding.
+    amplitude = struct.pack("<dd", 8**-0.5, 0.0)
+
+    def edit(data, offset):
+        data[offset : offset + 18] = bytes([0, 0xFF]) + 8 * amplitude
+
+    message = "register table entry 3 stores 8 equal amplitudes in form 0, expected form 1"
+    with pytest.raises(FormatError, match=message):
+        deserialize_session(_with_entry_3(edit))
+
+
+def test_amplitudes_equal_but_for_the_sign_of_a_zero_keep_it():
+    session = _mixed_session(3)
+    amplitudes = prepare_parity_state_direct(ParitySpec(3, 0)).amplitudes.copy()
+    amplitudes[0b011] = complex(0.5, -0.0)
+    states = session.registers.states[:4] + [StateVector(3, amplitudes)]
+    table = RegisterTable(3, states, session.registers.index)
+    session = dataclasses.replace(session, registers=table)
+    data = serialize_session(session)
+    assert [form for _, form in _entry_heads(data, 3)] == [1, 1, 0, 1, 0]
+    restored = deserialize_session(data).registers.state(4).amplitudes
+    assert restored.view(np.uint64).tolist() == amplitudes.view(np.uint64).tolist()
 
 
 # --- an altered sampled share is rejected ---
