@@ -33,29 +33,28 @@ File formats (all integers little-endian):
   width u32, height u32, session id (16 bytes); payload: nothing
   (statevector) or the share's bit plane (sampled); CRC32 trailer.
 * Session (.qvse), version 6: magic ``QVSE``, the same header fields with
-  the participant slot zeroed, then the master seed as u64, then
-  - statevector: the register table length u32, then each table entry as
-    its amplitude form u8, its support (a 2^n-bit map of the non-zero
-    amplitudes, packed MSB first with zero pad bits) and little-endian
-    complex128 amplitudes (the same bytes as re/im float64 pairs): form 1
-    stores one amplitude that every support bit shares (a parity state, a
-    basis state), form 0 one per set bit in index order, used only when
-    the amplitudes' bytes are not all equal; then one table
-    index per pixel: packed MSB first at one bit per pixel when the table
-    has at most 2 entries (every fresh session), else as u8, u16 or u32,
-    the narrowest whose range holds the table length; writers and readers
-    cap the table's dense states at ``MAX_SESSION_TABLE_BYTES`` (256 MiB);
+  the participant slot zero, then the master seed as u64, then
+  - statevector: the register table as it is held, unused entries
+    included (``share_image`` makes one per colour present): its length
+    u32, then each entry as its amplitude form u8, its support (a 2^n-bit
+    map of the non-zero amplitudes, packed MSB first with zero pad bits)
+    and little-endian complex128 amplitudes (the same bytes as re/im
+    float64 pairs): form 1 stores one amplitude that every support bit
+    shares (a parity state, a basis state), form 0 one per set bit in
+    index order, used only when the amplitudes' bytes are not all equal;
+    then one table index per pixel: packed MSB first at one bit per pixel
+    when the table has at most 2 entries (every fresh session), else as
+    u8, u16 or u32, the narrowest whose range holds the table length;
+    writers and readers cap the table's dense states at
+    ``MAX_SESSION_TABLE_BYTES`` (256 MiB);
   - sampled: the n bit planes in participant order, share j's body being
     bytes ``[(j-1)*P, j*P)`` of them, P = ceil(pixels/8);
   then a CRC32 trailer.
 
-Versions 1 (per-pixel registers), 2 (a u8 index for small tables), 3
-(sampled sessions packed row by row), 4 (all 2^n amplitudes of each
-table entry) and 5 (one amplitude per support bit, after a u16 qubit
-count) are rejected.  One check, ``_check_header``, bounds the
-backend, n, the image sides and the session id, both in a file's header
-and in a share or session built in memory, so anything that can be
-written can be read back.
+Files of any other version are rejected.  One check, ``_check_header``,
+bounds the backend, n, the image sides and the session id, both in a
+file's header and in a share or session built in memory, so anything that
+can be written can be read back.
 """
 
 from __future__ import annotations
@@ -129,8 +128,7 @@ _INDEX_DTYPES = tuple(np.dtype(t) for t in ("<u1", "<u2", "<u4"))
 _PACKED_INDEX_ENTRIES = 2
 
 #: Pixels per step of a pass over a per-pixel array, so that no temporary
-#: the size of the image is made: ``np.bincount`` casts its whole input to
-#: intp, 8 bytes a pixel, and a writer would hold a converted index twice.
+#: the size of the image is made (``np.bincount`` casts to intp, 8 B a pixel).
 _CHUNK = 1 << 20
 
 _MASK64 = (1 << 64) - 1
@@ -219,16 +217,6 @@ def _bincount(values: np.ndarray, minlength: int) -> np.ndarray:
     return counts
 
 
-def _renumber(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The values with a non-zero count, ascending, and a lookup from each
-    of them to its rank, in the narrowest index dtype: counting, not sorting.
-    """
-    used = np.flatnonzero(counts)
-    lookup = np.empty(len(counts), dtype=_index_dtype(len(used)))
-    lookup[used] = np.arange(len(used))
-    return used, lookup
-
-
 class RegisterTable:
     """Every pixel's n-qubit register, as distinct registers plus an index.
 
@@ -297,12 +285,15 @@ class RegisterTable:
     def collapse(self, outcomes: np.ndarray) -> None:
         """Replace every pixel's register by its measured basis state.
 
-        The entries are the distinct outcomes in ascending order; outcomes
-        lie below 2^n, so they are counted rather than sorted.
+        The entries are the distinct outcomes, ascending, and the index
+        holds each pixel's rank among them; outcomes lie below 2^n, so
+        they are counted rather than sorted.
         """
-        values, lookup = _renumber(_bincount(outcomes, 1 << self.n))
+        used = np.flatnonzero(_bincount(outcomes, 1 << self.n))
+        lookup = np.empty(1 << self.n, dtype=_index_dtype(len(used)))
+        lookup[used] = np.arange(len(used))
         self.index = lookup[outcomes]
-        self.states = values.tolist()
+        self.states = used.tolist()
 
     def __eq__(self, other) -> bool:
         """Whether every pixel holds the same register in both tables.
@@ -493,11 +484,12 @@ def share_image(
         n=n, backend=backend, width=image.width, height=image.height, session_id=session_id
     )
     if backend == BACKEND_STATEVECTOR:
-        # Entry b is colour b's parity state, so the pixels are the index:
-        # a copy, so that the session does not follow later in-place edits
-        # of the caller's image.
-        states = [prepare_parity_state_direct(ParitySpec(n, b)) for b in (0, 1)]
-        registers = RegisterTable(n, states, image.pixels.copy())
+        # One parity state per colour present, lowest first, so a pixel's
+        # entry is its colour less the lowest: a new array, so that the
+        # session does not follow later in-place edits of the caller's image.
+        low, high = int(image.pixels.min()), int(image.pixels.max())
+        states = [prepare_parity_state_direct(ParitySpec(n, b)) for b in range(low, high + 1)]
+        registers = RegisterTable(n, states, image.pixels - low)
     else:
         # The shares' payloads are views of these planes: read-only, so an
         # edit to a share cannot also edit the session it is checked against.
@@ -764,35 +756,31 @@ def serialize_session(session: SessionStore) -> bytearray:
     ``MAX_SESSION_TABLE_BYTES`` raises ``ValueError`` before any of it is
     built.
 
-    Sampled planes are written as they are.  A statevector index is written
-    ``_CHUNK`` pixels at a time; a chunk holds a multiple of 8 pixels, so
-    packed chunks join into the packed whole.
+    Sampled planes, and a statevector table and its index, are written as
+    the session holds them: every entry in table order, used or not.
     """
     seed = _SEED_FIELD.pack(session.master_seed)
     if session.backend == BACKEND_SAMPLED:
         planes = np.ascontiguousarray(session.registers)
         return _write_file(_SESSION_MAGIC, session, 0, len(seed) + planes.size, (seed, planes))
-    # Only entries some pixel points at are written, in table order.
     table = session.registers
-    used, lookup = _renumber(table.counts())
-    dense_bytes = _dense_table_size(len(used), table.n)
+    length = len(table.states)
+    dense_bytes = _dense_table_size(length, table.n)
     if dense_bytes > MAX_SESSION_TABLE_BYTES:
         raise ValueError(
-            f"register table of {len(used)} entries needs {dense_bytes} bytes, "
+            f"register table of {length} entries needs {dense_bytes} bytes, "
             f"over the {MAX_SESSION_TABLE_BYTES}-byte session table cap"
         )
-    packed = len(used) <= _PACKED_INDEX_ENTRIES
-    all_used = len(used) == len(table.states)
     # Each entry's sparse view is built where it is needed and dropped.
     amplitude_count = sum(
-        len(_stored_amplitudes(table._sparse(entry)[1])[1]) for entry in used
+        len(_stored_amplitudes(table._sparse(entry)[1])[1]) for entry in range(length)
     )
-    table_bytes = len(used) * _entry_head_size(table.n) + 16 * amplitude_count
+    table_bytes = length * _entry_head_size(table.n) + 16 * amplitude_count
 
     def parts():
         yield seed
-        yield _TABLE_LENGTH.pack(len(used))
-        for entry in used:
+        yield _TABLE_LENGTH.pack(length)
+        for entry in range(length):
             support, amplitudes = table._sparse(entry)
             form, stored = _stored_amplitudes(amplitudes)
             bits = np.zeros(1 << table.n, dtype=bool)
@@ -800,12 +788,11 @@ def serialize_session(session: SessionStore) -> bytearray:
             yield _ENTRY_FORM.pack(form)
             yield np.packbits(bits)
             yield np.ascontiguousarray(stored, "<c16")
-        for part in _chunks(len(table)):
-            # With every entry used, the index is its own renumbering.
-            index = table.index[part] if all_used else lookup[table.index[part]]
-            yield np.packbits(index) if packed else index
+        # The table holds its index in the file's ``_index_dtype`` width.
+        packed = length <= _PACKED_INDEX_ENTRIES
+        yield np.packbits(table.index) if packed else np.ascontiguousarray(table.index)
 
-    index_size, _ = _index_size(len(used), len(table))
+    index_size, _ = _index_size(length, len(table))
     size = len(seed) + _TABLE_LENGTH.size + table_bytes + index_size
     return _write_file(_SESSION_MAGIC, session, 0, size, parts())
 
@@ -905,7 +892,9 @@ def _read_register_table(body, n: int, pixel_count: int) -> RegisterTable:
 
 def deserialize_session(data: bytes) -> SessionStore:
     try:
-        _, pixel_count, body, header = _read_file(data, _SESSION_MAGIC, "session file")
+        slot, pixel_count, body, header = _read_file(data, _SESSION_MAGIC, "session file")
+        if slot:
+            raise FormatError(f"session file participant slot is {slot}, expected 0")
         if len(body) < _SEED_FIELD.size:
             raise FormatError("truncated session file: missing master seed")
         (master_seed,) = _SEED_FIELD.unpack_from(body)

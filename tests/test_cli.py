@@ -238,6 +238,24 @@ def test_audit_of_a_session_with_n_over_the_cap_exits_3(secret, tmp_path, capsys
     assert "n 20000 outside 2..16" in capsys.readouterr().err
 
 
+def test_recover_and_audit_of_a_session_with_a_participant_slot_exit_3(
+    secret, tmp_path, capsys
+):
+    out = tmp_path / "shares"
+    main(share_args(secret, out))
+    session = out / "session.qvse"
+    body = bytearray(session.read_bytes()[:-4])
+    body[8] = 7  # the participant slot, zero in every session file
+    session.write_bytes(bytes(body) + zlib.crc32(body).to_bytes(4, "little"))
+    recovered = tmp_path / "rec.pbm"
+    shares = [str(out / f"share_{j}.qvs") for j in (1, 2, 3)]
+    assert main(["recover", *shares, "--session", str(session), "--out", str(recovered)]) == 3
+    assert not recovered.exists()
+    assert main(["audit", "--session", str(session), "--subset", "1"]) == 3
+    err = capsys.readouterr().err
+    assert err.count("session file participant slot is 7, expected 0") == 2
+
+
 def test_emit_prepare_to_stdout(capsys):
     rc = main(["emit-circuit", "--kind", "prepare", "--n", "2", "--b", "0"])
     assert rc == 0

@@ -5,7 +5,8 @@ no warning.  Inputs are valid artifacts from both backends (among them
 statevector sessions whose table entries have different supports),
 truncated, overwritten byte by byte with the CRC recomputed so the parser
 proper is reached, or given oversized header fields; and circuit assembly
-text built from the dialect's own statements.
+text built from the dialect's own statements.  A share or session file
+has one encoding: any byte edit that parses re-serializes to itself.
 """
 
 import dataclasses
@@ -28,6 +29,7 @@ from qvss.protocol import (
     RegisterTable,
     deserialize_session,
     deserialize_share,
+    recover_image,
     serialize_session,
     serialize_share,
     share_image,
@@ -120,6 +122,50 @@ def test_overwritten_bytes_with_a_fixed_crc_parse_or_raise_format_error(kind, da
     for position, value in edits:
         body[position] = value
     parse_quietly(parse, recrc(bytes(body)))
+
+
+def _one_encoding_artifacts():
+    """Files to edit byte by byte, and the writer that made each."""
+    two_colour, _ = share_image(IMAGE, 3, BACKEND_STATEVECTOR, 9)
+    black = BinaryImage(5, 3, np.ones(15, np.uint8))
+    one_colour, _ = share_image(black, 3, BACKEND_STATEVECTOR, 9)
+    recovered, recovered_shares = share_image(IMAGE, 3, BACKEND_STATEVECTOR, 9)
+    recover_image(recovered_shares, recovered, 10)
+    assert len(recovered.registers.states) > 2
+    even, odd = (prepare_parity_state_direct(ParitySpec(3, b)) for b in (0, 1))
+    unused = RegisterTable(3, [even, odd, 0b101], IMAGE.pixels)  # no pixel is entry 2
+    sessions = {
+        "two colours": two_colour,
+        "one colour": one_colour,
+        "recovered": recovered,
+        "an unused entry": dataclasses.replace(two_colour, registers=unused),
+    }
+    for n in (3, 9):
+        sessions[f"sampled, n={n}"] = share_image(IMAGE, n, BACKEND_SAMPLED, 9)[0]
+    out = {
+        f"{name} session": (deserialize_session, serialize_session, serialize_session(session))
+        for name, session in sessions.items()
+    }
+    for backend in (BACKEND_STATEVECTOR, BACKEND_SAMPLED):
+        share = share_image(IMAGE, 3, backend, 9)[1][1]
+        out[f"{backend} share"] = (deserialize_share, serialize_share, serialize_share(share))
+    return out
+
+
+ONE_ENCODING = _one_encoding_artifacts()
+
+
+@pytest.mark.parametrize("kind", sorted(ONE_ENCODING))
+def test_every_byte_edit_is_rejected_or_re_serializes_to_itself(kind):
+    parse, write, blob = ONE_ENCODING[kind]
+    body = bytearray(blob[:-CRC_SIZE])
+    for position, old in enumerate(blob[:-CRC_SIZE]):
+        for value in {0, 1, 2, 0x80, 0xFF} - {old}:
+            body[position] = value
+            edited = recrc(bytes(body))
+            parsed = parse_quietly(parse, edited)
+            assert parsed is None or write(parsed) == edited, (position, value)
+        body[position] = old
 
 
 # Header field index -> the smallest value over its cap for a 5x3 image.

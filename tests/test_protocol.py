@@ -604,6 +604,17 @@ def test_version_1_session_rejected():
         deserialize_session(_as_version_1(serialize_session(session)))
 
 
+@pytest.mark.parametrize("backend", [BACKEND_STATEVECTOR, BACKEND_SAMPLED])
+@pytest.mark.parametrize("slot", [1, 7, 256])
+def test_a_session_with_a_non_zero_participant_slot_is_rejected(backend, slot):
+    session, _ = share_image(DEMO_IMAGE, 3, backend, 42)
+    data = bytearray(serialize_session(session))
+    data[8:10] = slot.to_bytes(2, "little")
+    message = f"session file participant slot is {slot}, expected 0"
+    with pytest.raises(FormatError, match=message):
+        deserialize_session(recrc(bytes(data)))
+
+
 def test_tampered_table_entry_survives_session_file():
     session, _ = tampered_session()
     assert len(session.registers.states) == 3
@@ -1102,6 +1113,7 @@ def test_collapse_equals_the_sorted_distinct_outcomes():
 def test_single_colour_statevector_session_writes_one_entry(color):
     image = from_pixel_list(3, 2, [color] * 6)
     session, shares = share_image(image, 4, BACKEND_STATEVECTOR, 8)
+    assert len(session.registers.states) == 1
     data = serialize_session(session)
     assert struct.unpack_from("<I", data, HEADER_SIZE + 8) == (1,)
     restored = deserialize_session(data)
@@ -1109,6 +1121,24 @@ def test_single_colour_statevector_session_writes_one_entry(color):
     assert recover_image(shares, session, 5) == image
     recover_image(shares, restored, 5)
     assert restored == session
+
+
+def test_a_hand_built_table_is_written_with_its_unused_entry():
+    even, odd = (prepare_parity_state_direct(ParitySpec(3, b)) for b in (0, 1))
+    biased = np.zeros(8, dtype=np.complex128)
+    biased[[0b000, 0b011]] = 0.6, 0.8
+    table = RegisterTable(3, [even, odd, StateVector(3, biased)], [0, 1, 1, 0])
+    session, _ = share_image(DEMO_IMAGE, 3, BACKEND_STATEVECTOR, 42)
+    session = dataclasses.replace(session, registers=table)
+    data = serialize_session(session)
+    # Three entries: two of one shared amplitude, one of two; a u8 index.
+    assert struct.unpack_from("<I", data, HEADER_SIZE + SEED_SIZE) == (3,)
+    assert len(data) == 38 + 8 + 4 + 2 * (1 + 1 + 16) + (1 + 1 + 32) + 4 + 4 == 128
+    assert data[-CRC_SIZE - 4 : -CRC_SIZE] == bytes([0, 1, 1, 0])
+    restored = deserialize_session(data)
+    assert len(restored.registers.states) == 3
+    assert restored == session
+    assert serialize_session(restored) == data
 
 
 def _flip_last_payload_bit(blob: bytes) -> bytes:
@@ -1306,14 +1336,14 @@ def _traced_peak(function, *args):
     return result, peak
 
 
-def test_a_fresh_session_at_the_size_cap_is_3_mib_and_serializes_in_32():
+def test_a_fresh_session_at_the_size_cap_is_2_mib_and_serializes_in_6():
     image = random_image(4096, 4096, seed=1)
     session, _ = share_image(image, 16, BACKEND_STATEVECTOR, 2)
     del image
     data, peak = _traced_peak(serialize_session, session)
     entry = 1 + (1 << 16) // 8 + 16
     assert len(data) == 38 + 8 + 4 + 2 * entry + (4096 * 4096) // 8 + 4
-    assert peak < 32 << 20
+    assert peak < 6 << 20
 
 
 def test_a_recovered_session_is_written_without_a_second_copy():
