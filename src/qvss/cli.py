@@ -164,14 +164,15 @@ def cmd_audit(args) -> int:
         f"audit of subset {{{','.join(map(str, subset))}}}: n={session.n}, "
         f"backend={session.backend}, {session.pixel_count} pixels"
     )
-    print("pattern  probability")
-    width = len(subset)
-    for index, prob in enumerate(report.distribution):
-        print(f"{index:0{width}b}  {prob:.8f}")
+    # The statistics come first: the table has 2^k rows.
     print(f"max deviation from uniform: {report.max_deviation:.3e}")
     if report.p_value is not None:
         print(f"chi-square p-value: {report.p_value:.6f}")
     print(f"verdict: {report.verdict}")
+    print("pattern  probability")
+    width = len(subset)
+    for index, prob in enumerate(report.distribution):
+        print(f"{index:0{width}b}  {prob:.8f}")
     return EXIT_OK
 
 

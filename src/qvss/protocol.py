@@ -28,11 +28,11 @@ the image around it.
 
 File formats (all integers little-endian):
 
-* Share (.qvs), version 6: magic ``QVSS``, version u8, backend id u8
-  (1=statevector, 2=sampled), n u16, participant u16, pixel count u32,
-  width u32, height u32, session id (16 bytes); payload: nothing
-  (statevector) or the share's bit plane (sampled); CRC32 trailer.
-* Session (.qvse), version 6: magic ``QVSE``, the same header fields with
+* Share (.qvs), version 7: magic ``QVSS``, version u8, backend id u8
+  (1=statevector, 2=sampled), n u16, participant u16, width u32, height
+  u32, session id (16 bytes); payload: nothing (statevector) or the
+  share's bit plane (sampled); CRC32 trailer.
+* Session (.qvse), version 7: magic ``QVSE``, the same header fields with
   the participant slot zero, then the master seed as u64, then
   - statevector: the register table as it is held, unused entries
     included (``share_image`` makes one per colour present): its length
@@ -42,14 +42,14 @@ File formats (all integers little-endian):
     float64 pairs): form 1 stores one amplitude that every support bit
     shares (a parity state, a basis state), form 0 one per set bit in
     index order, used only when the amplitudes' bytes are not all equal;
-    then one table index per pixel: packed MSB first at one bit per pixel
-    when the table has at most 2 entries (every fresh session), else as
-    u8, u16 or u32, the narrowest whose range holds the table length;
-    writers and readers cap the table's dense states at
-    ``MAX_SESSION_TABLE_BYTES`` (256 MiB);
+    then each pixel's table index as b = bit_length(length - 1) bit
+    planes, most significant first (none for one entry, one for a fresh
+    two-colour session); writers and readers cap the table's dense states
+    at ``MAX_SESSION_TABLE_BYTES`` (256 MiB);
   - sampled: the n bit planes in participant order, share j's body being
-    bytes ``[(j-1)*P, j*P)`` of them, P = ceil(pixels/8);
-  then a CRC32 trailer.
+    bytes ``[(j-1)*P, j*P)`` of them;
+  then a CRC32 trailer.  A bit plane is one bit per pixel, packed MSB
+  first with zero pad bits: P = ceil(width*height/8) bytes.
 
 Files of any other version are rejected.  One check, ``_check_header``,
 bounds the backend, n, the image sides and the session id, both in a
@@ -103,11 +103,11 @@ AUDIT_P_THRESHOLD = 0.001
 _BACKEND_IDS = {BACKEND_STATEVECTOR: 1, BACKEND_SAMPLED: 2}
 _BACKEND_NAMES = {v: k for k, v in _BACKEND_IDS.items()}
 
-_FORMAT_VERSION = 6
+_FORMAT_VERSION = 7
 _SHARE_MAGIC = b"QVSS"
 _SESSION_MAGIC = b"QVSE"
 
-_HEADER = struct.Struct("<4sBBHHIII16s")
+_HEADER = struct.Struct("<4sBBHHII16s")
 _SEED_FIELD = struct.Struct("<Q")
 _TABLE_LENGTH = struct.Struct("<I")
 _ENTRY_FORM = struct.Struct("<B")
@@ -120,12 +120,8 @@ _ONE = np.ones(1, dtype="<c16")
 #: that every support bit shares.
 _FORM_PER_BIT, _FORM_SHARED = 0, 1
 
-#: Session index widths, narrowest first.
+#: Register index dtypes in memory, narrowest first.
 _INDEX_DTYPES = tuple(np.dtype(t) for t in ("<u1", "<u2", "<u4"))
-
-#: A table of at most this many entries (every fresh session: one per
-#: colour) stores its index at one bit per pixel, packed MSB first.
-_PACKED_INDEX_ENTRIES = 2
 
 #: Pixels per step of a pass over a per-pixel array, so that no temporary
 #: the size of the image is made (``np.bincount`` casts to intp, 8 B a pixel).
@@ -207,6 +203,21 @@ def _bit_planes(data, bits: int, what: str, rows: int | None = None) -> np.ndarr
     if pad and (data[..., -1] & ((1 << pad) - 1)).any():
         raise ValueError(f"{what} has non-zero pad bits after bit {bits}")
     return data
+
+
+def _fold(planes, count: int, dtype) -> np.ndarray:
+    """Each pixel's bits in ``planes`` (rows of ``count`` bits packed MSB
+    first) as one ``dtype`` integer, the first plane's bit the highest.  A
+    uint8 result starts as the first plane unpacked whole, not a copy, any
+    other at zero; planes are shifted in one ``_CHUNK`` of pixels at a time."""
+    whole = len(planes) > 0 and np.dtype(dtype) == np.uint8
+    folded = np.unpackbits(planes[0], count=count) if whole else np.zeros(count, dtype)
+    for part in _chunks(count):
+        span, chunk = slice(part.start // 8, part.stop // 8), folded[part]
+        for plane in planes[1 if whole else 0 :]:
+            chunk <<= 1
+            chunk |= np.unpackbits(plane[span], count=len(chunk))
+    return folded
 
 
 def _bincount(values: np.ndarray, minlength: int) -> np.ndarray:
@@ -618,12 +629,12 @@ def audit_subset(session: SessionStore, subset) -> AuditReport:
         distribution = total / session.pixel_count
     else:
         # Pattern index: participant subset[0]'s bit is the most significant;
-        # k <= 16, and only the k planes read are unpacked, one at a time.
-        index = np.zeros(session.pixel_count, dtype=np.uint16)
-        for j in subset:
-            index <<= 1
-            index |= np.unpackbits(session.registers[j - 1], count=session.pixel_count)
-        counts = _bincount(index, patterns)
+        # k <= 16, and the patterns are counted one chunk at a time.
+        rows, counts = [j - 1 for j in subset], np.zeros(patterns, dtype=np.intp)
+        for part in _chunks(session.pixel_count):
+            planes = session.registers[rows, part.start // 8 : part.stop // 8]
+            index = _fold(planes, len(range(session.pixel_count)[part]), np.uint16)
+            counts += np.bincount(index, minlength=patterns)
         distribution = counts / session.pixel_count
         max_dev = float(np.abs(distribution - uniform).max())
         if not is_full:
@@ -648,17 +659,8 @@ def _write_file(magic: bytes, item, participant: int, size: int, parts) -> bytea
     """
     data = bytearray(_HEADER.size + size + _CRC.size)
     _HEADER.pack_into(
-        data,
-        0,
-        magic,
-        _FORMAT_VERSION,
-        _BACKEND_IDS[item.backend],
-        item.n,
-        participant,
-        item.pixel_count,
-        item.width,
-        item.height,
-        item.session_id,
+        data, 0, magic, _FORMAT_VERSION, _BACKEND_IDS[item.backend], item.n, participant,
+        item.width, item.height, item.session_id,
     )
     end = len(data) - _CRC.size
     offset = _HEADER.size
@@ -687,19 +689,15 @@ def _read_file(data: bytes, magic: bytes, what: str):
     body, (crc,) = view[: -_CRC.size], _CRC.unpack_from(view, len(view) - _CRC.size)
     if zlib.crc32(body) != crc:
         raise FormatError(f"{what} checksum mismatch")
-    found, version, backend_id, n, participant, pixel_count, width, height, sid = (
-        _HEADER.unpack_from(view)
-    )
+    found, version, backend_id, n, participant, width, height, sid = _HEADER.unpack_from(view)
     if found != magic:
         raise FormatError(f"bad magic {found!r} in {what}, expected {magic!r}")
     if version != _FORMAT_VERSION:
         raise FormatError(f"unsupported {what} format version {version}")
     # An unknown backend id is passed on as its number, which fails.
     fields = _check_header(n, _BACKEND_NAMES.get(backend_id, backend_id), width, height, sid)
-    if pixel_count != width * height:
-        raise ValueError(f"pixel count {pixel_count} does not match {width}x{height}")
     header = dict(zip(_HEADER_FIELDS, fields))
-    return participant, pixel_count, body[_HEADER.size :], header
+    return participant, width * height, body[_HEADER.size :], header
 
 
 def serialize_share(share: ShareFile) -> bytearray:
@@ -719,14 +717,6 @@ def deserialize_share(data: bytes) -> ShareFile:
         return ShareFile(participant=participant, payload=payload, **header)
     except ValueError as exc:
         raise FormatError(f"{exc} in share file") from None
-
-
-def _index_size(table_length: int, pixel_count: int) -> tuple[int, str]:
-    """Bytes of a session file's register index, and the width of a value."""
-    if table_length <= _PACKED_INDEX_ENTRIES:
-        return (pixel_count + 7) // 8, "1 bit"
-    dtype = _index_dtype(table_length)
-    return pixel_count * dtype.itemsize, dtype.name
 
 
 def _entry_head_size(n: int) -> int:
@@ -776,6 +766,7 @@ def serialize_session(session: SessionStore) -> bytearray:
         len(_stored_amplitudes(table._sparse(entry)[1])[1]) for entry in range(length)
     )
     table_bytes = length * _entry_head_size(table.n) + 16 * amplitude_count
+    planes = (length - 1).bit_length()  # the bits of the last entry's number
 
     def parts():
         yield seed
@@ -788,19 +779,19 @@ def serialize_session(session: SessionStore) -> bytearray:
             yield _ENTRY_FORM.pack(form)
             yield np.packbits(bits)
             yield np.ascontiguousarray(stored, "<c16")
-        # The table holds its index in the file's ``_index_dtype`` width.
-        packed = length <= _PACKED_INDEX_ENTRIES
-        yield np.packbits(table.index) if packed else np.ascontiguousarray(table.index)
+        # Index bit s of each pixel, top plane first, one chunk at a time.
+        for s in reversed(range(planes)):
+            for part in _chunks(len(table)):
+                yield np.packbits(table.index[part] & (1 << s))
 
-    index_size, _ = _index_size(length, len(table))
-    size = len(seed) + _TABLE_LENGTH.size + table_bytes + index_size
+    size = len(seed) + _TABLE_LENGTH.size + table_bytes + planes * ((len(table) + 7) // 8)
     return _write_file(_SESSION_MAGIC, session, 0, size, parts())
 
 
 def _read_register_table(body, n: int, pixel_count: int) -> RegisterTable:
     """Parse a register table plus index, checking every size first: the
     table length against the bytes left and the cap, then each entry's
-    amplitude form and stored amplitude count, then the index size."""
+    amplitude form and stored amplitude count, then the index planes."""
     if len(body) < _TABLE_LENGTH.size:
         raise FormatError("truncated session file: missing register table length")
     (length,) = _TABLE_LENGTH.unpack_from(body)
@@ -842,12 +833,7 @@ def _read_register_table(body, n: int, pixel_count: int) -> RegisterTable:
             )
         entries.append((support, form, count, offset))
         offset += amplitude_bytes
-    index_size, width = _index_size(length, pixel_count)
-    if len(body) - offset != index_size:
-        raise FormatError(
-            f"register index holds {len(body) - offset} bytes, expected "
-            f"{index_size} ({pixel_count} x {width})"
-        )
+    planes = _bit_planes(body[offset:], pixel_count, "register index", (length - 1).bit_length())
 
     states = []
     for entry, (support, form, count, start) in enumerate(entries):
@@ -882,11 +868,7 @@ def _read_register_table(body, n: int, pixel_count: int) -> RegisterTable:
         amplitudes[np.unpackbits(support, count=dim).view(bool)] = stored
         states.append(StateVector(n, amplitudes))
 
-    if length <= _PACKED_INDEX_ENTRIES:  # either way a fresh array: the table keeps it
-        packed = _bit_planes(body[offset:], pixel_count, "register index")
-        index = np.unpackbits(packed, count=pixel_count)
-    else:
-        index = np.frombuffer(body, _index_dtype(length), pixel_count, offset).copy()
+    index = _fold(planes, pixel_count, _index_dtype(length))  # a fresh array: the table keeps it
     return RegisterTable(n, states, index)
 
 

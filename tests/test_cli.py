@@ -170,7 +170,7 @@ def test_recover_of_a_version_2_file_exits_3(secret, tmp_path, capsys, old):
     out = tmp_path / "shares"
     main(share_args(secret, out, backend="sampled"))
     what = "session" if old.endswith(".qvse") else "share"
-    for version in (2, 3, 4, 5):
+    for version in (2, 3, 4, 5, 6):
         _with_version(out / old, version)
         rc = main(
             [
@@ -217,6 +217,46 @@ def test_audit_of_a_uniform_superposition_reads_unreliable_recovery(tmp_path, ca
     )
     assert main(["audit", "--session", str(path), "--subset", "1,2,3"]) == 0
     assert "verdict: unreliable-recovery" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("backend", ["statevector", "sampled"])
+def test_audit_prints_its_statistics_before_the_pattern_table(secret, tmp_path, capsys, backend):
+    out = tmp_path / "shares"
+    main(share_args(secret, out, backend=backend))
+    capsys.readouterr()
+    assert main(["audit", "--session", str(out / "session.qvse"), "--subset", "1,3"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    table = lines.index("pattern  probability")
+    assert [line.split(":")[0] for line in lines[1:table]] == [
+        "max deviation from uniform",
+        *(["chi-square p-value"] if backend == "sampled" else []),
+        "verdict",
+    ]
+    assert [line.split()[0] for line in lines[table + 1 :]] == ["00", "01", "10", "11"]
+
+
+def test_recover_and_audit_of_an_index_value_past_the_table_exit_3(secret, tmp_path, capsys):
+    out = tmp_path / "shares"
+    main(share_args(secret, out))
+    session = protocol.deserialize_session((out / "session.qvse").read_bytes())
+    # Three entries, two index planes of one byte; pixel 4 is set to 3.
+    biased = np.zeros(8, dtype=np.complex128)
+    biased[0b010] = 1.0
+    table = session.registers
+    registers = protocol.RegisterTable(3, [*table.states, StateVector(3, biased)], table.index)
+    body = bytearray(protocol.serialize_session(dataclasses.replace(session, registers=registers)))
+    body = body[:-4]
+    body[-2] |= 0b0001_0000
+    body[-1] |= 0b0001_0000
+    path = out / "session.qvse"
+    path.write_bytes(bytes(body) + zlib.crc32(body).to_bytes(4, "little"))
+    recovered = tmp_path / "rec.pbm"
+    shares = [str(out / f"share_{j}.qvs") for j in (1, 2, 3)]
+    assert main(["recover", *shares, "--session", str(path), "--out", str(recovered)]) == 3
+    assert not recovered.exists()
+    assert main(["audit", "--session", str(path), "--subset", "1"]) == 3
+    message = "register index value 3 out of range for a table of 3 entries in session file"
+    assert capsys.readouterr().err.count(message) == 2
 
 
 def test_audit_bad_subset(secret, tmp_path):
@@ -522,7 +562,7 @@ def test_recover_of_an_altered_sampled_share_exits_3_in_a_fresh_interpreter(tmp_
     # Flip 8 bits of participant 3's plane and recompute the CRC32.
     share = out / "share_3.qvs"
     body = bytearray(share.read_bytes()[:-4])
-    body[38 + 100] ^= 0xFF
+    body[34 + 100] ^= 0xFF
     share.write_bytes(bytes(body) + zlib.crc32(body).to_bytes(4, "little"))
     recovered = tmp_path / "rec.pbm"
     result = _python_dash_m_qvss(

@@ -49,7 +49,7 @@ from qvss.statevector import (
 
 BACKENDS = [BACKEND_STATEVECTOR, BACKEND_SAMPLED]
 BACKEND_IDS = {BACKEND_STATEVECTOR: 1, BACKEND_SAMPLED: 2}
-HEADER = struct.Struct("<4sBBHHIII16s")
+HEADER = struct.Struct("<4sBBHHII16s")
 DEMO_IMAGE = from_pixel_list(4, 1, [0, 1, 1, 0])
 
 #: Largest pixel count the property test gives a body to; no header within
@@ -64,8 +64,8 @@ def random_image(width, height, seed):
 
 def with_header(blob: bytes, **fields) -> bytes:
     """``blob`` with the named header fields rewritten and its CRC fixed."""
-    names = ("magic", "version", "backend", "n", "participant", "pixels",
-             "width", "height", "session_id")
+    names = ("magic", "version", "backend", "n", "participant", "width", "height",
+             "session_id")
     values = dict(zip(names, HEADER.unpack_from(blob)))
     values.update(fields)
     body = HEADER.pack(*values.values()) + blob[HEADER.size : -4]
@@ -107,8 +107,7 @@ def test_what_can_be_built_can_be_read_back(n, backend, width, height, id_length
         return
     if id_length != 16:  # the file's field holds 16 bytes, whatever is written
         return
-    fields = dict(n=n, backend=BACKEND_IDS[backend], width=width, height=height,
-                  pixels=width * height)
+    fields = dict(n=n, backend=BACKEND_IDS[backend], width=width, height=height)
     valid_session, valid_shares = share_image(DEMO_IMAGE, 3, backend, 42)
     for blob, read in ((serialize_session(valid_session), deserialize_session),
                        (serialize_share(valid_shares[0]), deserialize_share)):

@@ -36,7 +36,7 @@ from qvss.protocol import (
 )
 from qvss.statevector import StateVector
 
-HEADER = struct.Struct("<4sBBHHIII16s")
+HEADER = struct.Struct("<4sBBHHII16s")
 CRC_SIZE = 4
 IMAGE = BinaryImage(5, 3, np.random.default_rng(1).integers(0, 2, size=15))
 
@@ -134,11 +134,13 @@ def _one_encoding_artifacts():
     assert len(recovered.registers.states) > 2
     even, odd = (prepare_parity_state_direct(ParitySpec(3, b)) for b in (0, 1))
     unused = RegisterTable(3, [even, odd, 0b101], IMAGE.pixels)  # no pixel is entry 2
+    three = RegisterTable(3, [even, odd, 0b101], np.arange(15) % 3)  # index value 3 is out
     sessions = {
         "two colours": two_colour,
         "one colour": one_colour,
         "recovered": recovered,
         "an unused entry": dataclasses.replace(two_colour, registers=unused),
+        "three entries": dataclasses.replace(two_colour, registers=three),
     }
     for n in (3, 9):
         sessions[f"sampled, n={n}"] = share_image(IMAGE, n, BACKEND_SAMPLED, 9)[0]
@@ -169,7 +171,7 @@ def test_every_byte_edit_is_rejected_or_re_serializes_to_itself(kind):
 
 
 # Header field index -> the smallest value over its cap for a 5x3 image.
-OVERSIZED = {"n": (3, None), "pixels": (5, 16), "width": (6, 4097), "height": (7, 4097)}
+OVERSIZED = {"n": (3, None), "width": (5, 4097), "height": (6, 4097)}
 
 
 @pytest.mark.parametrize("kind", KINDS)

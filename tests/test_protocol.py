@@ -387,18 +387,20 @@ def test_share_header_layout():
     _, shares = share_image(DEMO_IMAGE, 3, BACKEND_STATEVECTOR, 42)
     data = serialize_share(shares[0])
     assert data[:4] == b"QVSS"
-    assert data[4] == 6  # version
+    assert data[4] == 7  # version
     assert data[5] == 1  # statevector backend id
     assert int.from_bytes(data[6:8], "little") == 3  # n
     assert int.from_bytes(data[8:10], "little") == 1  # participant
-    assert int.from_bytes(data[10:14], "little") == 4  # pixel count
+    assert int.from_bytes(data[10:14], "little") == 4  # width
+    assert int.from_bytes(data[14:18], "little") == 1  # height
 
 
-def test_session_header_declares_pixel_count():
+def test_session_header_declares_width_and_height():
     session, _ = share_image(DEMO_IMAGE, 3, BACKEND_STATEVECTOR, 42)
     data = serialize_session(session)
     assert data[:4] == b"QVSE"
-    assert int.from_bytes(data[10:14], "little") == 4
+    assert len(data) == 34 + 8 + 4 + 2 * (1 + 1 + 16) + 1 + 4  # no pixel count
+    assert struct.unpack_from("<II", data, 10) == (4, 1)
 
 
 def test_truncated_share_rejected():
@@ -452,11 +454,11 @@ def test_share_file_invariants_enforced():
         dataclasses.replace(share, payload=tuple((l, 2) for l in range(1, 5)))
 
 
-# --- v2 formats: register table sessions, payload-free statevector shares ---
+# --- register table sessions, payload-free statevector shares ---
 
 # Header layout shared by shares and sessions: magic, version, backend, n,
-# participant, pixel count, width, height, session id.
-HEADER_SIZE = struct.calcsize("<4sBBHHIII16s")
+# participant, width, height, session id.
+HEADER_SIZE = struct.calcsize("<4sBBHHII16s")
 SEED_SIZE = 8
 TABLE_LENGTH_SIZE = 4
 CRC_SIZE = 4
@@ -466,101 +468,6 @@ def recrc(blob: bytes) -> bytes:
     """Replace the CRC32 trailer so a crafted body reaches the parser."""
     body = blob[:-CRC_SIZE]
     return body + zlib.crc32(body).to_bytes(CRC_SIZE, "little")
-
-
-def _table_entries(data, offset: int, n: int, length: int, sparse: bool):
-    """The amplitudes of the ``length`` register table entries at
-    ``offset``, each stored as a version 6 amplitude form, support and
-    stored amplitudes (``sparse``: one shared by the support in form 1, one
-    per support bit in form 0) or as a qubit count u16 and all 2^n
-    amplitudes, and the offset after."""
-    entries = []
-    for _ in range(length):
-        if sparse:
-            form = data[offset]
-            offset += 1
-            bitmap = np.frombuffer(data, np.uint8, ((1 << n) + 7) // 8, offset)
-            support = np.unpackbits(bitmap, count=1 << n).astype(bool)
-            count = 1 if form == 1 else int(support.sum())
-            offset += bitmap.size
-            amplitudes = np.zeros(1 << n, dtype="<c16")
-            amplitudes[support] = np.frombuffer(data, "<c16", count, offset)
-            offset += 16 * count
-        else:
-            offset += 2  # the entry's qubit count
-            amplitudes = np.frombuffer(data, "<c16", 1 << n, offset)
-            offset += 16 << n
-        entries.append(amplitudes)
-    return entries, offset
-
-
-def _table_bytes(entries, n: int, sparse: bool) -> bytes:
-    """The inverse of ``_table_entries``."""
-    out = b""
-    for amplitudes in entries:
-        if sparse:
-            support = amplitudes != 0
-            stored = amplitudes[support]
-            bits = stored.view("<u8").reshape(-1, 2)
-            shared = bool((bits == bits[0]).all())
-            out += bytes([shared]) + np.packbits(support).tobytes()
-            out += stored[:1].tobytes() if shared else stored.tobytes()
-        else:
-            out += struct.pack("<H", n) + amplitudes.tobytes()
-    return out
-
-
-def _convert(blob: bytes, version: int, index_bytes, bits_bytes) -> bytes:
-    """``blob`` with its version byte set and its CRC32 recomputed.  In a
-    statevector session, the register table entries are stored as
-    ``version`` stores them (version 6: amplitude form, support and stored
-    amplitudes; version 2: all 2^n amplitudes), and in a table of at most two entries,
-    the register index bytes become ``index_bytes(index, pixels)``; in a
-    sampled session, the bytes after the seed become
-    ``bits_bytes(bits, n, pixels)``."""
-    data = bytearray(blob[:-CRC_SIZE])
-    source, data[4] = data[4], version
-    magic, _, backend, n, _, pixels = struct.unpack_from("<4sBBHHI", data)
-    offset = HEADER_SIZE + SEED_SIZE
-    if magic == b"QVSE" and backend == 1:
-        (length,) = struct.unpack_from("<I", data, offset)
-        offset += TABLE_LENGTH_SIZE
-        entries, start = _table_entries(bytes(data), offset, n, length, source == 6)
-        index = bytes(data[start:])
-        if length <= 2:
-            index = index_bytes(np.frombuffer(index, np.uint8), pixels)
-        data[offset:] = _table_bytes(entries, n, version == 6) + index
-    elif magic == b"QVSE":
-        bits = np.frombuffer(bytes(data[offset:]), np.uint8)
-        data[offset:] = bits_bytes(bits, n, pixels)
-    return recrc(bytes(data) + bytes(CRC_SIZE))
-
-
-def _as_v2(blob: bytes) -> bytes:
-    """A version 6 file as version 2 wrote it: the same registers, with each
-    table entry's 2^n amplitudes in full, a 1-bit register index widened to
-    one u8 per pixel, and a sampled session's n bit planes turned into its
-    (pixels, n) bit matrix packed row by row."""
-    return _convert(
-        blob,
-        2,
-        lambda index, pixels: np.unpackbits(index, count=pixels).tobytes(),
-        lambda planes, n, pixels: np.packbits(
-            np.unpackbits(planes.reshape(n, -1), axis=1, count=pixels).T
-        ).tobytes(),
-    )
-
-
-def _as_v6(blob: bytes) -> bytes:
-    """A version 2 file as version 6 writes it: the inverse of ``_as_v2``."""
-    return _convert(
-        blob,
-        6,
-        lambda index, pixels: np.packbits(index).tobytes(),
-        lambda rows, n, pixels: np.packbits(
-            np.unpackbits(rows, count=pixels * n).reshape(pixels, n).T, axis=1
-        ).tobytes(),
-    )
 
 
 def tampered_session():
@@ -694,7 +601,9 @@ def test_session_rejects_wrong_index_size():
 def test_session_rejects_index_value_beyond_table():
     session, _ = tampered_session()
     data = bytearray(serialize_session(session))
-    data[-CRC_SIZE - 1] = 3  # last pixel's u8 index; the table has 3 entries
+    # Two index planes of one byte: set both bits of pixel 4; 3 entries.
+    data[-CRC_SIZE - 2] |= 0b0001_0000
+    data[-CRC_SIZE - 1] |= 0b0001_0000
     with pytest.raises(FormatError, match="register index value 3"):
         deserialize_session(recrc(bytes(data)))
 
@@ -799,16 +708,17 @@ def test_sampled_top_rows_crop_gets_the_top_rows_of_the_bits():
     np.testing.assert_array_equal(_rows(top), _rows(full)[:27])
 
 
-# Written by the per-pixel tuple implementation: a 3x2 image
-# [0, 1, 1, 0, 1, 1] shared at n=3 with seed 5 on the sampled backend.
+# Written in format version 2 by the per-pixel tuple implementation (a 3x2
+# image [0, 1, 1, 0, 1, 1] shared at n=3 with seed 5 on the sampled
+# backend), and shown here as version 7 writes the same shares and session.
 PARENT_SAMPLED_SHARES = [
-    "51565353020203000100060000000300000002000000c7ca004e31fc0c4ac8af2bef088baa36b085b58776",
-    "51565353020203000200060000000300000002000000c7ca004e31fc0c4ac8af2bef088baa3670464ecbfe",
-    "51565353020203000300060000000300000002000000c7ca004e31fc0c4ac8af2bef088baa36ac6838497f",
+    "515653530702030001000300000002000000c7ca004e31fc0c4ac8af2bef088baa36b0192f4da8",
+    "515653530702030002000300000002000000c7ca004e31fc0c4ac8af2bef088baa36706ac0bd80",
+    "515653530702030003000300000002000000c7ca004e31fc0c4ac8af2bef088baa36acd4455461",
 ]
 PARENT_SAMPLED_SESSION = (
-    "51565345020203000000060000000300000002000000c7ca004e31fc0c4ac8af2bef088baa36"
-    "0500000000000000abe2403399f874"
+    "515653450702030000000300000002000000c7ca004e31fc0c4ac8af2bef088baa36"
+    "0500000000000000b070ac6017c95b"
 )
 PARENT_SAMPLED_OUTCOMES = [
     (1, 0, 1), (0, 1, 0), (1, 1, 1), (1, 1, 0), (0, 0, 1), (0, 0, 1)
@@ -816,24 +726,24 @@ PARENT_SAMPLED_OUTCOMES = [
 
 
 def test_sampled_files_from_the_tuple_implementation_still_recover():
-    shares = [deserialize_share(_as_v6(bytes.fromhex(h))) for h in PARENT_SAMPLED_SHARES]
-    session = deserialize_session(_as_v6(bytes.fromhex(PARENT_SAMPLED_SESSION)))
+    shares = [deserialize_share(bytes.fromhex(h)) for h in PARENT_SAMPLED_SHARES]
+    session = deserialize_session(bytes.fromhex(PARENT_SAMPLED_SESSION))
     np.testing.assert_array_equal(_rows(session), PARENT_SAMPLED_OUTCOMES)
     image = from_pixel_list(3, 2, [0, 1, 1, 0, 1, 1])
     assert recover_image(shares, session, 1) == image
-    assert [_as_v2(serialize_share(s)).hex() for s in shares] == PARENT_SAMPLED_SHARES
-    assert _as_v2(serialize_session(session)).hex() == PARENT_SAMPLED_SESSION
+    assert [serialize_share(s).hex() for s in shares] == PARENT_SAMPLED_SHARES
+    assert serialize_session(session).hex() == PARENT_SAMPLED_SESSION
 
 
 # SHA-256 of the n share files then the session file, for a 64x48 random
-# image shared at seed 2^64-1; computed on the parent of the change that
-# unpacks each Philox word's row whole (2026-10-18).
+# image shared at seed 2^64-1: the bits pinned on the parent of the change
+# that unpacks each Philox word's row whole (2026-10-18), in format version 7.
 PARENT_SAMPLED_SHA256 = {
-    2: "d6255e3536dcd410fedaaa6145a2c6ff2259f3a77e58786bb83b0890846a21a1",
-    3: "319c24f0605e8762709d0d2282149596927354d2a9836fcc5c1022942d615604",
-    8: "160bc361d52afdfd857e600f89dae790be823d6a2ec2ca4c1995cf8682f34d6f",
-    63: "8ed13f9d3cbdbe1f5dfeb24558edaa5e07adff71d9eab3a51bb99100e924fefa",
-    64: "2e9d695fe08172aee9977e52521dbff48c40d433ac9c82bc87ab324e3d10778f",
+    2: "3d96db666344dff0d0fa784f77ae12f874118ae68b7d8e47184c3f13bd010f22",
+    3: "d91d9c416a2948d9e1401b07abe86e4f6a91c52f3a49e865841fb58b335da674",
+    8: "d19465d2c88bf099ae818ee4701522d1dfda5f62f4e0036a8d83def876d54781",
+    63: "5e5ca557572c89162daf0f7041d5d78fc0d4cc97e4e2920702b26cbf158c7e08",
+    64: "6a93d33407277940c02a9d606b07963fc8cba3ab4987b6adbd0b0d8d9052ebfa",
 }
 
 
@@ -841,8 +751,8 @@ PARENT_SAMPLED_SHA256 = {
 def test_sampled_file_bytes_are_pinned(n):
     image = random_image(64, 48, seed=11)
     session, shares = share_image(image, n, BACKEND_SAMPLED, (1 << 64) - 1)
-    files = [_as_v2(serialize_share(share)) for share in shares]
-    files.append(_as_v2(serialize_session(session)))
+    files = [serialize_share(share) for share in shares]
+    files.append(serialize_session(session))
     assert hashlib.sha256(b"".join(files)).hexdigest() == PARENT_SAMPLED_SHA256[n]
 
 
@@ -891,11 +801,11 @@ def test_sampled_share_payload_must_be_a_bit_array():
 
 def with_header(blob: bytes, body: bytes | None = None, **fields) -> bytes:
     """Rewrite named header fields (and optionally the body); fix the CRC."""
-    names = ("magic", "version", "backend", "n", "participant", "pixels",
-             "width", "height", "session_id")
-    values = dict(zip(names, struct.unpack_from("<4sBBHHIII16s", blob)))
+    names = ("magic", "version", "backend", "n", "participant", "width", "height",
+             "session_id")
+    values = dict(zip(names, struct.unpack_from("<4sBBHHII16s", blob)))
     values.update(fields)
-    head = struct.pack("<4sBBHHIII16s", *values.values())
+    head = struct.pack("<4sBBHHII16s", *values.values())
     if body is None:
         body = blob[HEADER_SIZE:-CRC_SIZE]
     return recrc(head + body + b"\0" * CRC_SIZE)
@@ -925,7 +835,7 @@ def test_header_n_over_the_backend_cap_is_rejected(backend, n):
 )
 def test_header_sides_outside_the_image_cap_are_rejected(backend, width, height, name):
     session, shares = share_image(DEMO_IMAGE, 3, backend, 42)
-    fields = dict(width=width, height=height, pixels=width * height)
+    fields = dict(width=width, height=height)
     with pytest.raises(FormatError, match=f"{name} {fields[name]} outside 1..4096"):
         deserialize_share(with_header(serialize_share(shares[0]), **fields))
     with pytest.raises(FormatError, match=f"{name} {fields[name]} outside 1..4096"):
@@ -1131,10 +1041,11 @@ def test_a_hand_built_table_is_written_with_its_unused_entry():
     session, _ = share_image(DEMO_IMAGE, 3, BACKEND_STATEVECTOR, 42)
     session = dataclasses.replace(session, registers=table)
     data = serialize_session(session)
-    # Three entries: two of one shared amplitude, one of two; a u8 index.
+    # Three entries: two of one shared amplitude, one of two; an index of
+    # two bit planes, [0, 1, 1, 0]'s high bits then its low bits.
     assert struct.unpack_from("<I", data, HEADER_SIZE + SEED_SIZE) == (3,)
-    assert len(data) == 38 + 8 + 4 + 2 * (1 + 1 + 16) + (1 + 1 + 32) + 4 + 4 == 128
-    assert data[-CRC_SIZE - 4 : -CRC_SIZE] == bytes([0, 1, 1, 0])
+    assert len(data) == 34 + 8 + 4 + 2 * (1 + 1 + 16) + (1 + 1 + 32) + 2 + 4 == 122
+    assert data[-CRC_SIZE - 2 : -CRC_SIZE] == bytes([0, 0b0110_0000])
     restored = deserialize_session(data)
     assert len(restored.registers.states) == 3
     assert restored == session
@@ -1160,7 +1071,7 @@ def test_session_with_a_set_pad_bit_is_rejected():
         deserialize_session(_flip_last_payload_bit(serialize_session(session)))
 
 
-# --- the register index in the dtype the session file stores ---
+# --- the register index in the narrowest dtype that holds the table length ---
 
 
 def test_register_index_takes_the_session_file_dtype():
@@ -1198,20 +1109,20 @@ def _sha256(data: bytes) -> str:
 def test_statevector_file_bytes_are_pinned():
     image = random_image(64, 64, seed=1)
     session, shares = share_image(image, 8, BACKEND_STATEVECTOR, 1)
-    assert _sha256(_as_v2(serialize_session(session))) == (
-        "a2776347b4eb9e74a041554ea8298aee2f440084e5bc56b2c65f15e33b991c75"
+    assert _sha256(serialize_session(session)) == (
+        "b6538ac97e260add47c2b5ddf230ea4650e434be88561d672e35f3c09e7bae4e"
     )
-    assert _sha256(b"".join(_as_v2(serialize_share(share)) for share in shares)) == (
-        "a01730cb9d3b34a4b121df587f2d5c8fdc70c4e26c9d96714b941d9ddc8f4695"
+    assert _sha256(b"".join(serialize_share(share) for share in shares)) == (
+        "9d87be3dc4ba54a1af6d44ea1c1b24817c6f265198e86ad7231ed7a7033cabf0"
     )
-    assert _sha256(_as_v2(serialize_session(tampered_session()[0]))) == (
-        "9287a04288935edf54d7d1fa1d07bd325f5845ad8ea087667e293f57c3f37d79"
+    assert _sha256(serialize_session(tampered_session()[0])) == (
+        "b1117a8da31cc91d7423273c2fe70c827348e6f90ac5da432683dfbbf72b2422"
     )
     image = random_image(32, 32, seed=1)
     session, shares = share_image(image, 6, BACKEND_STATEVECTOR, 1)
     recover_image(shares, session, 2)
-    assert _sha256(_as_v2(serialize_session(session))) == (
-        "b421625871012091327354c3e77d8d40ac8fd5b18044228951585153bf8067a5"
+    assert _sha256(serialize_session(session)) == (
+        "bdd5d1038983811709e52550f5c83e148c9120b550b20dbb7a357add1ddd7e93"
     )
 
 
@@ -1251,14 +1162,15 @@ def test_signed_zero_amplitudes_survive_the_session_file():
 # --- the register index at one bit per pixel; bounded passes over pixels ---
 
 
-def test_a_one_entry_table_rejects_a_packed_index_of_1():
+def test_a_one_entry_table_stores_no_index_and_rejects_one():
     session, _ = share_image(from_pixel_list(3, 2, [0] * 6), 3, BACKEND_STATEVECTOR, 8)
-    data = bytearray(serialize_session(session))
+    data = serialize_session(session)
     assert struct.unpack_from("<I", data, HEADER_SIZE + SEED_SIZE) == (1,)
-    data[-CRC_SIZE - 1] = 0b1000_0000  # pixel 1 points at entry 1
-    message = "register index value 1 out of range for a table of 1 entries"
-    with pytest.raises(FormatError, match=message):
-        deserialize_session(recrc(bytes(data)))
+    assert len(data) == TABLE_START + 1 + 1 + 16 + CRC_SIZE
+    # A plane in which pixel 1 points at entry 1.
+    edited = data[:-CRC_SIZE] + bytes([0b1000_0000]) + data[-CRC_SIZE:]
+    with pytest.raises(FormatError, match="register index holds 1 bytes, expected 0"):
+        deserialize_session(recrc(edited))
 
 
 def test_a_register_table_rejects_an_index_past_its_entries():
@@ -1289,11 +1201,8 @@ def test_statevector_session_file_round_trips(width, height, n, seed, recovered)
     if recovered:
         recover_image(shares, session, seed ^ 1)
     entries = int(np.count_nonzero(session.registers.counts()))
-    pixels = image.pixel_count
-    if entries <= 2:
-        index_size = (pixels + 7) // 8
-    else:
-        index_size = pixels * (1 if entries <= 255 else 2)
+    # One bit plane per bit of the last entry's number.
+    index_size = (entries - 1).bit_length() * ((image.pixel_count + 7) // 8)
     # A fresh entry and a collapsed one both store one shared amplitude.
     data = serialize_session(session)
     assert len(data) == (
@@ -1342,7 +1251,7 @@ def test_a_fresh_session_at_the_size_cap_is_2_mib_and_serializes_in_6():
     del image
     data, peak = _traced_peak(serialize_session, session)
     entry = 1 + (1 << 16) // 8 + 16
-    assert len(data) == 38 + 8 + 4 + 2 * entry + (4096 * 4096) // 8 + 4
+    assert len(data) == 34 + 8 + 4 + 2 * entry + (4096 * 4096) // 8 + 4
     assert peak < 6 << 20
 
 
@@ -1351,10 +1260,11 @@ def test_a_recovered_session_is_written_without_a_second_copy():
     session, shares = share_image(image, 10, BACKEND_STATEVECTOR, 4)
     recover_image(shares, session, 5)
     entries = int(np.count_nonzero(session.registers.counts()))
-    assert entries > 255  # a u16 index
+    assert entries > 256  # a u16 index in memory, 9 or 10 bit planes in the file
     data, peak = _traced_peak(serialize_session, session)
     # Each collapsed entry: its form byte, a 1024-bit support, one amplitude.
-    assert len(data) == 38 + 8 + 4 + entries * (1 + 128 + 16) + 64 * 64 * 2 + 4
+    planes = (entries - 1).bit_length()
+    assert len(data) == 34 + 8 + 4 + entries * (1 + 128 + 16) + planes * 64 * 64 // 8 + 4
     assert peak < 1.25 * len(data)
 
 
@@ -1427,6 +1337,105 @@ def test_a_fresh_session_at_the_size_cap_reads_back_holding_its_index_once():
     assert peak < 20 << 20
 
 
+def test_a_sampled_audit_at_the_size_cap_counts_one_chunk_at_a_time():
+    # A whole u16 pattern index would take 32 MiB; one chunk's patterns
+    # take 2 MiB, and 8 MiB more as bincount's intp copy.
+    session, _ = share_image(random_image(4096, 4096, seed=3), 16, BACKEND_SAMPLED, 4)
+    report, peak = _traced_peak(audit_subset, session, range(1, 17))
+    assert report.distribution.sum() == pytest.approx(1.0)
+    assert peak < 16 << 20
+
+
+@pytest.mark.parametrize("subset", [(1,), (4, 2), (1, 2, 3, 4, 5)])
+def test_a_sampled_audit_in_chunks_counts_what_one_pass_counts(subset, monkeypatch):
+    session, _ = share_image(random_image(13, 11, seed=2), 5, BACKEND_SAMPLED, 6)
+    whole = audit_subset(session, subset)
+    monkeypatch.setattr(protocol, "_CHUNK", 16)  # 143 pixels: the last chunk is short
+    chunked = audit_subset(session, subset)
+    np.testing.assert_array_equal(chunked.distribution, whole.distribution)
+    assert (chunked.p_value, chunked.verdict) == (whole.p_value, whole.verdict)
+
+
+# --- the register index as bit planes (format v7) ---
+
+#: Entries of the tables below: 9 qubits, so up to 512 distinct outcomes.
+INDEX_N = 9
+
+
+def _index_session(length: int, collapsed: bool):
+    """A 29x11 statevector session (319 pixels, so each index plane ends
+    in pad bits) whose table has ``length`` entries, every one used:
+    hand-built from the two parity states and basis-state ints, or
+    collapsed from ``length`` distinct outcomes."""
+    pixels = 29 * 11
+    session, _ = share_image(random_image(29, 11, seed=length), INDEX_N, BACKEND_STATEVECTOR, 1)
+    if collapsed:
+        values = np.random.default_rng(length).permutation(1 << INDEX_N)[:length]
+        table = RegisterTable(INDEX_N, [0], np.zeros(pixels, dtype=np.uint8))
+        table.collapse(values[np.arange(pixels) % length])
+    else:
+        parity = [prepare_parity_state_direct(ParitySpec(INDEX_N, b)) for b in (0, 1)]
+        states = [*parity, *range(2, length)][:length]
+        table = RegisterTable(INDEX_N, states, np.arange(pixels)[::-1] % length)
+    assert len(table.states) == length
+    return dataclasses.replace(session, registers=table)
+
+
+@pytest.mark.parametrize("collapsed", [False, True])
+@pytest.mark.parametrize("length", [1, 2, 3, 4, 255, 256, 257])
+def test_an_index_is_one_bit_plane_per_bit_of_the_last_entry_number(length, collapsed):
+    session = _index_session(length, collapsed)
+    index, plane = session.registers.index, (29 * 11 + 7) // 8
+    planes = (length - 1).bit_length()
+    data = serialize_session(session)
+    # Each entry: a form byte, a 512-bit support and one shared amplitude.
+    assert len(data) == TABLE_START + length * (1 + 64 + 16) + planes * plane + CRC_SIZE
+    stored = np.frombuffer(data, np.uint8, planes * plane, len(data) - CRC_SIZE - planes * plane)
+    expected = [np.packbits((index >> s) & 1) for s in reversed(range(planes))]
+    np.testing.assert_array_equal(stored.reshape(planes, plane), np.reshape(expected, (planes, plane)))
+    restored = deserialize_session(data)
+    assert restored == session
+    np.testing.assert_array_equal(restored.registers.index, index)
+    assert restored.registers.index.dtype == index.dtype
+    assert serialize_session(restored) == data
+
+
+def _with_index_value(data: bytes, planes: int, pixel: int) -> bytes:
+    """``data`` with every index bit of ``pixel`` (0-based) set: the
+    largest value its ``planes`` planes hold."""
+    edited = bytearray(data)
+    plane = (29 * 11 + 7) // 8
+    for row in range(planes):
+        edited[len(data) - CRC_SIZE - (planes - row) * plane + pixel // 8] |= 0x80 >> pixel % 8
+    return recrc(bytes(edited))
+
+
+@pytest.mark.parametrize("length", [3, 255, 257])
+@pytest.mark.parametrize("pixel", [0, 29 * 11 - 1])
+def test_an_index_value_past_the_table_names_it(length, pixel):
+    planes = (length - 1).bit_length()
+    data = _with_index_value(serialize_session(_index_session(length, False)), planes, pixel)
+    message = (
+        f"register index value {(1 << planes) - 1} out of range for a table of "
+        f"{length} entries in session file"
+    )
+    with pytest.raises(FormatError, match=message):
+        deserialize_session(data)
+
+
+@pytest.mark.parametrize("backend", [BACKEND_STATEVECTOR, BACKEND_SAMPLED])
+def test_a_version_6_file_is_refused(backend):
+    session, shares = share_image(DEMO_IMAGE, 3, backend, 42)
+    for blob, read, what in (
+        (serialize_share(shares[0]), deserialize_share, "share"),
+        (serialize_session(session), deserialize_session, "session"),
+    ):
+        data = bytearray(blob)
+        data[4] = 6
+        with pytest.raises(FormatError, match=f"unsupported {what} file format version 6"):
+            read(recrc(bytes(data)))
+
+
 # --- table entries as their support and non-zero amplitudes (format v5) ---
 
 TABLE_START = HEADER_SIZE + SEED_SIZE + TABLE_LENGTH_SIZE
@@ -1492,8 +1501,9 @@ def test_entries_of_every_support_round_trip(n):
     support = ((1 << n) + 7) // 8
     # Shared: the parity, basis and uniform entries; one per bit: the rest.
     amplitudes = 1 + 1 + (1 << n) + 1 + (1 << (n - 1))
+    # Five entries: 3 index planes of 15 bits.
     assert len(data) == (
-        TABLE_START + 5 * (1 + support) + 16 * amplitudes + 15 + CRC_SIZE
+        TABLE_START + 5 * (1 + support) + 16 * amplitudes + 3 * 2 + CRC_SIZE
     )
     restored = deserialize_session(data)
     assert restored == session
@@ -1533,7 +1543,7 @@ def test_a_support_whose_amplitudes_run_past_the_body_raises_before_allocating()
     assert peak < 1 << 18  # the entry's dense state would take 1 MiB
     assert str(err.value) == (
         "register table entry 0 support needs 1048576 bytes of amplitudes, "
-        "only 17 remain"
+        "only 16 remain"
     )
 
 
