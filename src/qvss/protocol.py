@@ -120,9 +120,6 @@ _ONE = np.ones(1, dtype="<c16")
 #: that every support bit shares.
 _FORM_PER_BIT, _FORM_SHARED = 0, 1
 
-#: Register index dtypes in memory, narrowest first.
-_INDEX_DTYPES = tuple(np.dtype(t) for t in ("<u1", "<u2", "<u4"))
-
 #: Pixels per step of a pass over a per-pixel array, so that no temporary
 #: the size of the image is made (``np.bincount`` casts to intp, 8 B a pixel).
 _CHUNK = 1 << 20
@@ -177,10 +174,6 @@ def entropy_seed() -> int:
     return int(np.random.SeedSequence().entropy) & _MASK64
 
 
-def _index_dtype(table_length: int) -> np.dtype:
-    return next(d for d in _INDEX_DTYPES if table_length <= np.iinfo(d).max)
-
-
 def _chunks(length: int):
     """Slices of ``_CHUNK`` items that cover ``range(length)`` in order."""
     return (slice(start, start + _CHUNK) for start in range(0, length, _CHUNK))
@@ -205,12 +198,14 @@ def _bit_planes(data, bits: int, what: str, rows: int | None = None) -> np.ndarr
     return data
 
 
-def _fold(planes, count: int, dtype) -> np.ndarray:
+def _fold(planes, count: int) -> np.ndarray:
     """Each pixel's bits in ``planes`` (rows of ``count`` bits packed MSB
-    first) as one ``dtype`` integer, the first plane's bit the highest.  A
-    uint8 result starts as the first plane unpacked whole, not a copy, any
-    other at zero; planes are shifted in one ``_CHUNK`` of pixels at a time."""
-    whole = len(planes) > 0 and np.dtype(dtype) == np.uint8
+    first) as one integer, the first plane's bit the highest, in the
+    narrowest unsigned dtype that holds ``2^len(planes) - 1``.  A uint8
+    result starts as the first plane unpacked whole, not a copy, any other
+    at zero; planes are shifted in one ``_CHUNK`` of pixels at a time."""
+    dtype = np.min_scalar_type((1 << len(planes)) - 1)
+    whole = len(planes) > 0 and dtype == np.uint8
     folded = np.unpackbits(planes[0], count=count) if whole else np.zeros(count, dtype)
     for part in _chunks(count):
         span, chunk = slice(part.start // 8, part.stop // 8), folded[part]
@@ -249,11 +244,12 @@ class RegisterTable:
                     raise ValueError(f"register has {value.num_qubits} qubits, table holds {n}")
             elif not 0 <= value < 1 << n:
                 raise ValueError(f"basis index {value!r} out of range for {n} qubits")
-        # The index is held in the narrowest dtype whose range holds the
-        # table length; a value that does not fit raises instead of
-        # wrapping.  An array of that dtype is kept, not copied.
+        # The index is held in the narrowest unsigned dtype whose range
+        # holds the last entry number; a value that does not fit raises
+        # instead of wrapping.  An array of that dtype is kept, not copied.
+        last = max(len(self.states) - 1, 0)
         index = np.asarray(index).reshape(-1)
-        self.index = index.astype(_index_dtype(len(self.states)), copy=False)
+        self.index = index.astype(np.min_scalar_type(last), copy=False)
         if index.dtype != self.index.dtype and not np.array_equal(index, self.index):
             raise ValueError(
                 f"register index does not fit {self.index.dtype.name} for a "
@@ -301,7 +297,7 @@ class RegisterTable:
         they are counted rather than sorted.
         """
         used = np.flatnonzero(_bincount(outcomes, 1 << self.n))
-        lookup = np.empty(1 << self.n, dtype=_index_dtype(len(used)))
+        lookup = np.empty(1 << self.n, dtype=np.min_scalar_type(len(used) - 1))
         lookup[used] = np.arange(len(used))
         self.index = lookup[outcomes]
         self.states = used.tolist()
@@ -547,7 +543,9 @@ def recover_image(
     the session's.  In the statevector backend the session's
     registers collapse in place: one generator seeded with ``seed`` (drawn
     from entropy if None) draws the outcomes of all pixels of each distinct
-    register at once, in table order and then pixel order.  A sampled
+    register in table order and then pixel order, as one draw per register
+    would, though ``_CHUNK`` pixels at a time: ``rng.random(a)`` then
+    ``rng.random(b)`` give the doubles of ``rng.random(a + b)``.  A sampled
     session draws nothing, but a seed given for it is still checked.
     """
     shares = list(shares)  # read twice: checked, then decoded
@@ -558,15 +556,15 @@ def recover_image(
     if session.backend == BACKEND_STATEVECTOR:
         table = session.registers
         rng = np.random.default_rng(entropy_seed() if seed is None else seed)
-        # Outcomes lie below 2^n <= 2^16.
-        outcomes = np.empty(session.pixel_count, dtype=np.uint16)
+        outcomes = np.empty(len(table), dtype=np.min_scalar_type((1 << table.n) - 1))
         # Pixels grouped by entry, each group in pixel order; numpy radix
         # sorts the u8 or u16 index.
         by_entry = np.argsort(table.index, kind="stable")
         groups = np.split(by_entry, np.cumsum(table.counts())[:-1])
         for entry, pixels in enumerate(groups):
-            if len(pixels):
-                outcomes[pixels] = sample(table.state(entry), rng, len(pixels))
+            for part in _chunks(len(pixels)):
+                outcomes[pixels[part]] = sample(table.state(entry), rng, len(pixels[part]))
+        del by_entry, groups, pixels  # a group's view keeps the whole argsort alive
         colors = index_parities(1 << table.n)[outcomes]
         table.collapse(outcomes)
     else:
@@ -633,7 +631,7 @@ def audit_subset(session: SessionStore, subset) -> AuditReport:
         rows, counts = [j - 1 for j in subset], np.zeros(patterns, dtype=np.intp)
         for part in _chunks(session.pixel_count):
             planes = session.registers[rows, part.start // 8 : part.stop // 8]
-            index = _fold(planes, len(range(session.pixel_count)[part]), np.uint16)
+            index = _fold(planes, len(range(session.pixel_count)[part]))
             counts += np.bincount(index, minlength=patterns)
         distribution = counts / session.pixel_count
         max_dev = float(np.abs(distribution - uniform).max())
@@ -868,7 +866,7 @@ def _read_register_table(body, n: int, pixel_count: int) -> RegisterTable:
         amplitudes[np.unpackbits(support, count=dim).view(bool)] = stored
         states.append(StateVector(n, amplitudes))
 
-    index = _fold(planes, pixel_count, _index_dtype(length))  # a fresh array: the table keeps it
+    index = _fold(planes, pixel_count)  # a fresh array: the table keeps it
     return RegisterTable(n, states, index)
 
 

@@ -1071,7 +1071,7 @@ def test_session_with_a_set_pad_bit_is_rejected():
         deserialize_session(_flip_last_payload_bit(serialize_session(session)))
 
 
-# --- the register index in the narrowest dtype that holds the table length ---
+# --- the register index in the narrowest dtype that holds the last entry number ---
 
 
 def test_register_index_takes_the_session_file_dtype():
@@ -1092,11 +1092,43 @@ def test_register_index_that_does_not_fit_is_rejected(index):
         RegisterTable(3, states, np.array(index))
 
 
-@pytest.mark.parametrize("entries,dtype", [(255, np.uint8), (256, np.uint16)])
-def test_a_256th_entry_widens_the_index(entries, dtype):
-    table = RegisterTable(8, range(entries), np.arange(entries))
+@pytest.mark.parametrize(
+    "entries,dtype",
+    [(255, np.uint8), (256, np.uint8), (257, np.uint16), (65536, np.uint16), (65537, np.uint32)],
+)
+def test_a_257th_entry_widens_the_index(entries, dtype):
+    # Entry numbers run to entries - 1: 255 fits u8, 65535 fits u16.
+    states = (np.arange(entries) % (1 << 16)).tolist()
+    table = RegisterTable(16, states, np.arange(entries))
     assert table.index.dtype == dtype
     assert table.index.tolist() == list(range(entries))
+
+
+def test_recovering_at_n8_leaves_a_u8_index():
+    image = random_image(128, 128, seed=5)
+    session, shares = share_image(image, 8, BACKEND_STATEVECTOR, 6)
+    assert recover_image(shares, session, 7) == image
+    assert len(session.registers.states) == 256
+    assert session.registers.index.dtype == np.uint8
+
+
+def test_multi_chunk_recovery_draws_what_one_draw_per_entry_draws(monkeypatch):
+    image = random_image(40, 30, seed=4)
+    session, shares = share_image(image, 4, BACKEND_STATEVECTOR, 8)
+    recover_image(shares, session, 1)
+    # The collapsed entries, then the two parity states over a third of
+    # the pixels: each parity group spans several 64-pixel chunks.
+    parity = [prepare_parity_state_direct(ParitySpec(4, b)) for b in (0, 1)]
+    index = session.registers.index.astype(np.uint32)
+    index[::3] = len(session.registers.states) + image.pixels[::3]
+    table = RegisterTable(4, [*session.registers.states, *parity], index)
+    assert table.counts()[-2:].min() > 2 * 64
+    before = RegisterTable(4, table.states, table.index.copy())
+    monkeypatch.setattr(protocol, "_CHUNK", 64)
+    recovered = recover_image(shares, dataclasses.replace(session, registers=table), 77)
+    outcomes = np.array(table.states)[table.index]
+    np.testing.assert_array_equal(outcomes, _outcomes_by_entry_masks(before, 77))
+    assert recovered == image
 
 
 # --- statevector file bytes; the session table cap ---
@@ -1211,7 +1243,7 @@ def test_statevector_session_file_round_trips(width, height, n, seed, recovered)
     )
     restored = deserialize_session(data)
     assert restored == session
-    assert restored.registers.index.dtype == (np.uint8 if entries <= 255 else np.uint16)
+    assert restored.registers.index.dtype == (np.uint8 if entries <= 256 else np.uint16)
     assert serialize_session(restored) == data
 
 
@@ -1337,6 +1369,19 @@ def test_a_fresh_session_at_the_size_cap_reads_back_holding_its_index_once():
     assert peak < 20 << 20
 
 
+def test_recovering_at_the_size_cap_peaks_under_200_mib_with_a_u16_index():
+    # The grouping argsort takes 128 MiB and the outcomes 32 MiB; each
+    # entry is drawn one chunk at a time, and the grouping is freed before
+    # the collapse builds the index.
+    image = random_image(4096, 4096, seed=3)
+    session, shares = share_image(image, 16, BACKEND_STATEVECTOR, 4)
+    recovered, peak = _traced_peak(recover_image, shares, session, 6)
+    assert recovered == image
+    assert len(session.registers.states) == 1 << 16
+    assert session.registers.index.dtype == np.uint16
+    assert peak < 200 << 20
+
+
 def test_a_sampled_audit_at_the_size_cap_counts_one_chunk_at_a_time():
     # A whole u16 pattern index would take 32 MiB; one chunk's patterns
     # take 2 MiB, and 8 MiB more as bincount's intp copy.
@@ -1398,6 +1443,13 @@ def test_an_index_is_one_bit_plane_per_bit_of_the_last_entry_number(length, coll
     np.testing.assert_array_equal(restored.registers.index, index)
     assert restored.registers.index.dtype == index.dtype
     assert serialize_session(restored) == data
+
+
+@pytest.mark.parametrize("collapsed", [False, True])
+@pytest.mark.parametrize("length,dtype", [(256, np.uint8), (257, np.uint16)])
+def test_an_index_reads_back_in_the_dtype_of_its_last_entry_number(length, dtype, collapsed):
+    restored = deserialize_session(serialize_session(_index_session(length, collapsed)))
+    assert restored.registers.index.dtype == dtype
 
 
 def _with_index_value(data: bytes, planes: int, pixel: int) -> bytes:
