@@ -11,19 +11,24 @@ than n rows leaves the white and black collections indistinguishable.
 
 Image sharing draws every pixel's permutation from one counter-based key
 stream, ``np.random.Philox(key=seed)`` (Salmon et al., "Parallel random
-numbers: as easy as 1, 2, 3", SC'11): pixel l's m sort keys are raw
-64-bit words (l-1)*m .. l*m-1 of that stream, and its column order is the
-stable argsort of those keys.  Each pixel's sort words are its keys'
-top 32 bits up to n=9 (the whole keys above), with their low n bits
-replaced by the white base's value for each column, and sorting them
-once leaves the white values in that order in the low bits (see
-``_sort_rows``, which picks the width from m and n).  The few pixels
-whose key prefixes tie are sorted again by the stable argsort of the
-keys themselves.  Pixels are processed
-a few rows at a time in whole-array operations: the chunk's values are
+numbers: as easy as 1, 2, 3", SC'11).  Up to n=9 (``_key_dtype``) pixel
+l's m sort keys are the 32-bit halves of raw words (l-1)*m/2 .. l*m/2-1
+of that stream, key 2i word i's low half and key 2i+1 its high half;
+above n=9 they are raw 64-bit words (l-1)*m .. l*m-1.  Pixel l's column
+order is the stable argsort of its keys, unless two of its keys agree
+above bit n: then it is the stable argsort of m fresh 64-bit keys from
+the pixel's own stream, ``Philox(key=_TIE_KEY_TAG | seed, counter=l <<
+128)``.  The order is uniform either way: i.i.d. keys with distinct
+prefixes are ordered uniformly by symmetry, and a tied row is redrawn
+independently.  Each pixel's sort words are its keys, in place, with
+their low n bits replaced by the white base's value for each column, and
+sorting them once leaves the white values in that order in the low bits
+(see ``_sort_rows``).  Pixels are processed a few
+rows at a time in whole-array operations: the chunk's values are
 narrowed once into the share grid's layout and each share's rows are
 masked to its bit and packed.  So the result depends neither on the
-chunking nor on anything but the seed, n and the pixel's index and colour.
+chunking nor on anything but the seed, n and the pixel's index and
+colour.
 
 The n shares are one ``Transparencies``: n packed bit planes, one bit per
 subpixel, each plane a share's P4 raster.  Stacking ORs the planes and
@@ -57,13 +62,17 @@ from .statevector import check_subset
 MAX_BASELINE_SUBPIXELS = 1 << 27
 
 #: Subpixels drawn per chunk (rounded down to whole image rows, at least
-#: one): 512 pixels at n=8.  A chunk's keys take 8 bytes a subpixel, 512
-#: KiB, and its sort words 4 bytes up to n=9 (8 above), 256 KiB, as does
-#: the tie check's one temporary, so they stay in a 2 MiB L2 cache through
-#: the sort, and the memory used beyond the shares themselves is about
-#: 1.4 MiB (256x256, n=8).  At 128x128, n=8, 2^15 to 2^19 ran within 7%
-#: of each other.
+#: one): 512 pixels at n=8.  A chunk's keys, which are its sort words,
+#: take 4 bytes a subpixel up to n=9 (8 above), 256 KiB, as does the tie
+#: check's one temporary, so they stay in a 2 MiB L2 cache through the
+#: sort.  At 128x128, n=8, 2^15 to 2^19 ran within 7% of each other.
 _CHUNK_SUBPIXELS = 1 << 16
+
+#: High 64 bits of the Philox key of the streams that redraw a tied row's
+#: sort keys; the low 64 bits are the seed.  Keeps them apart from the
+#: share stream ``Philox(key=seed)`` and from the sampled backend's
+#: ``protocol._SAMPLED_KEY_TAG``.
+_TIE_KEY_TAG = 2 << 64
 
 
 @dataclass(frozen=True)
@@ -217,31 +226,40 @@ def block_shape(n: int) -> tuple[int, int]:
     return 1 << half, 1 << (n - 1 - half)
 
 
-def _sort_rows(keys: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Each row's ``values`` in the stable argsort order of its ``keys``.
+def _key_dtype(n: int) -> np.dtype:
+    """The sort keys' dtype at n: ``'<u4'`` while a row's expected prefix
+    ties, C(m, 2) * 2^(n-32) with m = 2^(n-1), stay at or below 2^-8
+    (n <= 9), else ``'<u8'``."""
+    m = 1 << (n - 1)
+    return np.dtype("<u4" if m * (m - 1) << n <= 1 << 25 else "<u8")
 
-    ``keys`` holds one row of m uint64 sort keys per pixel and is left
-    unchanged; ``values`` holds m ascending unsigned values below 2^b.
-    The sort words are a new array: each key's top bits with their low b
-    bits replaced by its column's value, sorted along the row, and their
-    low b bits are the result; callers read only those bits.  The words
-    are the keys' top 32 bits while a row's expected prefix ties,
-    C(m, 2) * 2^(b-32), stay at or below 2^-8 (n <= 9 in the baseline,
-    where b = n and m = 2^(n-1)); otherwise they are the whole 64-bit
-    keys.  If no two words of a row agree above bit b (adjacent sorted
-    words suffice to check), the row's key prefixes are distinct:
-    distinct prefixes order the keys exactly as the keys do and no two
-    keys tie, and the values rise with the column, so the low bits are
-    the values in stable argsort order.  Rows where two prefixes agree
-    are sorted again by the stable argsort of their keys, so the result
-    holds for every input.
+
+def _tie_keys(seed: int, pixels: np.ndarray, m: int) -> np.ndarray:
+    """m 64-bit keys from each pixel's own stream, one row per 1-based
+    pixel index in ``pixels``."""
+    return np.stack([
+        np.random.Philox(key=_TIE_KEY_TAG | seed, counter=l << 128).random_raw(m)
+        for l in pixels.tolist()
+    ])
+
+
+def _sort_rows(words: np.ndarray, values: np.ndarray, tie_keys) -> np.ndarray:
+    """Sorts each row of ``words`` in place so that its low b bits hold
+    ``values`` in the row's column order, and returns ``words``.
+
+    ``words`` holds one row of m unsigned sort keys per pixel; ``values``
+    holds m ascending unsigned values below 2^b.  Each word's low b bits
+    are replaced by its column's value and every row is sorted once;
+    callers read only the low b bits.  If no two words of a row agree
+    above bit b (adjacent sorted words suffice to check), the row's key
+    prefixes are distinct: they order the keys exactly as the keys do and
+    no two keys tie, and the values rise with the column, so the low bits
+    are the values in the stable argsort order of the keys.  A row where
+    two prefixes agree gets the values in the stable argsort order of its
+    row of ``tie_keys(rows)``, called once with the tied row numbers.
     """
-    m = keys.shape[1]
-    bits = int(values[-1]).bit_length()
-    narrow = m * (m - 1) << bits <= 1 << 25  # C(m, 2) * 2^(bits-32) <= 2^-8
-    words = np.empty(keys.shape, dtype=np.uint32 if narrow else np.uint64)
-    np.right_shift(keys, 32 if narrow else 0, out=words, casting="unsafe")
-    low = words.dtype.type((1 << bits) - 1)
+    m = words.shape[1]
+    low = words.dtype.type((1 << int(values[-1]).bit_length()) - 1)
     values = values.astype(words.dtype)
     words &= ~low
     words |= values
@@ -251,7 +269,7 @@ def _sort_rows(keys: np.ndarray, values: np.ndarray) -> np.ndarray:
     close[m - 1 :: m] = False  # the pair straddles two rows
     if close.any():
         tied = np.unique(np.flatnonzero(close) // m)
-        words[tied] = values[np.argsort(keys[tied], axis=1, kind="stable")]
+        words[tied] = values[np.argsort(tie_keys(tied), axis=1, kind="stable")]
     return words
 
 
@@ -259,10 +277,10 @@ def classical_share_image(image: BinaryImage, n: int, seed: int) -> Transparenci
     """Expand every pixel into per-share subpixel blocks; returns n shares.
 
     Pixel l's share matrix is its colour's base with the columns in the
-    stable argsort order of words (l-1)*m .. l*m-1 of the Philox stream
-    keyed by ``seed``: a uniformly random member of that colour's set.
+    order the module docstring defines from the Philox stream keyed by
+    ``seed``: a uniformly random member of that colour's set.
     """
-    _check_seed(seed)
+    seed = _check_seed(seed)  # a Python int, so that a tag can be or-ed in
     n = _check_expansion(n, image.pixel_count)
     bh, bw = block_shape(n)
     width, height = image.width * bw, image.height * bh
@@ -273,14 +291,20 @@ def classical_share_image(image: BinaryImage, n: int, seed: int) -> Transparenci
         )
     m = bh * bw
     white = _white_columns(n)
-    keys = np.random.Philox(key=seed)
+    dtype = _key_dtype(n)
+    stream = np.random.Philox(key=seed)
     planes = np.empty((n, height, (width + 7) // 8), dtype=np.uint8)
     colors = image.as_grid()
     rows = max(1, _CHUNK_SUBPIXELS // (image.width * m))
     for top in range(0, image.height, rows):
         chunk = colors[top : top + rows]
         count = chunk.shape[0]
-        words = _sort_rows(keys.random_raw(chunk.size * m).reshape(-1, m), white)
+        # Little-endian words read as '<u4' are each word's low half, then
+        # its high half, whatever the platform's byte order.
+        raw = stream.random_raw(chunk.size * m * dtype.itemsize // 8)
+        keys = raw.astype("<u8", copy=False).view(dtype).reshape(-1, m)
+        first = top * image.width + 1  # the chunk's first pixel index l
+        words = _sort_rows(keys, white, lambda tied: _tie_keys(seed, first + tied, m))
         # The share grid's row-major layout: (image row, block row, image
         # column, block column).  Narrowing keeps bits 0..n-1, the white
         # value, and maybe prefix bits that no plane reads; black pixels

@@ -545,8 +545,12 @@ def recover_image(
     from entropy if None) draws the outcomes of all pixels of each distinct
     register in table order and then pixel order, as one draw per register
     would, though ``_CHUNK`` pixels at a time: ``rng.random(a)`` then
-    ``rng.random(b)`` give the doubles of ``rng.random(a + b)``.  A sampled
-    session draws nothing, but a seed given for it is still checked.
+    ``rng.random(b)`` give the doubles of ``rng.random(a + b)``.  A
+    measured (int) entry's outcome is its basis index: its pixels take it
+    with no 2^n state built, and the generator still advances by their
+    count of doubles, as ``sample`` would, so later outcomes stay the same.
+    A sampled session draws nothing, but a seed given for it is still
+    checked.
     """
     shares = list(shares)  # read twice: checked, then decoded
     _check_share_set(shares, session)
@@ -562,8 +566,13 @@ def recover_image(
         by_entry = np.argsort(table.index, kind="stable")
         groups = np.split(by_entry, np.cumsum(table.counts())[:-1])
         for entry, pixels in enumerate(groups):
+            value = table.states[entry]
             for part in _chunks(len(pixels)):
-                outcomes[pixels[part]] = sample(table.state(entry), rng, len(pixels[part]))
+                if isinstance(value, StateVector):
+                    outcomes[pixels[part]] = sample(value, rng, len(pixels[part]))
+                else:  # measured: skip the doubles ``sample`` would read
+                    rng.random(len(pixels[part]))
+                    outcomes[pixels[part]] = value
         del by_entry, groups, pixels  # a group's view keeps the whole argsort alive
         colors = index_parities(1 << table.n)[outcomes]
         table.collapse(outcomes)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.stats import chisquare
 
-from qvss import baseline
+from qvss import baseline, protocol
 from qvss.baseline import (
     Transparencies,
     block_shape,
@@ -322,20 +322,25 @@ def test_every_pixel_matrix_has_its_colour_base_columns(n):
         np.testing.assert_array_equal(values[l], np.sort(bases[color]))
 
 
-def test_column_orders_are_uniform_for_three_participants():
-    # 4096 pixels over the 4! = 24 column orders (about 171 per order);
-    # seed 2024 is fixed, so the test is deterministic.
-    image = BinaryImage(64, 64, np.random.default_rng(0).integers(0, 2, size=4096))
+def column_order_counts(image, seed):
+    """How many pixels of the n=3 shares took each of the 4! column orders."""
     sets = build_nn_matrix_sets(3)
     bases = [column_values(base[None])[0] for base in (sets.c0_base, sets.c1_base)]
-    values = column_values(share_matrices(classical_share_image(image, 3, 2024), 3))
+    values = column_values(share_matrices(classical_share_image(image, 3, seed), 3))
     orders = {order: i for i, order in enumerate(permutations(range(4)))}
     counts = np.zeros(24, dtype=np.int64)
     for l, color in enumerate(image.pixels):
         order = tuple(int(np.flatnonzero(bases[color] == v)[0]) for v in values[l])
         counts[orders[order]] += 1
-    assert counts.sum() == 4096
-    assert chisquare(counts).pvalue > 0.001
+    assert counts.sum() == image.pixel_count
+    return counts
+
+
+def test_column_orders_are_uniform_for_three_participants():
+    # 4096 pixels over the 4! = 24 column orders (about 171 per order);
+    # seed 2024 is fixed, so the test is deterministic.
+    image = BinaryImage(64, 64, np.random.default_rng(0).integers(0, 2, size=4096))
+    assert chisquare(column_order_counts(image, 2024)).pvalue > 0.001
 
 
 class _FixedPermutation:
@@ -351,13 +356,12 @@ class _FixedPermutation:
 
 def test_share_image_equals_the_per_pixel_definition():
     # Pixel l takes classical_share_pixel's column order from the stable
-    # argsort of raw Philox words (l-1)*m .. l*m-1, laid out block by block.
+    # argsort of its sort keys (see philox_keys), laid out block by block.
     n, seed = 4, 31
     image = BinaryImage(6, 5, np.random.default_rng(3).integers(0, 2, size=30))
     sets = build_nn_matrix_sets(n)
     bh, bw = block_shape(n)
-    keys = np.random.Philox(key=seed).random_raw(image.pixel_count * sets.m)
-    keys = keys.reshape(image.pixel_count, sets.m)
+    keys = philox_keys(image, n, seed)
     expected = np.zeros((n, image.height * bh, image.width * bw), dtype=np.uint8)
     for l in range(1, image.pixel_count + 1):
         row, col = (l - 1) // image.width, (l - 1) % image.width
@@ -399,9 +403,11 @@ def test_top_rows_crop_gets_the_top_rows_of_the_shares():
 
 def column_orders(keys):
     """``np.argsort(keys, axis=1, kind="stable")`` for m = 2^b columns,
-    through ``_sort_rows`` with the column indices as values."""
+    through ``_sort_rows`` with the column indices as values and the keys
+    themselves as the tied rows' keys."""
     m = keys.shape[1]
-    return baseline._sort_rows(keys, np.arange(m, dtype=np.uint64)) & np.uint64(m - 1)
+    words = baseline._sort_rows(keys.copy(), np.arange(m, dtype=keys.dtype), keys.__getitem__)
+    return words & keys.dtype.type(m - 1)
 
 
 def test_column_orders_break_ties_like_a_stable_sort():
@@ -457,12 +463,13 @@ def test_column_orders_sort_keys_that_share_a_prefix_like_a_stable_sort(m):
 @pytest.mark.parametrize(
     "n, digest",
     [
-        (3, "91f2cbecada1c7e3bf38f47aa791b48a8fe191613ca7d069392e963573a75135"),
-        (8, "0a29e3456bb5f57586234de286e9e2aaa066d786087e22b3827065e2462ba0fd"),
+        (3, "7a8daab5960152229ad3a723077618676b9681180d1684c6f380f656b0baf78c"),
+        (8, "113e4108098b417071100cc7a36c6799f5ccbc36b0769ef3c665c945b5751c30"),
     ],
 )
 def test_share_image_bytes_are_pinned(n, digest):
-    # Digests of the shares written by the three-sort implementation.
+    # Digests of the shares written from 32-bit keys, two per Philox word,
+    # with tied rows redrawn from their own streams.
     image = BinaryImage(33, 17, np.random.default_rng(33).integers(0, 2, size=33 * 17))
     sha = hashlib.sha256()
     for share in classical_share_image(image, n, seed=2718):
@@ -528,7 +535,7 @@ def test_share_planes_are_the_p4_rasters(n, width):
         assert write_pbm(share, "p4") == header + shares.planes[j].tobytes()
 
 
-# --- white values in the sort words, tied rows sorted by their keys ---
+# --- white values in the sort words, tied rows redrawn ---
 
 
 def per_pixel_shares(image, n, keys):
@@ -546,9 +553,41 @@ def per_pixel_shares(image, n, keys):
     return grids
 
 
+#: High 64 bits of the Philox key of a tied pixel's own stream.
+TIE_KEY_TAG = 2 << 64
+
+
+def key_halves(words, m):
+    """32-bit keys, m a row: each word's low half, then its high half."""
+    halves = [[word & 0xFFFF_FFFF, word >> 32] for word in words.tolist()]
+    return np.array(halves, dtype=np.uint64).reshape(-1, m)
+
+
+def prefixes_tie(row, n):
+    """Whether two of a row's keys agree above bit n."""
+    return len(set((row >> np.uint64(n)).tolist())) < len(row)
+
+
 def philox_keys(image, n, seed):
+    """Each pixel's sort keys, one row per pixel.  Up to n=9 they are the
+    32-bit halves of m/2 words of the stream keyed by the seed, above
+    n=9 m raw words of it, unless two of them agree above bit n: then
+    they are m raw words of pixel l's own stream."""
     m = 1 << (n - 1)
-    return np.random.Philox(key=seed).random_raw(image.pixel_count * m).reshape(-1, m)
+    stream = np.random.Philox(key=seed)
+    if n > 9:
+        keys = stream.random_raw(image.pixel_count * m).reshape(-1, m)
+    else:
+        keys = key_halves(stream.random_raw(image.pixel_count * m // 2), m)
+    for l in range(1, image.pixel_count + 1):
+        if prefixes_tie(keys[l - 1], n):
+            own = np.random.Philox(key=TIE_KEY_TAG | seed, counter=l << 128)
+            keys[l - 1] = own.random_raw(m)
+    return keys
+
+
+def test_the_tie_streams_are_not_the_sampled_backends():
+    assert baseline._TIE_KEY_TAG == TIE_KEY_TAG != protocol._SAMPLED_KEY_TAG
 
 
 @pytest.mark.parametrize("width", [1, 3, 7])
@@ -556,8 +595,8 @@ def philox_keys(image, n, seed):
 def test_two_participant_shares_of_an_odd_width_equal_the_per_pixel_definition(
     monkeypatch, width, one_row_chunks
 ):
-    # m = 2, so every other image row starts at a word that is not a
-    # multiple of 4, within Philox's 4-word blocks.
+    # m = 2 keys are one word a pixel, so every other image row starts at
+    # a word that is not a multiple of 4, within Philox's 4-word blocks.
     pixels = np.random.default_rng(width).integers(0, 2, size=width * 5)
     image = BinaryImage(width, 5, pixels)
     if one_row_chunks:
@@ -580,34 +619,36 @@ def test_sort_rows_puts_the_white_values_in_stable_key_order(n):
         i, j = rng.choice(m, size=2, replace=False)
         row[j] = (row[i] & ~low) | rng.integers(0, 1 << n, dtype=np.uint64)
     keys[1::4, 0] = keys[1::4, -1]  # exact ties
-    words = baseline._sort_rows(keys, white.astype(np.uint64))
+    words = baseline._sort_rows(keys.copy(), white, keys.__getitem__)
     np.testing.assert_array_equal(
         words & low, white[np.argsort(keys, axis=1, kind="stable")]
     )
 
 
 class _CoarsePhilox:
-    """Philox whose words keep only their top 3 bits and their lowest bit.
+    """Philox whose share stream keeps only the top 3 bits and the lowest
+    bit of each 32-bit half of its words.
 
-    Most rows of its keys tie above the white values' bits, and many tie
-    outright, so the share image sorts them again by their keys.
-    ``constructed`` counts the streams made.
+    Most rows of its keys, 32-bit halves or whole 64-bit words, tie above
+    the white values' bits, and many tie outright, so the share image
+    redraws them.  A stream opened at a counter, a tied pixel's own, is
+    left whole.
     """
 
-    MASK = np.uint64(0xE000_0000_0000_0001)
+    MASK = np.uint64(0xE000_0001_E000_0001)
     PHILOX = np.random.Philox
-    constructed = 0
 
-    def __init__(self, key):
-        type(self).constructed += 1
-        self.stream = self.PHILOX(key=key)
+    def __init__(self, key, counter=None):
+        self.stream = self.PHILOX(key=key, counter=counter)
+        self.mask = self.MASK if counter is None else ~np.uint64(0)
 
     def random_raw(self, size):
-        return self.stream.random_raw(size) & self.MASK
+        return self.stream.random_raw(size) & self.mask
 
 
-@pytest.mark.parametrize("n, width", [(2, 7), (3, 5), (4, 6)])
+@pytest.mark.parametrize("n, width", [(2, 7), (3, 5), (4, 6), (10, 2)])
 def test_tied_rows_drawn_again_match_the_per_pixel_definition(monkeypatch, n, width):
+    # At n=10 the 64-bit keys keep 4 bits above bit n, so every row ties.
     pixels = np.random.default_rng(n).integers(0, 2, size=width * 5)
     image = BinaryImage(width, 5, pixels)
     monkeypatch.setattr(np.random, "Philox", _CoarsePhilox)
@@ -619,23 +660,87 @@ def test_tied_rows_drawn_again_match_the_per_pixel_definition(monkeypatch, n, wi
     )
 
 
-def test_tied_rows_are_sorted_from_the_keys_of_the_one_stream(monkeypatch):
+def test_tied_rows_are_redrawn_from_their_own_streams(monkeypatch):
     # At n=4 the coarse keys' prefixes are their top 3 bits, 8 values over
-    # 8 columns, so nearly every row ties; no second stream serves them.
+    # 8 columns, so nearly every row ties.  The seed's stream is opened
+    # once, then each tied pixel l's own stream, in pixel order.
     image = BinaryImage(6, 5, np.random.default_rng(4).integers(0, 2, size=30))
-    monkeypatch.setattr(np.random, "Philox", _CoarsePhilox)
-    monkeypatch.setattr(_CoarsePhilox, "constructed", 0)
+    opened = []
+
+    class Recording(_CoarsePhilox):
+        def __init__(self, key, counter=None):
+            opened.append((key, counter))
+            super().__init__(key, counter)
+
+    monkeypatch.setattr(np.random, "Philox", Recording)
     monkeypatch.setattr(baseline, "_CHUNK_SUBPIXELS", 2 * 6 << 3)
     classical_share_image(image, 4, seed=23)
-    assert _CoarsePhilox.constructed == 1
+    words = _CoarsePhilox.PHILOX(key=23).random_raw(30 * 4) & _CoarsePhilox.MASK
+    keys = key_halves(words, 8)
+    tied = [l for l in range(1, 31) if prefixes_tie(keys[l - 1], 4)]
+    assert len(tied) > 20
+    assert opened == [(23, None)] + [(TIE_KEY_TAG | 23, l << 128) for l in tied]
 
 
-def test_sort_rows_leaves_its_keys_unchanged():
-    keys = np.random.default_rng(5).integers(0, 1 << 64, size=(16, 8), dtype=np.uint64)
-    keys[::2, 0] = keys[::2, 1]  # tied rows too
-    before = keys.copy()
-    baseline._sort_rows(keys, np.arange(8, dtype=np.uint64))
-    np.testing.assert_array_equal(keys, before)
+def test_column_orders_stay_uniform_when_nearly_every_row_ties(monkeypatch):
+    # Keys that keep only their top 2 bits tie above bit 3 in all but
+    # 4!/4^4, about 9%, of the rows.  Sorting a tied row by those keys
+    # instead of redrawing it would favour the orders that keep tied
+    # columns in place.
+    monkeypatch.setattr(np.random, "Philox", _CoarsePhilox)
+    monkeypatch.setattr(_CoarsePhilox, "MASK", np.uint64(0xC000_0000_C000_0000))
+    image = BinaryImage(96, 96, np.random.default_rng(1).integers(0, 2, size=96 * 96))
+    keys = key_halves(np.random.Philox(key=77).random_raw(96 * 96 * 2), 4)
+    assert sum(prefixes_tie(row, 3) for row in keys) > 0.85 * 96 * 96
+    assert chisquare(column_order_counts(image, 77)).pvalue > 0.001
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_tied_rows_do_not_depend_on_chunking_or_cropping(monkeypatch, n):
+    monkeypatch.setattr(np.random, "Philox", _CoarsePhilox)
+    image = BinaryImage(9, 7, np.random.default_rng(n).integers(0, 2, size=63))
+    full = classical_share_image(image, n, seed=8)
+    monkeypatch.setattr(baseline, "_CHUNK_SUBPIXELS", 1)  # one image row a chunk
+    assert classical_share_image(image, n, seed=8) == full
+    crop = BinaryImage(9, 3, image.pixels[:27])
+    bh, _ = block_shape(n)
+    for whole, top in zip(full, classical_share_image(crop, n, seed=8)):
+        np.testing.assert_array_equal(top.as_grid(), whole.as_grid()[: 3 * bh])
+
+
+def test_tied_rows_take_a_numpy_integer_seed_as_its_int(monkeypatch):
+    # The tie streams' key is the seed with a tag above its 64 bits.
+    monkeypatch.setattr(np.random, "Philox", _CoarsePhilox)
+    image = BinaryImage(6, 5, np.random.default_rng(7).integers(0, 2, size=30))
+    expected = classical_share_image(image, 4, seed=23)
+    assert classical_share_image(image, 4, seed=np.uint64(23)) == expected
+
+
+def test_sort_rows_sorts_in_place_and_asks_once_for_the_tied_rows_keys():
+    # At n=8 the 32-bit words keep key bits 8..31 above the white values.
+    # Even rows' keys all agree there and descend with the column, and
+    # rows 1 mod 4 hold one exact tie: those rows take the order of their
+    # tie keys, the others that of their own keys.
+    n, m = 8, 128
+    white = baseline._white_columns(n)
+    rng = np.random.default_rng(40)
+    keys = rng.integers(0, 1 << 32, size=(32, m), dtype=np.uint32)
+    keys[::2] = (keys[::2, :1] & ~np.uint32(0xFF)) | np.arange(m - 1, -1, -1, dtype=np.uint32)
+    keys[1::4, 5] = keys[1::4, 9]
+    tie = rng.integers(0, 1 << 64, size=(32, m), dtype=np.uint64)
+    asked = []
+
+    def tie_keys(rows):
+        asked.append(rows.tolist())
+        return tie[rows]
+
+    words = keys.copy()
+    assert baseline._sort_rows(words, white, tie_keys) is words
+    tied = sorted([*range(0, 32, 2), *range(1, 32, 4)])
+    assert asked == [tied]
+    expected = white[np.argsort(keys, axis=1, kind="stable")]
+    expected[tied] = white[np.argsort(tie[tied], axis=1, kind="stable")]
+    np.testing.assert_array_equal(words & np.uint32(0xFF), expected)
 
 
 @pytest.mark.parametrize(
@@ -668,38 +773,14 @@ def test_block_weights_equal_a_per_block_count(n, side):
     np.testing.assert_array_equal(baseline._block_weights(stacked, n), expected)
 
 
-# --- 32-bit sort words up to n=9 ---
+# --- 32-bit sort keys up to n=9 ---
 
 
-@pytest.mark.parametrize("n, dtype", [(2, np.uint32), (9, np.uint32), (10, np.uint64)])
-def test_sort_words_are_the_top_32_key_bits_while_prefix_ties_stay_rare(n, dtype):
+@pytest.mark.parametrize("n, dtype", [(2, "<u4"), (9, "<u4"), (10, "<u8")])
+def test_sort_keys_are_32_bit_while_prefix_ties_stay_rare(n, dtype):
     # C(m, 2) * 2^(n-32), the expected prefix ties of a row, is about 2^-8
     # at n=9 and 2^-5 at n=10.
-    m = 1 << (n - 1)
-    keys = np.random.default_rng(n).integers(0, 1 << 64, size=(4, m), dtype=np.uint64)
-    assert baseline._sort_rows(keys, baseline._white_columns(n)).dtype == dtype
-
-
-def test_keys_agreeing_above_the_32_bit_words_are_sorted_by_the_keys():
-    # At n=8 the words keep key bits 40..63.  Even rows' keys all agree
-    # there and descend with the column, so their prefix sort ties and the
-    # stable key order is the columns reversed; rows 1 mod 4 agree on bits
-    # 32..63 too and differ only in the bits the words drop.
-    n = 8
-    m = 1 << (n - 1)
-    white = baseline._white_columns(n)
-    rng = np.random.default_rng(40)
-    keys = rng.integers(0, 1 << 64, size=(32, m), dtype=np.uint64)
-    prefix = keys[:, :1] & ~np.uint64((1 << (32 + n)) - 1)
-    below = np.sort(rng.integers(0, 1 << (32 + n), size=(32, m), dtype=np.uint64))
-    keys[::2] = prefix[::2] | below[::2, ::-1]
-    keys[1::4] = (keys[1::4, :1] & ~np.uint64((1 << 32) - 1)) | (below[1::4] & 0xFFFF_FFFF)
-    keys[1::4, 5] = keys[1::4, 9]  # exact ties too
-    words = baseline._sort_rows(keys, white)
-    assert words.dtype == np.uint32
-    expected = white[np.argsort(keys, axis=1, kind="stable")]
-    np.testing.assert_array_equal(words & np.uint32((1 << n) - 1), expected)
-    np.testing.assert_array_equal(expected[::2], np.broadcast_to(white[::-1], (16, m)))
+    assert baseline._key_dtype(n) == np.dtype(dtype)
 
 
 @pytest.mark.parametrize("n", [9, 10])

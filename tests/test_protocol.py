@@ -1131,6 +1131,24 @@ def test_multi_chunk_recovery_draws_what_one_draw_per_entry_draws(monkeypatch):
     assert recovered == image
 
 
+def test_recovering_a_measured_session_builds_no_register(monkeypatch):
+    # A measured entry's outcome is its basis index, so recovering the
+    # session again calls neither sample (a 2^n CDF per entry) nor
+    # basis_state, and every pixel keeps its outcome.
+    image = random_image(64, 64, seed=9)
+    session, shares = share_image(image, 12, BACKEND_STATEVECTOR, 3)
+    recover_image(shares, session, 4)
+    table = session.registers
+    assert len(table.states) > 2000
+    before = RegisterTable(12, table.states, table.index.copy())
+    calls = []
+    monkeypatch.setattr(protocol, "sample", lambda *args: calls.append(args))
+    monkeypatch.setattr(protocol, "basis_state", lambda *args: calls.append(args))
+    assert recover_image(shares, session, 5) == image
+    assert calls == []
+    assert session.registers == before
+
+
 # --- statevector file bytes; the session table cap ---
 
 
