@@ -9,16 +9,19 @@ gives Hamming weight m-1 for a white pixel and m for a black one, so the
 thresholds are d = m and relative difference 1/m.  Restricting to fewer
 than n rows leaves the white and black collections indistinguishable.
 
-Image sharing draws every pixel's permutation from one counter-based key
-stream, ``np.random.Philox(key=seed)`` (Salmon et al., "Parallel random
-numbers: as easy as 1, 2, 3", SC'11).  Up to n=9 (``_key_dtype``) pixel
-l's m sort keys are the 32-bit halves of raw words (l-1)*m/2 .. l*m/2-1
-of that stream, key 2i word i's low half and key 2i+1 its high half;
-above n=9 they are raw 64-bit words (l-1)*m .. l*m-1.  Pixel l's column
-order is the stable argsort of its keys, unless two of its keys agree
-above bit n: then it is the stable argsort of m fresh 64-bit keys from
-the pixel's own stream, ``Philox(key=_TIE_KEY_TAG | seed, counter=l <<
-128)``.  The order is uniform either way: i.i.d. keys with distinct
+Image sharing draws every pixel's permutation from one seeded key
+stream, ``np.random.PCG64DXSM(seed)`` (O'Neill's PCG family with the DXSM
+output function), which costs about half of Philox per 64-bit word.  Up
+to n=9 (``_key_dtype``) pixel l's m sort keys are the 32-bit halves of
+raw words (l-1)*m/2 .. l*m/2-1 of that stream, key 2i word i's low half
+and key 2i+1 its high half; above n=9 they are raw 64-bit words
+(l-1)*m .. l*m-1.  ``advance`` jumps to any word, so each pixel's keys
+are a fixed slice of the one stream.  Pixel l's column order is the
+stable argsort of its keys, unless two of its keys agree above bit n:
+then it is the stable argsort of m fresh 64-bit keys from the pixel's
+own counter-based stream, ``Philox(key=_TIE_KEY_TAG | seed, counter=l <<
+128)`` (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3",
+SC'11).  The order is uniform either way: i.i.d. keys with distinct
 prefixes are ordered uniformly by symmetry, and a tied row is redrawn
 independently.  Each pixel's sort words are its keys, in place, with
 their low n bits replaced by the white base's value for each column, and
@@ -70,8 +73,8 @@ _CHUNK_SUBPIXELS = 1 << 16
 
 #: High 64 bits of the Philox key of the streams that redraw a tied row's
 #: sort keys; the low 64 bits are the seed.  Keeps them apart from the
-#: share stream ``Philox(key=seed)`` and from the sampled backend's
-#: ``protocol._SAMPLED_KEY_TAG``.
+#: sampled backend's ``Philox(key=protocol._SAMPLED_KEY_TAG | seed)``; the
+#: share stream ``PCG64DXSM(seed)`` is another generator altogether.
 _TIE_KEY_TAG = 2 << 64
 
 
@@ -277,8 +280,8 @@ def classical_share_image(image: BinaryImage, n: int, seed: int) -> Transparenci
     """Expand every pixel into per-share subpixel blocks; returns n shares.
 
     Pixel l's share matrix is its colour's base with the columns in the
-    order the module docstring defines from the Philox stream keyed by
-    ``seed``: a uniformly random member of that colour's set.
+    order the module docstring defines from the PCG64DXSM stream seeded
+    by ``seed``: a uniformly random member of that colour's set.
     """
     seed = _check_seed(seed)  # a Python int, so that a tag can be or-ed in
     n = _check_expansion(n, image.pixel_count)
@@ -292,7 +295,7 @@ def classical_share_image(image: BinaryImage, n: int, seed: int) -> Transparenci
     m = bh * bw
     white = _white_columns(n)
     dtype = _key_dtype(n)
-    stream = np.random.Philox(key=seed)
+    stream = np.random.PCG64DXSM(seed)
     planes = np.empty((n, height, (width + 7) // 8), dtype=np.uint8)
     colors = image.as_grid()
     rows = max(1, _CHUNK_SUBPIXELS // (image.width * m))

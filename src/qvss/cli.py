@@ -54,6 +54,9 @@ EXIT_INCOMPLETE = 4
 
 _DEMO_SEED = 7
 
+#: Largest audit subset whose 2^k-row pattern table is printed (256 rows).
+_AUDIT_TABLE_MAX_K = 8
+
 
 def _write_atomic(path: Path, data: bytes) -> None:
     path = Path(path)
@@ -169,8 +172,14 @@ def cmd_audit(args) -> int:
     if report.p_value is not None:
         print(f"chi-square p-value: {report.p_value:.6f}")
     print(f"verdict: {report.verdict}")
-    print("pattern  probability")
     width = len(subset)
+    if width > _AUDIT_TABLE_MAX_K:
+        print(
+            f"pattern table of {len(report.distribution)} rows left out "
+            f"(printed for subsets of at most {_AUDIT_TABLE_MAX_K} participants)"
+        )
+        return EXIT_OK
+    print("pattern  probability")
     for index, prob in enumerate(report.distribution):
         print(f"{index:0{width}b}  {prob:.8f}")
     return EXIT_OK

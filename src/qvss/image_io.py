@@ -38,9 +38,11 @@ def check_sides(width, height) -> tuple[int, int]:
 _WHITESPACE = b" \t\r\n\x0b\x0c"
 _NOT_SPACE = np.ones(256, dtype=bool)
 _NOT_SPACE[list(_WHITESPACE)] = False
-_COMMENT = re.compile(rb"#[^\r\n]*")
-_SEPARATOR = re.compile(rb"(?:\s|%s)*" % _COMMENT.pattern)
+_SEPARATOR = re.compile(rb"(?:\s|#[^\r\n]*)*")
 _TOKEN = re.compile(rb"[^\s#]*")
+#: P1 raster bytes per step of the comment search: its two line-number
+#: arrays take 256 KiB each.
+_COMMENT_BLOCK = 1 << 16
 
 
 @dataclass
@@ -115,6 +117,29 @@ def _parse_dimension(data: bytes, pos: int, what: str) -> tuple[int, int]:
     return value, newpos
 
 
+def _clear_comments(raster: np.ndarray, keep: np.ndarray) -> None:
+    """Clears ``keep`` over every byte of ``raster`` that lies in a comment:
+    a ``#`` comes at or before it on its line.
+
+    In each block, lines are numbered from 1 by a running count of CR and
+    LF bytes, each line end opening the next line; a byte is in a comment
+    when the last ``#`` up to it lies on its own line.  A block whose
+    first line continues a comment counts it as a ``#`` before its first
+    byte.
+    """
+    carry = False
+    for start in range(0, len(raster), _COMMENT_BLOCK):
+        block = raster[start : start + _COMMENT_BLOCK]
+        line = np.cumsum((block == ord("\r")) | (block == ord("\n")), dtype=np.uint32)
+        line += 1
+        last = np.where(block == ord("#"), line, 0)
+        last[0] |= carry
+        np.maximum.accumulate(last, out=last)
+        comment = last == line
+        keep[start : start + _COMMENT_BLOCK] &= ~comment
+        carry = comment[-1]
+
+
 def read_pbm(data: bytes) -> BinaryImage:
     """Parse a plain (P1) or raw (P4) portable bitmap."""
     magic, pos = _next_token(data, 0, "magic")
@@ -126,15 +151,15 @@ def read_pbm(data: bytes) -> BinaryImage:
     height, pos = _parse_dimension(data, pos, "height")
 
     if magic == b"P1":
-        # Comments become spaces of the same length: raster index + pos = offset.
-        text = memoryview(data)[pos:]
+        # Raster index + pos = offset into the file.
+        raster = np.frombuffer(memoryview(data)[pos:], dtype=np.uint8)
+        keep = _NOT_SPACE[raster]
         if data.find(b"#", pos) >= 0:
-            text = _COMMENT.sub(lambda comment: b" " * len(comment[0]), text)
-        raster = np.frombuffer(text, dtype=np.uint8)
-        bits = raster[_NOT_SPACE[raster]][: width * height]
+            _clear_comments(raster, keep)
+        bits = raster[keep][: width * height]
         bits -= ord("0")
         if bits.size and bits.max() > 1:
-            at = pos + int(np.flatnonzero(_NOT_SPACE[raster])[np.argmax(bits > 1)])
+            at = pos + int(np.flatnonzero(keep)[np.argmax(bits > 1)])
             raise FormatError(f"invalid pixel byte {bytes([data[at]])!r} at byte {at}")
         if bits.size < width * height:
             raise FormatError(

@@ -127,7 +127,9 @@ _CHUNK = 1 << 20
 _MASK64 = (1 << 64) - 1
 
 #: High 64 bits of the sampled backend's Philox key; the low 64 bits are
-#: the seed.  Keeps its words apart from the baseline's ``Philox(key=seed)``.
+#: the seed.  Keeps its words apart from the baseline's tie streams, keyed
+#: under ``baseline._TIE_KEY_TAG``; the baseline's share stream is
+#: ``PCG64DXSM(seed)``, another generator.
 _SAMPLED_KEY_TAG = 1 << 64
 
 

@@ -356,12 +356,12 @@ class _FixedPermutation:
 
 def test_share_image_equals_the_per_pixel_definition():
     # Pixel l takes classical_share_pixel's column order from the stable
-    # argsort of its sort keys (see philox_keys), laid out block by block.
+    # argsort of its sort keys (see stream_keys), laid out block by block.
     n, seed = 4, 31
     image = BinaryImage(6, 5, np.random.default_rng(3).integers(0, 2, size=30))
     sets = build_nn_matrix_sets(n)
     bh, bw = block_shape(n)
-    keys = philox_keys(image, n, seed)
+    keys = stream_keys(image, n, seed)
     expected = np.zeros((n, image.height * bh, image.width * bw), dtype=np.uint8)
     for l in range(1, image.pixel_count + 1):
         row, col = (l - 1) // image.width, (l - 1) % image.width
@@ -463,13 +463,13 @@ def test_column_orders_sort_keys_that_share_a_prefix_like_a_stable_sort(m):
 @pytest.mark.parametrize(
     "n, digest",
     [
-        (3, "7a8daab5960152229ad3a723077618676b9681180d1684c6f380f656b0baf78c"),
-        (8, "113e4108098b417071100cc7a36c6799f5ccbc36b0769ef3c665c945b5751c30"),
+        (3, "457fbbd072d37a1cf8a76b801cec7e3bd3efe935e43b54e92f7ffc00123c1b4a"),
+        (8, "ae490310579bbb577a23c17189fdb8cd4a19a7624e2fa13dde3bb822dc3d4687"),
     ],
 )
 def test_share_image_bytes_are_pinned(n, digest):
-    # Digests of the shares written from 32-bit keys, two per Philox word,
-    # with tied rows redrawn from their own streams.
+    # Digests of the shares written from 32-bit keys, two per PCG64DXSM
+    # word, with tied rows redrawn from their own Philox streams.
     image = BinaryImage(33, 17, np.random.default_rng(33).integers(0, 2, size=33 * 17))
     sha = hashlib.sha256()
     for share in classical_share_image(image, n, seed=2718):
@@ -556,6 +556,9 @@ def per_pixel_shares(image, n, keys):
 #: High 64 bits of the Philox key of a tied pixel's own stream.
 TIE_KEY_TAG = 2 << 64
 
+#: The share stream's bit generator, kept for helpers that patch it.
+PCG64DXSM = np.random.PCG64DXSM
+
 
 def key_halves(words, m):
     """32-bit keys, m a row: each word's low half, then its high half."""
@@ -568,22 +571,23 @@ def prefixes_tie(row, n):
     return len(set((row >> np.uint64(n)).tolist())) < len(row)
 
 
-def philox_keys(image, n, seed):
-    """Each pixel's sort keys, one row per pixel.  Up to n=9 they are the
-    32-bit halves of m/2 words of the stream keyed by the seed, above
-    n=9 m raw words of it, unless two of them agree above bit n: then
-    they are m raw words of pixel l's own stream."""
+def pixel_keys(n, seed, l):
+    """Pixel l's sort keys.  Up to n=9 they are the 32-bit halves of words
+    (l-1)*m/2 .. l*m/2-1 of the stream seeded by the seed, above n=9 its
+    raw words (l-1)*m .. l*m-1, unless two of them agree above bit n:
+    then they are m raw words of pixel l's own Philox stream."""
     m = 1 << (n - 1)
-    stream = np.random.Philox(key=seed)
-    if n > 9:
-        keys = stream.random_raw(image.pixel_count * m).reshape(-1, m)
-    else:
-        keys = key_halves(stream.random_raw(image.pixel_count * m // 2), m)
-    for l in range(1, image.pixel_count + 1):
-        if prefixes_tie(keys[l - 1], n):
-            own = np.random.Philox(key=TIE_KEY_TAG | seed, counter=l << 128)
-            keys[l - 1] = own.random_raw(m)
+    words = m if n > 9 else m // 2
+    raw = np.random.PCG64DXSM(seed).advance((l - 1) * words).random_raw(words)
+    keys = raw if n > 9 else key_halves(raw, m)[0]
+    if prefixes_tie(keys, n):
+        keys = np.random.Philox(key=TIE_KEY_TAG | seed, counter=l << 128).random_raw(m)
     return keys
+
+
+def stream_keys(image, n, seed):
+    """Each pixel's sort keys (``pixel_keys``), one row per pixel."""
+    return np.stack([pixel_keys(n, seed, l) for l in range(1, image.pixel_count + 1)])
 
 
 def test_the_tie_streams_are_not_the_sampled_backends():
@@ -595,14 +599,14 @@ def test_the_tie_streams_are_not_the_sampled_backends():
 def test_two_participant_shares_of_an_odd_width_equal_the_per_pixel_definition(
     monkeypatch, width, one_row_chunks
 ):
-    # m = 2 keys are one word a pixel, so every other image row starts at
-    # a word that is not a multiple of 4, within Philox's 4-word blocks.
+    # m = 2 keys are one word a pixel, so every other image row, and with
+    # one-row chunks every other chunk, starts at an odd word of the stream.
     pixels = np.random.default_rng(width).integers(0, 2, size=width * 5)
     image = BinaryImage(width, 5, pixels)
     if one_row_chunks:
         monkeypatch.setattr(baseline, "_CHUNK_SUBPIXELS", 2 * width)
     shares = classical_share_image(image, 2, seed=19)
-    expected = per_pixel_shares(image, 2, philox_keys(image, 2, 19))
+    expected = per_pixel_shares(image, 2, stream_keys(image, 2, 19))
     np.testing.assert_array_equal([share.as_grid() for share in shares], expected)
 
 
@@ -625,25 +629,27 @@ def test_sort_rows_puts_the_white_values_in_stable_key_order(n):
     )
 
 
-class _CoarsePhilox:
-    """Philox whose share stream keeps only the top 3 bits and the lowest
-    bit of each 32-bit half of its words.
+class _CoarsePCG:
+    """PCG64DXSM whose words keep only the top 3 bits and the lowest bit
+    of each 32-bit half.
 
-    Most rows of its keys, 32-bit halves or whole 64-bit words, tie above
-    the white values' bits, and many tie outright, so the share image
-    redraws them.  A stream opened at a counter, a tied pixel's own, is
-    left whole.
+    Patched in as ``np.random.PCG64DXSM``, it is the share stream: most
+    rows of its keys, 32-bit halves or whole 64-bit words, tie above the
+    white values' bits, and many tie outright, so the share image redraws
+    them.  The tied pixels' own Philox streams are left whole.
     """
 
     MASK = np.uint64(0xE000_0001_E000_0001)
-    PHILOX = np.random.Philox
 
-    def __init__(self, key, counter=None):
-        self.stream = self.PHILOX(key=key, counter=counter)
-        self.mask = self.MASK if counter is None else ~np.uint64(0)
+    def __init__(self, seed):
+        self.stream = PCG64DXSM(seed)
+
+    def advance(self, delta):
+        self.stream.advance(delta)
+        return self
 
     def random_raw(self, size):
-        return self.stream.random_raw(size) & self.mask
+        return self.stream.random_raw(size) & self.MASK
 
 
 @pytest.mark.parametrize("n, width", [(2, 7), (3, 5), (4, 6), (10, 2)])
@@ -651,8 +657,8 @@ def test_tied_rows_drawn_again_match_the_per_pixel_definition(monkeypatch, n, wi
     # At n=10 the 64-bit keys keep 4 bits above bit n, so every row ties.
     pixels = np.random.default_rng(n).integers(0, 2, size=width * 5)
     image = BinaryImage(width, 5, pixels)
-    monkeypatch.setattr(np.random, "Philox", _CoarsePhilox)
-    keys = philox_keys(image, n, 23)
+    monkeypatch.setattr(np.random, "PCG64DXSM", _CoarsePCG)
+    keys = stream_keys(image, n, 23)
     monkeypatch.setattr(baseline, "_CHUNK_SUBPIXELS", 2 * width << (n - 1))
     shares = classical_share_image(image, n, seed=23)
     np.testing.assert_array_equal(
@@ -663,23 +669,30 @@ def test_tied_rows_drawn_again_match_the_per_pixel_definition(monkeypatch, n, wi
 def test_tied_rows_are_redrawn_from_their_own_streams(monkeypatch):
     # At n=4 the coarse keys' prefixes are their top 3 bits, 8 values over
     # 8 columns, so nearly every row ties.  The seed's stream is opened
-    # once, then each tied pixel l's own stream, in pixel order.
+    # once, then each tied pixel l's own Philox stream, in pixel order.
     image = BinaryImage(6, 5, np.random.default_rng(4).integers(0, 2, size=30))
     opened = []
+    philox = np.random.Philox
 
-    class Recording(_CoarsePhilox):
-        def __init__(self, key, counter=None):
-            opened.append((key, counter))
-            super().__init__(key, counter)
+    class Recording(_CoarsePCG):
+        def __init__(self, seed):
+            opened.append(("PCG64DXSM", seed))
+            super().__init__(seed)
 
-    monkeypatch.setattr(np.random, "Philox", Recording)
+    def recording_philox(key, counter):
+        opened.append(("Philox", key, counter))
+        return philox(key=key, counter=counter)
+
+    monkeypatch.setattr(np.random, "PCG64DXSM", Recording)
+    monkeypatch.setattr(np.random, "Philox", recording_philox)
     monkeypatch.setattr(baseline, "_CHUNK_SUBPIXELS", 2 * 6 << 3)
     classical_share_image(image, 4, seed=23)
-    words = _CoarsePhilox.PHILOX(key=23).random_raw(30 * 4) & _CoarsePhilox.MASK
-    keys = key_halves(words, 8)
+    keys = key_halves(PCG64DXSM(23).random_raw(30 * 4) & _CoarsePCG.MASK, 8)
     tied = [l for l in range(1, 31) if prefixes_tie(keys[l - 1], 4)]
     assert len(tied) > 20
-    assert opened == [(23, None)] + [(TIE_KEY_TAG | 23, l << 128) for l in tied]
+    assert opened == [("PCG64DXSM", 23)] + [
+        ("Philox", TIE_KEY_TAG | 23, l << 128) for l in tied
+    ]
 
 
 def test_column_orders_stay_uniform_when_nearly_every_row_ties(monkeypatch):
@@ -687,17 +700,17 @@ def test_column_orders_stay_uniform_when_nearly_every_row_ties(monkeypatch):
     # 4!/4^4, about 9%, of the rows.  Sorting a tied row by those keys
     # instead of redrawing it would favour the orders that keep tied
     # columns in place.
-    monkeypatch.setattr(np.random, "Philox", _CoarsePhilox)
-    monkeypatch.setattr(_CoarsePhilox, "MASK", np.uint64(0xC000_0000_C000_0000))
+    monkeypatch.setattr(np.random, "PCG64DXSM", _CoarsePCG)
+    monkeypatch.setattr(_CoarsePCG, "MASK", np.uint64(0xC000_0000_C000_0000))
     image = BinaryImage(96, 96, np.random.default_rng(1).integers(0, 2, size=96 * 96))
-    keys = key_halves(np.random.Philox(key=77).random_raw(96 * 96 * 2), 4)
+    keys = key_halves(np.random.PCG64DXSM(77).random_raw(96 * 96 * 2), 4)
     assert sum(prefixes_tie(row, 3) for row in keys) > 0.85 * 96 * 96
     assert chisquare(column_order_counts(image, 77)).pvalue > 0.001
 
 
 @pytest.mark.parametrize("n", [3, 4])
 def test_tied_rows_do_not_depend_on_chunking_or_cropping(monkeypatch, n):
-    monkeypatch.setattr(np.random, "Philox", _CoarsePhilox)
+    monkeypatch.setattr(np.random, "PCG64DXSM", _CoarsePCG)
     image = BinaryImage(9, 7, np.random.default_rng(n).integers(0, 2, size=63))
     full = classical_share_image(image, n, seed=8)
     monkeypatch.setattr(baseline, "_CHUNK_SUBPIXELS", 1)  # one image row a chunk
@@ -710,7 +723,7 @@ def test_tied_rows_do_not_depend_on_chunking_or_cropping(monkeypatch, n):
 
 def test_tied_rows_take_a_numpy_integer_seed_as_its_int(monkeypatch):
     # The tie streams' key is the seed with a tag above its 64 bits.
-    monkeypatch.setattr(np.random, "Philox", _CoarsePhilox)
+    monkeypatch.setattr(np.random, "PCG64DXSM", _CoarsePCG)
     image = BinaryImage(6, 5, np.random.default_rng(7).integers(0, 2, size=30))
     expected = classical_share_image(image, 4, seed=23)
     assert classical_share_image(image, 4, seed=np.uint64(23)) == expected
@@ -746,12 +759,12 @@ def test_sort_rows_sorts_in_place_and_asks_once_for_the_tied_rows_keys():
 @pytest.mark.parametrize(
     "n, side, digest",
     [
-        (12, 8, "5bf8d6feab84bff1b30ad69c9cabd7bac46d78ef6eef45bd156ebcd1bfd285b6"),
-        (16, 4, "7f3bcd42cf2c34e8635be762485fe95d4e103aecb9fc3d42560ae0335535f7dc"),
+        (12, 8, "5ef5263abaadb9603a40028aa6dcb2b27223eb0db0d1544e65b2b0649f15d993"),
+        (16, 4, "cb89e518636faeeb184fc95a3259b372b9e5fcd2b19ac9a8d45eaad56c0e8dea"),
     ],
 )
 def test_share_image_bytes_are_pinned_at_large_n(n, side, digest):
-    # Digests of the shares written by the column-index sort words.
+    # Digests of the shares written from 64-bit PCG64DXSM words.
     pixels = np.random.default_rng(n).integers(0, 2, size=side * side)
     image = BinaryImage(side, side, pixels)
     sha = hashlib.sha256()
@@ -789,5 +802,20 @@ def test_shares_on_both_sides_of_the_word_width_switch_equal_the_per_pixel_defin
     shares = classical_share_image(image, n, seed=97)
     np.testing.assert_array_equal(
         [share.as_grid() for share in shares],
-        per_pixel_shares(image, n, philox_keys(image, n, 97)),
+        per_pixel_shares(image, n, stream_keys(image, n, 97)),
     )
+
+
+def test_a_pixel_past_the_first_chunk_equals_its_per_pixel_definition():
+    # At n=8 a chunk is 8 rows of 64 pixels, so pixel l in the last row
+    # takes its keys from PCG64DXSM(seed).advance((l - 1) * 64), far past
+    # the first chunk's 32,768 words.
+    n, side, seed = 8, 64, 41
+    image = BinaryImage(side, side, np.random.default_rng(64).integers(0, 2, size=side * side))
+    assert baseline._CHUNK_SUBPIXELS // (side << (n - 1)) == 8
+    matrices = share_matrices(classical_share_image(image, n, seed), n)
+    sets = build_nn_matrix_sets(n)
+    for l in (side * (side - 1) + 1, side * side - 20, side * side):
+        order = np.argsort(pixel_keys(n, seed, l), kind="stable")
+        expected = classical_share_pixel(image.pixel(l), sets, _FixedPermutation(order))
+        np.testing.assert_array_equal(matrices[l - 1], expected)

@@ -682,3 +682,21 @@ def test_audit_of_a_sampled_session_prints_its_p_value(secret, tmp_path, capsys)
     p_lines = [line for line in lines if line.startswith("chi-square p-value: ")]
     assert len(p_lines) == 1
     assert 0.0 <= float(p_lines[0].split(": ")[1]) <= 1.0
+
+
+def test_audit_of_ten_participants_leaves_out_its_pattern_table(secret, tmp_path, capsys):
+    # 2^10 rows would follow the verdict; one line says how many were left out.
+    out = tmp_path / "shares"
+    main(share_args(secret, out, n=12, backend="sampled"))
+    capsys.readouterr()
+    subset = ",".join(map(str, range(1, 11)))
+    assert main(["audit", "--session", str(out / "session.qvse"), "--subset", subset]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines[1:4]] == [
+        "max deviation from uniform",
+        "chi-square p-value",
+        "verdict",
+    ]
+    assert lines[4:] == [
+        "pattern table of 1024 rows left out (printed for subsets of at most 8 participants)"
+    ]

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from qvss import image_io
 from qvss.errors import FormatError
 from qvss.image_io import (
     MAX_DIMENSION,
@@ -343,6 +344,57 @@ def test_p1_read_peaks_under_three_times_the_file_size():
     finally:
         tracemalloc.stop()
     assert peak < 3 * len(data)
+
+
+P1_COMMENTED_HEADER = b"P1\n1024 1024\n"
+
+
+def commented_p1(image):
+    """A P1 file with a comment, ``#`` and the digits 71, after every pixel."""
+    text = np.empty((image.pixel_count, 5), dtype=np.uint8)
+    text[:, 0] = image.pixels + ord("0")
+    text[:, 1:] = np.frombuffer(b"#71\n", dtype=np.uint8)
+    return P1_COMMENTED_HEADER + text.tobytes()
+
+
+def test_p1_pixels_between_comments_read_back():
+    image = random_image(1024, 1024, seed=5)
+    assert read_pbm(commented_p1(image)) == image
+
+
+def test_p1_invalid_byte_after_comments_is_reported_at_its_offset():
+    # Pixel 1000 * 1024 + 5 (0-based) starts 5 bytes a pixel after the header.
+    data = bytearray(commented_p1(random_image(1024, 1024, seed=6)))
+    at = len(P1_COMMENTED_HEADER) + 5 * (1000 * 1024 + 5)
+    data[at] = ord("7")
+    with pytest.raises(FormatError) as err:
+        read_pbm(bytes(data))
+    assert str(err.value) == f"invalid pixel byte b'7' at byte {at}"
+
+
+def test_p1_read_with_a_comment_after_every_pixel_peaks_under_twice_the_file_size():
+    # Comments are found a block of bytes at a time, so besides the one
+    # byte a raster byte of the kept mask only a block's line numbers are
+    # held.  Measured: 6.1 MiB for this 5 MiB file; blanking each comment
+    # through a regex callback peaked at 252 MiB.
+    data = commented_p1(random_image(1024, 1024, seed=7))
+    tracemalloc.start()
+    try:
+        read_pbm(data)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * len(data)
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 7])
+def test_comments_across_search_blocks_read_like_the_byte_loop(monkeypatch, block):
+    # Comments run over block edges, a block may start with a line end,
+    # and the invalid byte 7 sits after the last comment.
+    data = b"P1 3 3\n0#a\r\n1 # b#c\n\r1#\n0 #\r0\n1#zz\n1 # 7\n0\t7"
+    monkeypatch.setattr(image_io, "_COMMENT_BLOCK", block)
+    assert outcome(read_pbm, data) == outcome(reference_read_pbm, data)
+    assert outcome(read_pbm, data[:-2]) == outcome(reference_read_pbm, data[:-2])
 
 
 @pytest.mark.parametrize("width", [1, 2, 7, 1024])

@@ -696,7 +696,7 @@ def test_sampled_draw_equals_the_per_pixel_definition():
         return np.array(out, dtype=np.uint8)
 
     np.testing.assert_array_equal(_rows(session), rows(SAMPLED_KEY_TAG | seed))
-    # The baseline's Philox(key=seed) words are a different stream.
+    # The untagged Philox(key=seed) words are a different stream.
     assert not np.array_equal(_rows(session), rows(seed))
 
 
