@@ -28,10 +28,12 @@ their low n bits replaced by the white base's value for each column, and
 sorting them once leaves the white values in that order in the low bits
 (see ``_sort_rows``).  Pixels are processed a few
 rows at a time in whole-array operations: the chunk's values are
-narrowed once into the share grid's layout and each share's rows are
-masked to its bit and packed.  So the result depends neither on the
-chunking nor on anything but the seed, n and the pixel's index and
-colour.
+narrowed once and moved a whole block row at a time into the share
+grid's layout, and shares 1..n-1 have their rows masked to their bit and
+packed.  Every column's n bits XOR to the pixel's colour, so share n is
+the XOR of the other packed shares and the packed colours.  So the
+result depends neither on the chunking nor on anything but the seed, n
+and the pixel's index and colour.
 
 The n shares are one ``Transparencies``: n packed bit planes, one bit per
 subpixel, each plane a share's P4 raster.  Stacking ORs the planes and
@@ -268,10 +270,10 @@ def _sort_rows(words: np.ndarray, values: np.ndarray, tie_keys) -> np.ndarray:
     words |= values
     words.sort(axis=1)
     flat = words.reshape(-1)
-    close = (flat[1:] ^ flat[:-1]) <= low
-    close[m - 1 :: m] = False  # the pair straddles two rows
-    if close.any():
-        tied = np.unique(np.flatnonzero(close) // m)
+    gaps = flat[1:] ^ flat[:-1]
+    gaps[m - 1 :: m] = ~low  # the pair straddles two rows
+    if gaps.min() <= low:
+        tied = np.unique(np.flatnonzero(gaps <= low) // m)
         words[tied] = values[np.argsort(tie_keys(tied), axis=1, kind="stable")]
     return words
 
@@ -294,6 +296,7 @@ def classical_share_image(image: BinaryImage, n: int, seed: int) -> Transparenci
         )
     m = bh * bw
     white = _white_columns(n)
+    block_row = np.dtype((np.void, bw * white.itemsize))
     dtype = _key_dtype(n)
     stream = np.random.PCG64DXSM(seed)
     planes = np.empty((n, height, (width + 7) // 8), dtype=np.uint8)
@@ -308,20 +311,26 @@ def classical_share_image(image: BinaryImage, n: int, seed: int) -> Transparenci
         keys = raw.astype("<u8", copy=False).view(dtype).reshape(-1, m)
         first = top * image.width + 1  # the chunk's first pixel index l
         words = _sort_rows(keys, white, lambda tied: _tie_keys(seed, first + tied, m))
-        # The share grid's row-major layout: (image row, block row, image
-        # column, block column).  Narrowing keeps bits 0..n-1, the white
-        # value, and maybe prefix bits that no plane reads; black pixels
-        # flip the last bit.
-        words = words.reshape(count, image.width, bh, bw).transpose(0, 2, 1, 3)
-        values = np.empty(words.shape, dtype=white.dtype)
-        np.copyto(values, words, casting="unsafe")
-        values ^= chunk[:, None, :, None]
-        grid = values.reshape(count * bh, width)
+        # Narrowing keeps bits 0..n-1, the white value, and maybe prefix
+        # bits that no plane reads.  A pixel's m values are its bh block
+        # rows of bw subpixels; moving whole block rows gives the share
+        # grid's row-major layout (image row, block row, image column).
+        values = words.astype(white.dtype).view(block_row)
+        del raw, keys, words  # the keys go before the block rows are copied
+        grid = values.reshape(count, image.width, bh).transpose(0, 2, 1).copy()
+        grid = grid.view(white.dtype).reshape(count * bh, width)
+        band = planes[:, top * bh : (top + count) * bh]
         bits = np.empty_like(grid)
-        for row in range(n):
+        for row in range(n - 1):
             # packbits reads every non-zero value as a 1.
             np.bitwise_and(grid, 1 << (n - 1 - row), out=bits)
-            planes[row, top * bh : (top + count) * bh] = np.packbits(bits, axis=1)
+            band[row] = np.packbits(bits, axis=1)
+        # A white column has even parity and a black one odd, so the last
+        # plane is the XOR of the others and the colour; pad bits stay 0.
+        last = band[n - 1]
+        np.bitwise_xor.reduce(band[: n - 1], axis=0, out=last)
+        colour = np.packbits(np.repeat(chunk, bw, axis=1), axis=1)
+        last.reshape(count, bh, -1)[...] ^= colour[:, None, :]
     return Transparencies(width, height, planes)
 
 
@@ -354,9 +363,13 @@ def decode_stacked(stacked: BinaryImage, n: int) -> BinaryImage:
     white.  Inverts the m-times expansion of classical_share_image.
     """
     n = _check_expansion(n, 1)
-    d = 1 << (n - 1)
-    weights = _block_weights(stacked, n)
+    return _threshold(_block_weights(stacked, n), n)
+
+
+def _threshold(weights: np.ndarray, n: int) -> BinaryImage:
+    """The image whose pixels are black where a block weight is at least d."""
     height, width = weights.shape
+    d = 1 << (n - 1)
     return BinaryImage(width, height, (weights >= d).astype(np.uint8).reshape(-1))
 
 
@@ -386,11 +399,11 @@ def comparison_report(n: int, image: BinaryImage, seed: int = 0) -> ComparisonRe
     shares = classical_share_image(image, n, seed)
     n = len(shares)  # n as a Python int
     stacked = classical_recover_image(shares)
-    decoded = decode_stacked(stacked, n)
+    weights = _block_weights(stacked, n)
+    decoded = _threshold(weights, n)
 
     # Loss in resolution shows up as black subpixels inside white blocks.
-    white = image.as_grid() == 0
-    dirty = bool(_block_weights(stacked, n)[white].any())
+    dirty = bool(weights[image.as_grid() == 0].any())
 
     backend = (
         protocol.BACKEND_STATEVECTOR

@@ -819,3 +819,68 @@ def test_a_pixel_past_the_first_chunk_equals_its_per_pixel_definition():
         order = np.argsort(pixel_keys(n, seed, l), kind="stable")
         expected = classical_share_pixel(image.pixel(l), sets, _FixedPermutation(order))
         np.testing.assert_array_equal(matrices[l - 1], expected)
+
+
+# --- the last plane is the XOR of the others and the colour ---
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_the_xor_of_all_planes_is_the_secret_in_blocks(n):
+    # A white column has even parity and a black one odd, so the XOR of a
+    # pixel's n share blocks is its colour over the whole block.  Widths
+    # whose shares are not whole bytes check that every pad bit stays 0.
+    bh, bw = block_shape(n)
+    for width in range(1, 10):
+        image = BinaryImage(width, 2, np.random.default_rng(width).integers(0, 2, size=2 * width))
+        shares = classical_share_image(image, n, seed=n)
+        blocks = np.repeat(np.repeat(image.as_grid(), bh, axis=0), bw, axis=1)
+        np.testing.assert_array_equal(
+            np.bitwise_xor.reduce(shares.planes, axis=0), np.packbits(blocks, axis=1)
+        )
+
+
+def test_sort_rows_finds_ties_in_a_rows_first_and_last_pairs_only():
+    # n=4: the words' low 4 bits take the white values, so keys tie when
+    # they agree above bit 4.  Sorted, row 0's first two prefixes agree and
+    # row 1's last two do; rows 2 and 3 have distinct prefixes, though row
+    # 2's last equals row 3's first.
+    n, m = 4, 8
+    white = baseline._white_columns(n)
+    prefixes = np.array([
+        [1, 1, 2, 3, 4, 5, 6, 7],
+        [10, 11, 12, 13, 14, 15, 16, 16],
+        [30, 31, 32, 33, 34, 35, 36, 37],
+        [37, 38, 39, 40, 41, 42, 43, 44],
+    ], dtype=np.uint32)
+    rng = np.random.default_rng(44)
+    keys = (rng.permuted(prefixes, axis=1) << 4) | rng.integers(0, 16, size=(4, m), dtype=np.uint32)
+    tie = rng.integers(0, 1 << 64, size=(4, m), dtype=np.uint64)
+    asked = []
+
+    def tie_keys(rows):
+        asked.append(rows.tolist())
+        return tie[rows]
+
+    words = baseline._sort_rows(keys.copy(), white, tie_keys)
+    assert asked == [[0, 1]]
+    expected = white[np.argsort(keys, axis=1, kind="stable")]
+    expected[:2] = white[np.argsort(tie[:2], axis=1, kind="stable")]
+    np.testing.assert_array_equal(words & np.uint32(0xF), expected)
+
+
+def test_share_image_peak_at_the_widest_chunk():
+    # At n=16 one row of a 16x16 image is 2^19 subpixels, the widest chunk
+    # the side cap allows up to n=16.  Its 64-bit keys and their tie-check
+    # gaps take 4 MiB each, and the last chunk's narrowed values, grid and
+    # mask buffer 1 MiB each: about 11 MiB.  Keys kept alive past the sort
+    # into the next chunk's draw would add 4 MiB more.
+    image = BinaryImage(16, 16, np.random.default_rng(16).integers(0, 2, size=256))
+    tracemalloc.start()
+    try:
+        shares = classical_share_image(image, 16, seed=3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    output = shares.planes.nbytes
+    assert output == 16 << 20
+    assert peak - output < 15 << 20
