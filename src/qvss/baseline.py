@@ -26,18 +26,21 @@ prefixes are ordered uniformly by symmetry, and a tied row is redrawn
 independently.  Each pixel's sort words are its keys, in place, with
 their low n bits replaced by the white base's value for each column, and
 sorting them once leaves the white values in that order in the low bits
-(see ``_sort_rows``).  Pixels are processed a few
-rows at a time in whole-array operations: the chunk's values are
-narrowed once and moved a whole block row at a time into the share
-grid's layout, and shares 1..n-1 have their rows masked to their bit and
-packed.  Every column's n bits XOR to the pixel's colour, so share n is
+(see ``_sort_rows``).  Pixels are processed a few rows, or a run of
+pixels within a row, at a time in whole-array operations: the chunk's
+values are narrowed once and moved a whole block row at a time into the
+share grid's layout, and shares 1..n-1 have their rows masked to their
+bit and packed.  Every column's n bits XOR to the pixel's colour, so share n is
 the XOR of the other packed shares and the packed colours.  So the
 result depends neither on the chunking nor on anything but the seed, n
 and the pixel's index and colour.
 
 The n shares are one ``Transparencies``: n packed bit planes, one bit per
-subpixel, each plane a share's P4 raster.  Stacking ORs the planes and
-unpacks the result into a ``BinaryImage``, one byte per subpixel.
+subpixel, each plane a share's P4 raster.  Stacking ORs the planes into a
+one-plane ``Transparencies``, still one bit per subpixel.  Since d = m, a
+pixel decodes black exactly when its whole block is black, so decoding
+ANDs each block's packed rows, then its bytes and bits, and the stack is
+never unpacked.
 
 Boolean share matrices are plain numpy arrays of shape (n, m) with entries
 in {0, 1}, 1 meaning a black subpixel.
@@ -48,6 +51,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 
@@ -61,16 +65,17 @@ from .protocol import pixel_rng  # noqa: F401
 from .statevector import check_subset
 
 #: Cap on n * 2^(n-1) * pixels, the subpixels that all n shares of an
-#: image hold together (one bit each; the stacked image takes one byte per
-#: subpixel of a share); also caps n * 2^(n-1) for the bases.  2^27 admits
-#: n=8 at the largest share dimensions and n up to 23.
+#: image hold together (one bit each, as is their one-plane stack); also
+#: caps n * 2^(n-1) for the bases.  2^27 admits n=8 at the largest share
+#: dimensions and n up to 23.
 MAX_BASELINE_SUBPIXELS = 1 << 27
 
-#: Subpixels drawn per chunk (rounded down to whole image rows, at least
-#: one): 512 pixels at n=8.  A chunk's keys, which are its sort words,
-#: take 4 bytes a subpixel up to n=9 (8 above), 256 KiB, as does the tie
-#: check's one temporary, so they stay in a 2 MiB L2 cache through the
-#: sort.  At 128x128, n=8, 2^15 to 2^19 ran within 7% of each other.
+#: Subpixels drawn per chunk, rounded down to whole image rows or, where
+#: one row holds more (from n=11), to a run of whole pixels within a row,
+#: at least one: 512 pixels at n=8.  A chunk's keys, which are its sort
+#: words, take 4 bytes a subpixel up to n=9 (8 above), 256 KiB, as does
+#: the tie check's one temporary, so they stay in a 2 MiB L2 cache through
+#: the sort.  At 128x128, n=8, 2^15 to 2^19 ran within 7% of each other.
 _CHUNK_SUBPIXELS = 1 << 16
 
 #: High 64 bits of the Philox key of the streams that redraw a tied row's
@@ -300,16 +305,20 @@ def classical_share_image(image: BinaryImage, n: int, seed: int) -> Transparenci
     dtype = _key_dtype(n)
     stream = np.random.PCG64DXSM(seed)
     planes = np.empty((n, height, (width + 7) // 8), dtype=np.uint8)
+    blocks = planes.reshape(n, image.height, bh, -1)
     colors = image.as_grid()
-    rows = max(1, _CHUNK_SUBPIXELS // (image.width * m))
-    for top in range(0, image.height, rows):
-        chunk = colors[top : top + rows]
-        count = chunk.shape[0]
+    pixels = _CHUNK_SUBPIXELS // m
+    unit = max(1, 8 // bw)  # pixels whose block columns fill a byte: a run starts on one
+    rows = max(1, pixels // image.width)
+    cols = image.width if pixels >= image.width else max(unit, pixels - pixels % unit)
+    for top, left in product(range(0, image.height, rows), range(0, image.width, cols)):
+        chunk = colors[top : top + rows, left : left + cols]
+        count, run = chunk.shape
         # Little-endian words read as '<u4' are each word's low half, then
         # its high half, whatever the platform's byte order.
         raw = stream.random_raw(chunk.size * m * dtype.itemsize // 8)
         keys = raw.astype("<u8", copy=False).view(dtype).reshape(-1, m)
-        first = top * image.width + 1  # the chunk's first pixel index l
+        first = top * image.width + left + 1  # the chunk's first pixel index l
         words = _sort_rows(keys, white, lambda tied: _tie_keys(seed, first + tied, m))
         # Narrowing keeps bits 0..n-1, the white value, and maybe prefix
         # bits that no plane reads.  A pixel's m values are its bh block
@@ -317,32 +326,37 @@ def classical_share_image(image: BinaryImage, n: int, seed: int) -> Transparenci
         # grid's row-major layout (image row, block row, image column).
         values = words.astype(white.dtype).view(block_row)
         del raw, keys, words  # the keys go before the block rows are copied
-        grid = values.reshape(count, image.width, bh).transpose(0, 2, 1).copy()
-        grid = grid.view(white.dtype).reshape(count * bh, width)
-        band = planes[:, top * bh : (top + count) * bh]
+        grid = values.reshape(count, run, bh).transpose(0, 2, 1).copy()
+        grid = grid.view(white.dtype).reshape(count * bh, run * bw)
+        band = blocks[:, top : top + count, :, left * bw // 8 : ((left + run) * bw + 7) // 8]
         bits = np.empty_like(grid)
         for row in range(n - 1):
             # packbits reads every non-zero value as a 1.
             np.bitwise_and(grid, 1 << (n - 1 - row), out=bits)
-            band[row] = np.packbits(bits, axis=1)
+            band[row] = np.packbits(bits, axis=1).reshape(count, bh, -1)
         # A white column has even parity and a black one odd, so the last
         # plane is the XOR of the others and the colour; pad bits stay 0.
         last = band[n - 1]
         np.bitwise_xor.reduce(band[: n - 1], axis=0, out=last)
-        colour = np.packbits(np.repeat(chunk, bw, axis=1), axis=1)
-        last.reshape(count, bh, -1)[...] ^= colour[:, None, :]
+        last ^= np.packbits(np.repeat(chunk, bw, axis=1), axis=1)[:, None, :]
+        del values, grid, bits  # before the next chunk's draw
     return Transparencies(width, height, planes)
 
 
-def classical_recover_image(shares: Transparencies) -> BinaryImage:
-    """Stack transparencies: per-subpixel OR of all shares (black wins)."""
-    stacked = np.bitwise_or.reduce(shares.planes, axis=0)
-    pixels = np.unpackbits(stacked, axis=1, count=shares.width)
-    return BinaryImage(shares.width, shares.height, pixels)
+def classical_recover_image(shares: Transparencies) -> Transparencies:
+    """Stack transparencies: the OR of all share planes (black wins), one
+    packed plane of the shares' size."""
+    stacked = np.bitwise_or.reduce(shares.planes, axis=0, keepdims=True)
+    return Transparencies(shares.width, shares.height, stacked)
 
 
-def _block_weights(stacked: BinaryImage, n: int) -> np.ndarray:
-    """Black subpixels per block of a stacked image, one per pixel."""
+def _fold_blocks(stacked: Transparencies, n: int, op) -> np.ndarray:
+    """``op`` (``np.bitwise_and`` or ``np.bitwise_or``) over each block of a
+    one-plane stack, one 0/1 byte per pixel: over its packed rows, then its
+    bytes in halves, then its bits by shifts that leave the result in the
+    block's first bit."""
+    if len(stacked) != 1:
+        raise ValueError(f"a stacked image is one plane, got {len(stacked)}")
     bh, bw = block_shape(n)
     if stacked.width % bw or stacked.height % bh:
         raise FormatError(
@@ -350,27 +364,22 @@ def _block_weights(stacked: BinaryImage, n: int) -> np.ndarray:
             f"number of {bh}x{bw} blocks"
         )
     width, height = stacked.width // bw, stacked.height // bh
-    # Contiguous block rows first, then block columns; a weight is at most m.
-    dtype = np.min_scalar_type(bh * bw)
-    rows = stacked.as_grid().reshape(height, bh, width * bw).sum(axis=1, dtype=dtype)
-    return rows.reshape(height, width, bw).sum(axis=2, dtype=dtype)
+    rows = op.reduce(stacked.planes[0].reshape(height, bh, -1), axis=1)
+    while rows.shape[1] > width:
+        rows = op(rows[:, 0::2], rows[:, 1::2])
+    span = min(bw, 8)  # a block's bits in one byte
+    for shift in (1, 2, 4)[: span.bit_length() - 1]:
+        op(rows, rows << shift, out=rows)
+    return np.unpackbits(rows, axis=1)[:, : width * span : span]
 
 
-def decode_stacked(stacked: BinaryImage, n: int) -> BinaryImage:
-    """Collapse subpixel blocks back to pixels by thresholding at d.
-
-    Block weight >= d reads black; d - alpha*m = m - 1 or less reads
-    white.  Inverts the m-times expansion of classical_share_image.
-    """
+def decode_stacked(stacked: Transparencies, n: int) -> BinaryImage:
+    """Pixels from the one-plane stack: block weight >= d = m, a wholly
+    black block, reads black; a white block weighs m - 1 or less.  Inverts
+    the m-times expansion of classical_share_image."""
     n = _check_expansion(n, 1)
-    return _threshold(_block_weights(stacked, n), n)
-
-
-def _threshold(weights: np.ndarray, n: int) -> BinaryImage:
-    """The image whose pixels are black where a block weight is at least d."""
-    height, width = weights.shape
-    d = 1 << (n - 1)
-    return BinaryImage(width, height, (weights >= d).astype(np.uint8).reshape(-1))
+    bits = _fold_blocks(stacked, n, np.bitwise_and)
+    return BinaryImage(bits.shape[1], bits.shape[0], bits)
 
 
 @dataclass
@@ -391,7 +400,7 @@ class ComparisonReport:
     quantum_share_entries_per_pixel: int
     quantum_recovered_equal: bool
     baseline_shares: Transparencies = field(repr=False)
-    baseline_stacked: BinaryImage = field(repr=False)
+    baseline_stacked: Transparencies = field(repr=False)
 
 
 def comparison_report(n: int, image: BinaryImage, seed: int = 0) -> ComparisonReport:
@@ -399,11 +408,10 @@ def comparison_report(n: int, image: BinaryImage, seed: int = 0) -> ComparisonRe
     shares = classical_share_image(image, n, seed)
     n = len(shares)  # n as a Python int
     stacked = classical_recover_image(shares)
-    weights = _block_weights(stacked, n)
-    decoded = _threshold(weights, n)
+    decoded = decode_stacked(stacked, n)
 
     # Loss in resolution shows up as black subpixels inside white blocks.
-    dirty = bool(weights[image.as_grid() == 0].any())
+    dirty = bool(_fold_blocks(stacked, n, np.bitwise_or)[image.as_grid() == 0].any())
 
     backend = (
         protocol.BACKEND_STATEVECTOR

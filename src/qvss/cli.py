@@ -281,7 +281,7 @@ def cmd_compare(args) -> int:
         for j, share in enumerate(shares, start=1):
             _write_atomic(out_dir / f"baseline_share_{j}.pbm", write_pbm(share, args.format))
         stacked = report.baseline_stacked
-        _write_atomic(out_dir / "baseline_stacked.pbm", write_pbm(stacked, args.format))
+        _write_atomic(out_dir / "baseline_stacked.pbm", write_pbm(stacked[0], args.format))
         print(f"wrote baseline share/stacked images to {out_dir}")
     return EXIT_OK
 

@@ -169,14 +169,14 @@ def test_single_white_pixel_two_shares():
     image = from_pixel_list(1, 1, [0])
     shares = classical_share_image(image, 2, seed=1)
     stacked = classical_recover_image(shares)
-    assert int(stacked.pixels.sum()) == 1  # weight 1 < d=2
+    assert int(stacked[0].pixels.sum()) == 1  # weight 1 < d=2
 
 
 def test_white_pixel_block_is_not_all_white():
     # the visible cost of pixel expansion: white blocks keep black specks
     image = from_pixel_list(1, 1, [0])
     stacked = classical_recover_image(classical_share_image(image, 3, seed=2))
-    assert stacked.pixels.any()
+    assert stacked[0].pixels.any()
     assert decode_stacked(stacked, 3) == image
 
 
@@ -420,7 +420,7 @@ def test_column_orders_break_ties_like_a_stable_sort():
 
 def test_decode_stacked_does_not_build_the_bases():
     # d = 2^(n-1) needs neither (20, 2^19) base matrix, 20 MiB together.
-    stacked = BinaryImage(1024, 512, np.ones(1024 * 512, dtype=np.uint8))
+    stacked = Transparencies(1024, 512, np.full((1, 512, 128), 255, dtype=np.uint8))
     tracemalloc.start()
     try:
         decoded = decode_stacked(stacked, 20)
@@ -434,7 +434,8 @@ def test_decode_stacked_does_not_build_the_bases():
 @pytest.mark.parametrize("width,height", [(5, 2), (4, 3), (1, 1)])
 def test_decode_stacked_refuses_an_image_of_partial_blocks(width, height):
     # n=3: each pixel was expanded into a 2x2 block of subpixels.
-    stacked = BinaryImage(width, height, np.zeros(width * height, dtype=np.uint8))
+    planes = np.zeros((1, height, (width + 7) // 8), dtype=np.uint8)
+    stacked = Transparencies(width, height, planes)
     with pytest.raises(FormatError, match=f"stacked image {width}x{height} is not a whole "
                        "number of 2x2 blocks"):
         decode_stacked(stacked, 3)
@@ -492,6 +493,19 @@ def test_share_image_chunks_of_whole_rows_agree_with_one_chunk(monkeypatch, rows
     assert chunked == classical_share_image(image, n, seed=77)
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 11])
+@pytest.mark.parametrize("pixels", [1, 3])
+def test_share_image_runs_within_a_row_agree_with_one_chunk(monkeypatch, n, pixels):
+    # Chunks of one or three pixels' subpixels split every row into runs;
+    # below n=6 a block is under a byte wide, so a run is rounded up to
+    # the pixels that fill one.
+    image = BinaryImage(9, 3, np.random.default_rng(n).integers(0, 2, size=27))
+    monkeypatch.setattr(baseline, "_CHUNK_SUBPIXELS", pixels << (n - 1))
+    runs = classical_share_image(image, n, seed=31)
+    monkeypatch.setattr(baseline, "_CHUNK_SUBPIXELS", 1 << 40)
+    assert runs == classical_share_image(image, n, seed=31)
+
+
 def test_share_image_peak_is_its_output_plus_a_chunk():
     # 8 shares of 4096x2048 subpixels at one bit each are 8 MiB; everything
     # else is one chunk's keys, sort words, values and packed rows.
@@ -509,9 +523,8 @@ def test_share_image_peak_is_its_output_plus_a_chunk():
 
 
 def test_share_stack_decode_peak_at_the_cap():
-    # The 8 MiB of packed shares, their 1 MiB packed stack and the 8 MiB
-    # stacked image: about 17 MiB.  One byte per subpixel of the shares
-    # would be 64 MiB.
+    # The 8 MiB of packed shares and their 1 MiB packed stack: 9.0 MiB
+    # measured.  One byte per subpixel of the shares would be 64 MiB.
     pixels = np.random.default_rng(12).integers(0, 2, size=256 * 256)
     image = BinaryImage(256, 256, pixels)
     tracemalloc.start()
@@ -773,17 +786,93 @@ def test_share_image_bytes_are_pinned_at_large_n(n, side, digest):
     assert sha.hexdigest() == digest
 
 
-@pytest.mark.parametrize("n, side", [(2, 5), (8, 7), (12, 3)])
-def test_block_weights_equal_a_per_block_count(n, side):
+def random_stack(n, width, height, seed):
+    """A one-plane stack of width x height blocks at n, packed, and its
+    unpacked grid.  Each block is all white, all black, all black but one
+    subpixel (a white pixel's stack), all white but one, or random."""
     bh, bw = block_shape(n)
-    pixels = np.random.default_rng(n).integers(0, 2, size=side * bh * side * bw)
-    stacked = BinaryImage(side * bw, side * bh, pixels)
-    grid = stacked.as_grid()
-    expected = [
-        [grid[r * bh : (r + 1) * bh, c * bw : (c + 1) * bw].sum() for c in range(side)]
-        for r in range(side)
-    ]
-    np.testing.assert_array_equal(baseline._block_weights(stacked, n), expected)
+    m = bh * bw
+    rng = np.random.default_rng(seed)
+    kinds = rng.integers(0, 5, size=height * width)
+    blocks = rng.integers(0, 2, size=(height * width, m), dtype=np.uint8)
+    blocks[kinds == 0] = 0
+    blocks[kinds == 1] = 1
+    for kind, odd in ((2, 0), (3, 1)):
+        blocks[kinds == kind] = 1 - odd
+        blocks[kinds == kind, rng.integers(0, m)] = odd
+    grid = blocks.reshape(height, width, bh, bw).transpose(0, 2, 1, 3).reshape(height * bh, -1)
+    stack = Transparencies(width * bw, height * bh, np.packbits(grid, axis=1)[None])
+    return stack, grid
+
+
+def block_counts(grid, n):
+    """Black subpixels per block of an unpacked stacked grid, counted block
+    by block."""
+    bh, bw = block_shape(n)
+    height, width = grid.shape[0] // bh, grid.shape[1] // bw
+    return np.array([
+        [grid[r * bh : (r + 1) * bh, c * bw : (c + 1) * bw].sum() for c in range(width)]
+        for r in range(height)
+    ])
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_decode_stacked_equals_a_per_block_count_threshold(n):
+    # Up to n=5 a block is 2 or 4 subpixels wide, under a byte, and odd
+    # widths leave pad bits in every packed row; above, a block is whole
+    # bytes.
+    m = 1 << (n - 1)
+    for width in (1, 3, 4, 7):
+        for height in (1, 2, 3):
+            stack, grid = random_stack(n, width, height, seed=n * 100 + width * 10 + height)
+            decoded = decode_stacked(stack, n)
+            expected = (block_counts(grid, n) >= m).astype(np.uint8)
+            assert (decoded.width, decoded.height) == (width, height)
+            np.testing.assert_array_equal(decoded.as_grid(), expected)
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_dirty_flag_is_a_black_subpixel_in_a_white_pixels_block(n):
+    for width in (1, 3, 4, 7):
+        stack, grid = random_stack(n, width, 3, seed=n * 10 + width)
+        np.testing.assert_array_equal(
+            baseline._fold_blocks(stack, n, np.bitwise_or), block_counts(grid, n) > 0
+        )
+
+
+@pytest.mark.parametrize("n", [2, 5, 8])
+def test_comparison_report_sees_black_subpixels_in_white_blocks_only(n):
+    # A stacked white pixel keeps m - 1 black subpixels, a black one none
+    # white, so only an image with a white pixel is dirty.
+    black = BinaryImage(3, 2, np.ones(6, dtype=np.uint8))
+    speck = BinaryImage(3, 2, np.array([1, 1, 1, 1, 0, 1], dtype=np.uint8))
+    assert not comparison_report(n, black, 4).baseline_white_blocks_dirty
+    assert comparison_report(n, speck, 4).baseline_white_blocks_dirty
+
+
+def test_decode_stacked_refuses_more_than_one_plane():
+    shares = classical_share_image(DEMO_IMAGE, 3, seed=5)
+    with pytest.raises(ValueError, match="a stacked image is one plane, got 3"):
+        decode_stacked(shares, 3)
+
+
+def test_stack_and_decode_never_unpack_the_stack():
+    # The stack of 8 shares of 4096x2048 subpixels is one 1 MiB packed
+    # plane; unpacked, one byte per subpixel, it would be 8 MiB.  Decoding
+    # adds the 128 KiB of each block's ANDed rows and their 512 KiB of
+    # bits: 1.57 MiB measured.
+    image = BinaryImage(256, 256, np.random.default_rng(13).integers(0, 2, size=256 * 256))
+    shares = classical_share_image(image, 8, seed=3)
+    tracemalloc.start()
+    try:
+        stacked = classical_recover_image(shares)
+        decoded = decode_stacked(stacked, 8)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert decoded == image
+    assert stacked.planes.nbytes == 1 << 20
+    assert peak < 2 << 20
 
 
 # --- 32-bit sort keys up to n=9 ---
@@ -869,11 +958,12 @@ def test_sort_rows_finds_ties_in_a_rows_first_and_last_pairs_only():
 
 
 def test_share_image_peak_at_the_widest_chunk():
-    # At n=16 one row of a 16x16 image is 2^19 subpixels, the widest chunk
-    # the side cap allows up to n=16.  Its 64-bit keys and their tie-check
-    # gaps take 4 MiB each, and the last chunk's narrowed values, grid and
-    # mask buffer 1 MiB each: about 11 MiB.  Keys kept alive past the sort
-    # into the next chunk's draw would add 4 MiB more.
+    # At n=16 one row of a 16x16 image is 2^19 subpixels, the widest row
+    # the side cap allows up to n=16.  It is drawn in runs of two pixels,
+    # 2^16 subpixels, and peaks 1.3 MiB above the output.  Whole-row
+    # chunks took 11.3 MiB: the row's 64-bit keys and their tie-check gaps
+    # (4 MiB each), and the last chunk's narrowed values, grid and mask
+    # buffer (1 MiB each).
     image = BinaryImage(16, 16, np.random.default_rng(16).integers(0, 2, size=256))
     tracemalloc.start()
     try:
@@ -884,3 +974,36 @@ def test_share_image_peak_at_the_widest_chunk():
     output = shares.planes.nbytes
     assert output == 16 << 20
     assert peak - output < 15 << 20
+
+
+def test_share_image_frees_a_chunks_buffers_before_the_next_draw(monkeypatch):
+    # One-row chunks of a 16x16 image at n=16, as before rows were split:
+    # the 4 MiB of keys and the 4 MiB of tie-check gaps, plus 0.3 MiB, is
+    # 8.3 MiB measured.  The last chunk's narrowed values, grid and mask
+    # buffer, 1 MiB each, kept into the next chunk's draw would add 3 MiB.
+    monkeypatch.setattr(baseline, "_CHUNK_SUBPIXELS", 1 << 19)
+    image = BinaryImage(16, 16, np.random.default_rng(16).integers(0, 2, size=256))
+    tracemalloc.start()
+    try:
+        shares = classical_share_image(image, 16, seed=3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - shares.planes.nbytes < 9 << 20
+
+
+def test_share_image_splits_a_row_wider_than_a_chunk():
+    # At n=21 one pixel is 2^20 subpixels, so a chunk is one pixel of the
+    # 4x1 image, not its whole row of 2^22.  Above the 10.5 MiB of planes
+    # are the white base (4 MiB), its 64-bit copy, the pixel's keys and
+    # their tie-check gaps (8 MiB each): 38.5 MiB measured.  Whole-row
+    # chunks peaked at 86.5 MiB.
+    image = BinaryImage(4, 1, np.array([0, 1, 1, 0], dtype=np.uint8))
+    tracemalloc.start()
+    try:
+        shares = classical_share_image(image, 21, seed=3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert shares.planes.nbytes == 21 << 19
+    assert peak < 40 << 20

@@ -464,7 +464,7 @@ def test_compare_out_dir_stacks_the_shares_once(secret, tmp_path, monkeypatch):
     assert rc == 0
     assert len(calls) == 1
     stacked = read_pbm((out / "baseline_stacked.pbm").read_bytes())
-    assert stacked == recover(baseline.classical_share_image(DEMO_IMAGE, 3, 5))
+    assert stacked == recover(baseline.classical_share_image(DEMO_IMAGE, 3, 5))[0]
 
 
 def test_compare_rejects_an_oversized_baseline_before_allocating(secret, capsys):
