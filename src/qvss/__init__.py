@@ -43,6 +43,7 @@ from .protocol import (
     audit_subset,
     deserialize_session,
     deserialize_share,
+    measure,
     recover_image,
     serialize_session,
     serialize_share,

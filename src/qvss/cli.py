@@ -294,17 +294,15 @@ def cmd_demo(args) -> int:
         image, 3, protocol.BACKEND_STATEVECTOR, seed
     )
     table = session.registers
-    # Each distinct entry is rendered once, and each pixel's entry read,
-    # before recovery collapses the table.
-    rendered = [_format_state(table.state(e)) for e in range(len(table.states))]
-    entries = table.index.tolist()
+    # The outcomes recovery draws with the same seed: row l-1 is pixel l's.
+    planes = protocol.measure(session, seed)
+    outcomes = np.unpackbits(planes, axis=1, count=image.pixel_count).T
     recovered = protocol.recover_image(shares, session, seed)
     print(f"{'pixel':<7}{'state':<30}{'collapsed':<11}{'result':<8}color")
-    for l, entry in enumerate(entries, start=1):
-        outcome = index_to_bits(table.states[table.index[l - 1]], table.n)
+    for l, (state, outcome) in enumerate(zip(table, outcomes), start=1):
         bit = recovered.pixel(l)
         print(
-            f"{l:<7}{rendered[entry]:<30}|{_format_bits(outcome)}>     "
+            f"{l:<7}{_format_state(state):<30}|{_format_bits(outcome)}>     "
             f"|{bit}>     {'black' if bit else 'white'}"
         )
     match = recovered == image

@@ -7,9 +7,10 @@ Two interchangeable backends:
   cannot be copied).  A pixel is one of only two parity states, so the
   store is a ``RegisterTable``: a few distinct registers plus one table
   index per pixel.  Share files carry no payload (participant j's share is
-  qubit j of every register, fixed by the header), and recovery measures
-  all pixels of each distinct register in one draw and XOR-decodes the
-  outcomes.
+  qubit j of every register, fixed by the header).  Measurement draws all
+  pixels of each distinct register in one draw and leaves the session as
+  it was: ``recover_image`` XOR-decodes the outcomes, and ``measure``
+  returns them as the sampled backend's bit planes.
 * ``sampled`` pre-measures at share time, drawing each pixel's outcome
   uniformly among the bitstrings of its parity.  Participant j's share is
   bit j of every outcome, a bit plane packed MSB first with zero pad bits,
@@ -76,7 +77,6 @@ from .statevector import (
     MAX_QUBITS,
     NORM_GUARD,
     StateVector,
-    basis_state,
     check_subset,
     marginal_distribution,
     sample,
@@ -90,8 +90,7 @@ MAX_SAMPLED_QUBITS = 64
 
 #: Cap on the dense states of a session file's statevector register table,
 #: checked before any of them is built, by the writer and by the reader.  A
-#: fresh session at n=16 needs about 2 MiB; a collapsed one holds an entry
-#: per distinct outcome, up to 2^n of 2^n amplitudes.
+#: fresh session at n=16 needs about 2 MiB.
 MAX_SESSION_TABLE_BYTES = 1 << 28
 
 #: Analytic uniformity tolerance (statevector audits).
@@ -112,9 +111,6 @@ _SEED_FIELD = struct.Struct("<Q")
 _TABLE_LENGTH = struct.Struct("<I")
 _ENTRY_FORM = struct.Struct("<B")
 _CRC = struct.Struct("<I")
-
-#: The one stored amplitude of a basis state's table entry.
-_ONE = np.ones(1, dtype="<c16")
 
 #: A table entry's amplitude forms: one amplitude per support bit, or one
 #: that every support bit shares.
@@ -228,24 +224,25 @@ def _bincount(values: np.ndarray, minlength: int) -> np.ndarray:
 class RegisterTable:
     """Every pixel's n-qubit register, as distinct registers plus an index.
 
-    ``states`` holds the distinct registers; pixel i's register is
-    ``states[index[i]]``.  An entry is a ``StateVector`` or, once
-    measured, an int basis index whose one-hot state is built only when
-    read.  Equality and the session file see every entry in one sparse
-    form, ``_sparse``: its support and its non-zero amplitudes.  The table
-    is written once: apart from ``collapse``, which is the measurement,
-    nothing changes it after construction.
+    ``states`` holds the distinct registers, each an n-qubit
+    ``StateVector``; pixel i's register is ``states[index[i]]``.  Equality
+    and the session file see every entry in one sparse form, ``_sparse``:
+    its support and its non-zero amplitudes.  Nothing changes a table
+    after construction: measuring it (``measure``, ``recover_image``)
+    returns the outcomes and leaves the table as it was.
     """
 
     def __init__(self, n: int, states, index):
         self.n = n
         self.states = list(states)
-        for value in self.states:
-            if isinstance(value, StateVector):
-                if value.num_qubits != n:
-                    raise ValueError(f"register has {value.num_qubits} qubits, table holds {n}")
-            elif not 0 <= value < 1 << n:
-                raise ValueError(f"basis index {value!r} out of range for {n} qubits")
+        for entry, value in enumerate(self.states):
+            if not isinstance(value, StateVector):
+                raise ValueError(
+                    f"register table entry {entry} must be a StateVector, "
+                    f"got {type(value).__name__}"
+                )
+            if value.num_qubits != n:
+                raise ValueError(f"register has {value.num_qubits} qubits, table holds {n}")
         # The index is held in the narrowest unsigned dtype whose range
         # holds the last entry number; a value that does not fit raises
         # instead of wrapping.  An array of that dtype is kept, not copied.
@@ -266,43 +263,20 @@ class RegisterTable:
     def __len__(self) -> int:
         return len(self.index)
 
-    def state(self, entry: int) -> StateVector:
-        """Table entry ``entry`` as a ``StateVector``."""
-        value = self.states[entry]
-        if isinstance(value, StateVector):
-            return value
-        return basis_state(self.n, value)
-
     def _sparse(self, entry: int) -> tuple[np.ndarray, np.ndarray]:
         """Table entry ``entry`` as the ascending basis indices of its
-        non-zero amplitudes, and those amplitudes; an int entry ``i`` is
-        ``([i], [1])``, with no 2^n state built."""
-        value = self.states[entry]
-        if isinstance(value, StateVector):
-            support = np.flatnonzero(value.amplitudes)
-            return support, value.amplitudes[support]
-        return np.array([value]), _ONE
+        non-zero amplitudes, and those amplitudes."""
+        amplitudes = self.states[entry].amplitudes
+        support = np.flatnonzero(amplitudes)
+        return support, amplitudes[support]
 
     def __iter__(self):
         for entry in self.index.tolist():
-            yield self.state(entry)
+            yield self.states[entry]
 
     def counts(self) -> np.ndarray:
         """Number of pixels pointing at each table entry."""
         return _bincount(self.index, len(self.states))
-
-    def collapse(self, outcomes: np.ndarray) -> None:
-        """Replace every pixel's register by its measured basis state.
-
-        The entries are the distinct outcomes, ascending, and the index
-        holds each pixel's rank among them; outcomes lie below 2^n, so
-        they are counted rather than sorted.
-        """
-        used = np.flatnonzero(_bincount(outcomes, 1 << self.n))
-        lookup = np.empty(1 << self.n, dtype=np.min_scalar_type(len(used) - 1))
-        lookup[used] = np.arange(len(used))
-        self.index = lookup[outcomes]
-        self.states = used.tolist()
 
     def __eq__(self, other) -> bool:
         """Whether every pixel holds the same register in both tables.
@@ -453,6 +427,17 @@ def _derive_session_id(image: BinaryImage, n: int, backend: str, seed: int) -> b
     return digest.digest()[:16]
 
 
+def _pack_bit_columns(rows: np.ndarray, first: int, planes: np.ndarray, out: slice) -> None:
+    """Bits ``first``, ``first + 1``, ... of each row of the ``(count,
+    bytes)`` uint8 array ``rows`` (MSB first) packed into ``planes[0, out]``,
+    ``planes[1, out]``, ...; each byte column is made contiguous once."""
+    for j, plane in enumerate(planes):
+        bit = first + j
+        if j == 0 or bit % 8 == 0:
+            column = np.ascontiguousarray(rows[:, bit // 8])
+        plane[out] = np.packbits(column & (0x80 >> bit % 8))
+
+
 def _draw_planes(image: BinaryImage, n: int, seed: int) -> np.ndarray:
     """Every pixel's outcome, uniform over its parity's 2^(n-1) strings,
     as the session's n bit planes.
@@ -470,10 +455,7 @@ def _draw_planes(image: BinaryImage, n: int, seed: int) -> np.ndarray:
         words = philox.random_raw(count).astype("<u8", copy=False)
         msb_first = words.view(np.uint8).reshape(count, 8)[:, ::-1]
         out = slice(part.start // 8, part.start // 8 + (count + 7) // 8)
-        for j in range(n - 1):
-            if j % 8 == 0:  # byte j // 8 of every word, made contiguous
-                column = np.ascontiguousarray(msb_first[:, j // 8])
-            planes[j, out] = np.packbits(column & (0x80 >> j % 8))
+        _pack_bit_columns(msb_first, 0, planes[:-1], out)
     planes[-1] = np.bitwise_xor.reduce(planes[:-1], axis=0) ^ np.packbits(image.pixels)
     return planes
 
@@ -535,6 +517,46 @@ def _check_share_set(shares, session: SessionStore) -> None:
         )
 
 
+def _draw_outcomes(table: RegisterTable, seed: int | None) -> np.ndarray:
+    """Each pixel's measured basis index, in ``np.min_scalar_type(2^n - 1)``.
+
+    One generator seeded with ``seed`` (from entropy if None) draws all
+    pixels of each entry in table order, then pixel order, as one draw per
+    entry would, though ``_CHUNK`` pixels at a time: ``rng.random(a)`` then
+    ``rng.random(b)`` give the doubles of ``rng.random(a + b)``."""
+    rng = np.random.default_rng(entropy_seed() if seed is None else seed)
+    outcomes = np.empty(len(table), dtype=np.min_scalar_type((1 << table.n) - 1))
+    # Pixels grouped by entry, each group in pixel order; numpy radix
+    # sorts the u8 or u16 index.
+    by_entry = np.argsort(table.index, kind="stable")
+    groups = np.split(by_entry, np.cumsum(table.counts())[:-1])
+    for state, pixels in zip(table.states, groups):
+        for part in _chunks(len(pixels)):
+            outcomes[pixels[part]] = sample(state, rng, len(pixels[part]))
+    return outcomes
+
+
+def measure(session: SessionStore, seed: int) -> np.ndarray:
+    """A statevector session's registers measured as ``recover_image``
+    measures them with ``seed``, returned in the sampled session's layout:
+    ``(n, ceil(pixels/8))`` uint8 planes, plane j-1 holding qubit j (the
+    top bit of the basis index first).  The session is left as it was; a
+    sampled one raises ``ValueError``, since its registers are its planes.
+    """
+    if session.backend != BACKEND_STATEVECTOR:
+        raise ValueError(f"a {session.backend} session was measured when it was shared")
+    outcomes = _draw_outcomes(session.registers, _check_seed(seed))
+    planes = np.empty((session.n, (len(outcomes) + 7) // 8), dtype=np.uint8)
+    # The low n bits of each outcome's big-endian bytes, one chunk (a
+    # multiple of 8 pixels) at a time.
+    big_endian, first = outcomes.dtype.newbyteorder(">"), 8 * outcomes.itemsize - session.n
+    for part in _chunks(len(outcomes)):
+        chunk = outcomes[part].astype(big_endian, copy=False)
+        out = slice(part.start // 8, part.start // 8 + (len(chunk) + 7) // 8)
+        _pack_bit_columns(chunk.view(np.uint8).reshape(len(chunk), -1), first, planes, out)
+    return planes
+
+
 def recover_image(
     shares, session: SessionStore, seed: int | None = None
 ) -> BinaryImage:
@@ -542,17 +564,11 @@ def recover_image(
 
     Requires all n distinct shares bound to the session; anything less
     raises instead of guessing, as does a sampled share whose plane is not
-    the session's.  In the statevector backend the session's
-    registers collapse in place: one generator seeded with ``seed`` (drawn
-    from entropy if None) draws the outcomes of all pixels of each distinct
-    register in table order and then pixel order, as one draw per register
-    would, though ``_CHUNK`` pixels at a time: ``rng.random(a)`` then
-    ``rng.random(b)`` give the doubles of ``rng.random(a + b)``.  A
-    measured (int) entry's outcome is its basis index: its pixels take it
-    with no 2^n state built, and the generator still advances by their
-    count of doubles, as ``sample`` would, so later outcomes stay the same.
-    A sampled session draws nothing, but a seed given for it is still
-    checked.
+    the session's.  A statevector session's registers are measured as
+    ``measure`` measures them, with ``seed`` (drawn from entropy if None),
+    and each pixel's colour is the parity of its outcome; the session is
+    left as it was, so one seed gives one image on every call.  A sampled
+    session draws nothing, but a seed given for it is still checked.
     """
     shares = list(shares)  # read twice: checked, then decoded
     _check_share_set(shares, session)
@@ -560,24 +576,8 @@ def recover_image(
         seed = _check_seed(seed)
 
     if session.backend == BACKEND_STATEVECTOR:
-        table = session.registers
-        rng = np.random.default_rng(entropy_seed() if seed is None else seed)
-        outcomes = np.empty(len(table), dtype=np.min_scalar_type((1 << table.n) - 1))
-        # Pixels grouped by entry, each group in pixel order; numpy radix
-        # sorts the u8 or u16 index.
-        by_entry = np.argsort(table.index, kind="stable")
-        groups = np.split(by_entry, np.cumsum(table.counts())[:-1])
-        for entry, pixels in enumerate(groups):
-            value = table.states[entry]
-            for part in _chunks(len(pixels)):
-                if isinstance(value, StateVector):
-                    outcomes[pixels[part]] = sample(value, rng, len(pixels[part]))
-                else:  # measured: skip the doubles ``sample`` would read
-                    rng.random(len(pixels[part]))
-                    outcomes[pixels[part]] = value
-        del by_entry, groups, pixels  # a group's view keeps the whole argsort alive
-        colors = index_parities(1 << table.n)[outcomes]
-        table.collapse(outcomes)
+        outcomes = _draw_outcomes(session.registers, seed)
+        colors = index_parities(1 << session.n)[outcomes]
     else:
         packed = np.zeros_like(session.registers[0])
         for share in shares:
@@ -629,7 +629,7 @@ def audit_subset(session: SessionStore, subset) -> AuditReport:
         for entry, count in enumerate(table.counts()):
             if not count:
                 continue
-            marg = marginal_distribution(table.state(entry), subset).probabilities
+            marg = marginal_distribution(table.states[entry], subset).probabilities
             total += count * marg
             max_dev = max(max_dev, float(np.abs(marg - uniform).max()))
             if is_full:

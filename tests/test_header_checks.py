@@ -6,7 +6,6 @@ import contextlib
 import dataclasses
 import io
 import struct
-import tracemalloc
 import zlib
 
 import numpy as np
@@ -14,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qvss import cli, protocol
+from qvss import cli
 from qvss.baseline import (
     Transparencies,
     build_nn_matrix_sets,
@@ -40,6 +39,7 @@ from qvss.protocol import (
     share_image,
 )
 from qvss.statevector import (
+    MAX_QUBITS,
     apply_h,
     basis_state,
     marginal_distribution,
@@ -81,9 +81,11 @@ def _built(n, backend, width, height, session_id):
     if backend == BACKEND_SAMPLED:
         registers = np.zeros((min(n, 64), (pixels + 7) // 8), dtype=np.uint8)
         payload = np.zeros((pixels + 7) // 8, dtype=np.uint8)
-    else:
-        registers = RegisterTable(n, [0], np.zeros(pixels, dtype=np.uint8))
+    elif 2 <= n <= MAX_QUBITS:
+        registers = RegisterTable(n, [basis_state(n, 0)], np.zeros(pixels, dtype=np.uint8))
         payload = ()
+    else:  # no n-qubit state to build: the header check refuses n first
+        registers, payload = None, ()
     session = SessionStore(master_seed=0, registers=registers, **header)
     return session, ShareFile(participant=1, payload=payload, **header)
 
@@ -140,37 +142,8 @@ def test_a_session_whose_table_has_another_n_is_not_built():
 def test_a_register_table_checks_every_entry_it_is_built_with():
     with pytest.raises(ValueError, match="register has 4 qubits, table holds 3"):
         RegisterTable(3, [prepare_parity_state_direct(ParitySpec(4, 0))], [0])
-    with pytest.raises(ValueError, match="basis index 8 out of range for 3 qubits"):
-        RegisterTable(3, [8], [0])
-
-
-def test_comparing_collapsed_n16_tables_builds_no_one_hot_state(monkeypatch):
-    # Several hundred int entries of 2^16 amplitudes each: comparing them
-    # goes by their index, never through a 1 MiB basis state.
-    outcomes = np.random.default_rng(16).integers(0, 1 << 16, size=600)
-    table = RegisterTable(16, [0], np.zeros(600, dtype=np.int64))
-    table.collapse(outcomes)
-    states, index = list(table.states), table.index.copy()
-    absent = next(v for v in range(1 << 16) if v not in set(states))
-    fresh = basis_state(16, absent)
-    same = RegisterTable(16, list(states), index.copy())
-    same.states[index[2]] = basis_state(16, states[index[2]])
-    changed = RegisterTable(16, list(same.states), index.copy())
-    changed.states[index[5]] = fresh
-
-    def no_one_hot_state(n, value):
-        raise AssertionError("a one-hot state was built")
-
-    monkeypatch.setattr(protocol, "basis_state", no_one_hot_state)
-    tracemalloc.start()
-    try:
-        assert table == same
-        assert table != changed
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert len(states) > 500
-    assert peak < 4 << 20
+    with pytest.raises(ValueError, match="register table entry 1 must be a StateVector, got int"):
+        RegisterTable(3, [prepare_parity_state_direct(ParitySpec(3, 0)), 5], [0, 1])
 
 
 @pytest.mark.parametrize(

@@ -29,12 +29,12 @@ from qvss.protocol import (
     RegisterTable,
     deserialize_session,
     deserialize_share,
-    recover_image,
+    measure,
     serialize_session,
     serialize_share,
     share_image,
 )
-from qvss.statevector import StateVector
+from qvss.statevector import StateVector, basis_state
 
 HEADER = struct.Struct("<4sBBHHII16s")
 CRC_SIZE = 4
@@ -43,7 +43,7 @@ IMAGE = BinaryImage(5, 3, np.random.default_rng(1).integers(0, 2, size=15))
 
 def _mixed_session(n):
     """A statevector session whose table entries have different supports
-    and amplitude forms: a parity state, a collapsed basis state, a state
+    and amplitude forms: a parity state, a basis state, a state
     with all 2^n amplitudes non-zero, the uniform superposition of all 2^n
     strings and the colour-1 parity state with a sign flipped on |0..010>.
     At n=2 each support has 4 pad bits."""
@@ -54,7 +54,7 @@ def _mixed_session(n):
     leak[0b010] *= -1
     states = [
         prepare_parity_state_direct(ParitySpec(n, 0)),
-        1,
+        basis_state(n, 1),
         StateVector(n, full / np.linalg.norm(full)),
         StateVector(n, np.full(1 << n, (1 << n) ** -0.5, dtype=np.complex128)),
         StateVector(n, leak),
@@ -124,17 +124,29 @@ def test_overwritten_bytes_with_a_fixed_crc_parse_or_raise_format_error(kind, da
     parse_quietly(parse, recrc(bytes(body)))
 
 
+def _collapsed(session, seed):
+    """``session`` with its table replaced by one basis-state entry per
+    distinct outcome that ``measure`` draws with ``seed``, ascending."""
+    pixels = np.unpackbits(measure(session, seed), axis=1, count=session.pixel_count)
+    outcomes = np.zeros(session.pixel_count, dtype=np.int64)
+    for plane in pixels:
+        outcomes = outcomes << 1 | plane
+    values, inverse = np.unique(outcomes, return_inverse=True)
+    states = [basis_state(session.n, v) for v in values.tolist()]
+    return dataclasses.replace(session, registers=RegisterTable(session.n, states, inverse))
+
+
 def _one_encoding_artifacts():
     """Files to edit byte by byte, and the writer that made each."""
     two_colour, _ = share_image(IMAGE, 3, BACKEND_STATEVECTOR, 9)
     black = BinaryImage(5, 3, np.ones(15, np.uint8))
     one_colour, _ = share_image(black, 3, BACKEND_STATEVECTOR, 9)
-    recovered, recovered_shares = share_image(IMAGE, 3, BACKEND_STATEVECTOR, 9)
-    recover_image(recovered_shares, recovered, 10)
+    recovered = _collapsed(two_colour, 10)
     assert len(recovered.registers.states) > 2
     even, odd = (prepare_parity_state_direct(ParitySpec(3, b)) for b in (0, 1))
-    unused = RegisterTable(3, [even, odd, 0b101], IMAGE.pixels)  # no pixel is entry 2
-    three = RegisterTable(3, [even, odd, 0b101], np.arange(15) % 3)  # index value 3 is out
+    basis = basis_state(3, 0b101)
+    unused = RegisterTable(3, [even, odd, basis], IMAGE.pixels)  # no pixel is entry 2
+    three = RegisterTable(3, [even, odd, basis], np.arange(15) % 3)  # index value 3 is out
     sessions = {
         "two colours": two_colour,
         "one colour": one_colour,

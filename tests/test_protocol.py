@@ -34,6 +34,7 @@ from qvss.protocol import (
     audit_subset,
     deserialize_session,
     deserialize_share,
+    measure,
     pixel_rng,
     recover_image,
     serialize_session,
@@ -69,6 +70,28 @@ def _with_register(table, pixels, state):
     return RegisterTable(table.n, [*table.states, state], index)
 
 
+def _outcomes(planes, pixels):
+    """Each pixel's basis index read off ``measure``'s planes, plane 1's
+    bit the most significant."""
+    outcomes = np.zeros(pixels, dtype=np.int64)
+    for plane in np.unpackbits(planes, axis=1, count=pixels):
+        outcomes = outcomes << 1 | plane
+    return outcomes
+
+
+def _collapsed_table(n, outcomes):
+    """One basis-state entry per distinct outcome, ascending, and each
+    pixel's rank among them: the table a measurement once left behind."""
+    values, inverse = np.unique(outcomes, return_inverse=True)
+    return RegisterTable(n, [basis_state(n, v) for v in values.tolist()], inverse)
+
+
+def _collapsed(session, seed):
+    """``session`` with the collapsed table of ``measure``'s outcomes."""
+    outcomes = _outcomes(measure(session, seed), session.pixel_count)
+    return dataclasses.replace(session, registers=_collapsed_table(session.n, outcomes))
+
+
 # --- sharing ---
 
 
@@ -79,7 +102,7 @@ def test_share_statevector_states_follow_pixel_colors():
     for l, expected_b in zip(range(1, 5), [0, 1, 1, 0]):
         expected = prepare_parity_state_direct(ParitySpec(3, expected_b))
         np.testing.assert_allclose(
-            table.state(int(table.index[l - 1])).amplitudes, expected.amplitudes, atol=1e-15
+            table.states[table.index[l - 1]].amplitudes, expected.amplitudes, atol=1e-15
         )
 
 
@@ -165,12 +188,31 @@ def test_recover_refuses_foreign_share():
         recover_image([shares[0], shares[1], other[2]], session, 9)
 
 
-def test_recover_collapses_session_registers():
-    session, shares = share_image(DEMO_IMAGE, 3, BACKEND_STATEVECTOR, 42)
-    recover_image(shares, session, 9)
-    for register in session.registers:
-        probs = np.abs(register.amplitudes) ** 2
-        assert np.count_nonzero(probs > 1e-15) == 1
+def test_measure_gives_each_pixel_an_outcome_in_its_registers_support():
+    session, _ = share_image(DEMO_IMAGE, 3, BACKEND_STATEVECTOR, 42)
+    planes = measure(session, 9)
+    assert planes.dtype == np.uint8 and planes.shape == (3, 1)
+    assert not (planes[:, 0] & 0x0F).any()  # 4 pixels, 4 zero pad bits
+    for register, outcome in zip(session.registers, _outcomes(planes, 4).tolist()):
+        assert np.abs(register.amplitudes[outcome]) ** 2 > 1e-15
+
+
+def test_measure_refuses_a_sampled_session():
+    session, _ = share_image(DEMO_IMAGE, 3, BACKEND_SAMPLED, 42)
+    with pytest.raises(ValueError, match="sampled session was measured when it was shared"):
+        measure(session, 9)
+
+
+@pytest.mark.parametrize("backend", [BACKEND_STATEVECTOR, BACKEND_SAMPLED])
+def test_recovery_leaves_the_session_as_its_file_reads(backend):
+    image = random_image(24, 20, seed=7)
+    session, shares = share_image(image, 6, backend, 3)
+    data = serialize_session(session)
+    assert recover_image(shares, session, 4) == image
+    if backend == BACKEND_STATEVECTOR:
+        measure(session, 4)
+    assert session == deserialize_session(data)
+    assert serialize_session(session) == data
 
 
 @settings(max_examples=15, deadline=None)
@@ -247,7 +289,7 @@ def test_audit_full_subset_reports_recovery():
     # black pixels every pattern appears, but each pixel's marginal is
     # confined to its own parity class
     table = session.registers
-    per_pixel = marginal_distribution(table.state(int(table.index[0])), (1, 2, 3)).probabilities
+    per_pixel = marginal_distribution(table.states[table.index[0]], (1, 2, 3)).probabilities
     assert np.count_nonzero(per_pixel > 1e-15) == 4
 
 
@@ -269,9 +311,20 @@ def test_a_full_set_audit_reads_full_recovery_only_if_every_entry_has_one_parity
     assert audit_subset(session, [3, 1]).verdict == "no-information"
     assert recover_image(shares, session, 1) != image
     # Measured, every pixel holds a basis state: one parity each.
-    assert audit_subset(session, [1, 2, 3]).verdict == "full-recovery"
+    assert audit_subset(_collapsed(session, 1), [1, 2, 3]).verdict == "full-recovery"
     # A biased basis entry decodes to one colour, so it is reliable too.
     assert audit_subset(tampered_session()[0], [1, 2, 3]).verdict == "full-recovery"
+
+
+@pytest.mark.parametrize("n", [2, 5, 8, 9, 16])
+def test_the_xor_of_the_measured_planes_is_the_recovered_image(n):
+    session, shares, image = _uniform_session(n, side=23)  # 529 pixels: 7 pad bits
+    fresh = share_image(image, n, BACKEND_STATEVECTOR, 5)[0]
+    for measured in (session, fresh):
+        planes = measure(measured, 11)
+        xor = np.unpackbits(np.bitwise_xor.reduce(planes, axis=0), count=image.pixel_count)
+        np.testing.assert_array_equal(xor, recover_image(shares, measured, 11).pixels)
+    assert recover_image(shares, fresh, 11) == image
 
 
 def test_audit_five_of_six_uniform():
@@ -529,7 +582,7 @@ def test_tampered_table_entry_survives_session_file():
     assert len(restored.registers.states) == 3
     a, b = restored.registers, session.registers
     np.testing.assert_array_equal(
-        a.state(int(a.index[1])).amplitudes, b.state(int(b.index[1])).amplitudes
+        a.states[a.index[1]].amplitudes, b.states[b.index[1]].amplitudes
     )
     assert audit_subset(restored, [2]).verdict == "information-leak"
 
@@ -552,23 +605,23 @@ def test_audit_matches_per_pixel_marginals(tamper, subset):
     assert abs(report.max_deviation - expected_dev) < 1e-12
 
 
-def test_recover_collapse_is_deterministic_under_seed():
-    image = random_image(12, 10, seed=4)
-    collapsed = []
-    for _ in range(2):
-        session, shares = share_image(image, 5, BACKEND_STATEVECTOR, 21)
-        assert recover_image(shares, session, 99) == image
-        collapsed.append([register.amplitudes for register in session.registers])
-    for a, b in zip(*collapsed):
-        np.testing.assert_array_equal(a, b)
+def test_recover_and_measure_are_deterministic_under_seed():
+    # Each pixel's outcome parity is random here, so the image is the draw's:
+    # one seed gives one image and one set of planes, on one session or two.
+    session, shares, _ = _uniform_session(n=5, side=12)
+    image, planes = recover_image(shares, session, 99), measure(session, 99)
+    for again in (session, _uniform_session(n=5, side=12)[0]):
+        assert recover_image(shares, again, 99) == image
+        np.testing.assert_array_equal(measure(again, 99), planes)
+    assert recover_image(shares, session, 98) != image
 
 
-def test_recovered_colors_are_parities_of_collapsed_outcomes():
+def test_recovered_colors_are_parities_of_measured_outcomes():
     image = random_image(9, 7, seed=8)
     session, shares = share_image(image, 4, BACKEND_STATEVECTOR, 3)
     recovered = recover_image(shares, session, 5)
-    for l, register in enumerate(session.registers, start=1):
-        outcome = int(np.flatnonzero(register.amplitudes)[0])
+    outcomes = _outcomes(measure(session, 5), image.pixel_count)
+    for l, outcome in enumerate(outcomes.tolist(), start=1):
         assert bin(outcome).count("1") % 2 == recovered.pixel(l)
 
 
@@ -632,7 +685,7 @@ def _outcomes_by_entry_masks(table, seed):
     outcomes = np.empty(len(table), dtype=np.int64)
     for entry, count in enumerate(table.counts()):
         if count:
-            state = table.state(entry)
+            state = table.states[entry]
             outcomes[table.index == entry] = rng.choice(
                 state.dim, size=count, p=_checked_probabilities(state)
             )
@@ -642,8 +695,7 @@ def _outcomes_by_entry_masks(table, seed):
 def test_recover_of_a_collapsed_session_matches_per_entry_masks():
     image = random_image(16, 12, seed=6)
     session, shares = share_image(image, 4, BACKEND_STATEVECTOR, 8)
-    recover_image(shares, session, 1)
-    collapsed = session.registers
+    collapsed = _collapsed(session, 1).registers
     # Up to 16 basis-state entries, plus superpositions scattered among them
     # so that the draw order changes the outcomes.
     amplitudes = np.random.default_rng(2).normal(size=16) + 0j
@@ -655,13 +707,39 @@ def test_recover_of_a_collapsed_session_matches_per_entry_masks():
     table = RegisterTable(4, [*collapsed.states, *parity, scattered], index)
     session = dataclasses.replace(session, registers=table)
     assert len(table.states) > 10
-    before = RegisterTable(4, table.states, table.index.copy())
 
-    recovered = recover_image(shares, session, 77)
-    outcomes = np.array(table.states)[table.index]
-    np.testing.assert_array_equal(outcomes, _outcomes_by_entry_masks(before, 77))
+    outcomes = _outcomes(measure(session, 77), image.pixel_count)
+    np.testing.assert_array_equal(outcomes, _outcomes_by_entry_masks(table, 77))
     parities = [bin(int(o)).count("1") & 1 for o in outcomes]
-    np.testing.assert_array_equal(recovered.pixels, parities)
+    np.testing.assert_array_equal(recover_image(shares, session, 77).pixels, parities)
+
+
+def _mixed_table(session):
+    """``session``'s fresh table plus a random superposition at every 5th
+    pixel and the last basis state at every 7th from the 4th: entries whose
+    pixels interleave, so the draw order changes the outcomes."""
+    n = session.n
+    rng = np.random.default_rng(n)
+    amplitudes = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+    scattered = StateVector(n, amplitudes / np.linalg.norm(amplitudes))
+    table = _with_register(session.registers, slice(None, None, 5), scattered)
+    return _with_register(table, slice(3, None, 7), basis_state(n, (1 << n) - 1))
+
+
+@pytest.mark.parametrize("chunk", [None, 64])
+@pytest.mark.parametrize("n", range(2, 17))
+def test_measured_planes_are_the_outcomes_of_one_draw_per_entry(n, chunk, monkeypatch):
+    image = random_image(30, 21, seed=n)  # 630 pixels: 2 pad bits, a short last chunk
+    session, _ = share_image(image, n, BACKEND_STATEVECTOR, n)
+    if chunk:
+        monkeypatch.setattr(protocol, "_CHUNK", chunk)
+    for table in (session.registers, _mixed_table(session)):
+        measured = dataclasses.replace(session, registers=table)
+        planes = measure(measured, 77)
+        # As a sampled session's registers: shape, dtype and pad bits checked.
+        dataclasses.replace(session, backend=BACKEND_SAMPLED, registers=planes)
+        outcomes = _outcomes(planes, image.pixel_count)
+        np.testing.assert_array_equal(outcomes, _outcomes_by_entry_masks(table, 77))
 
 
 # --- array-native sampled backend ---
@@ -907,17 +985,17 @@ def test_register_tables_compare_registers_not_their_layout():
     split = RegisterTable(3, [even, odd, even.copy()], [0, 1, 2, 2])
     merged = RegisterTable(3, [odd, even], [1, 0, 1, 1])
     assert split == merged
-    merged.collapse(np.array([0, 1, 0, 0]))
-    split.collapse(np.array([0, 1, 0, 0]))
-    assert split == merged
+    # Measured outcomes as one entry per pixel, and as one per distinct value.
+    outcomes = _outcomes(measure(_table_session(split), 3), 4)
+    per_pixel = RegisterTable(3, [basis_state(3, v) for v in outcomes.tolist()], range(4))
+    assert per_pixel == _collapsed_table(3, outcomes)
+    assert per_pixel != split
     assert split != RegisterTable(3, [even], [0, 0, 0, 0])
 
 
 def _entry(kind, n, draw):
     """One register-table entry of the given kind, for the property below."""
-    if kind == "int":
-        return draw(st.integers(0, (1 << n) - 1))
-    if kind == "basis":  # the dense twin of an int entry
+    if kind == "basis":
         return basis_state(n, draw(st.integers(0, (1 << n) - 1)))
     if kind in (0, 1):
         return prepare_parity_state_direct(ParitySpec(n, kind))
@@ -932,10 +1010,10 @@ def _entry(kind, n, draw):
 @st.composite
 def mixed_table_pairs(draw):
     """Two tables of one n and pixel count, their entries drawn from one
-    pool of parity states, random states, basis states and int entries,
-    the second table sometimes a copy of the first."""
+    pool of parity states, random states and basis states, the second
+    table sometimes a copy of the first."""
     n = draw(st.integers(2, 8))
-    kinds = st.sampled_from(["int", "basis", "random", 0, 1])
+    kinds = st.sampled_from(["basis", "random", 0, 1])
     pool = [_entry(kind, n, draw) for kind in draw(st.lists(kinds, min_size=1, max_size=5))]
     pixels = draw(st.integers(1, 12))
 
@@ -950,15 +1028,6 @@ def mixed_table_pairs(draw):
     return first, table()
 
 
-def _dense(table):
-    """``table`` with each int entry replaced by its basis state."""
-    states = [
-        value if isinstance(value, StateVector) else basis_state(table.n, value)
-        for value in table.states
-    ]
-    return RegisterTable(table.n, states, table.index.copy())
-
-
 def _table_session(table):
     return protocol.SessionStore(
         n=table.n, backend=BACKEND_STATEVECTOR, master_seed=0, width=len(table),
@@ -968,17 +1037,14 @@ def _table_session(table):
 
 @settings(max_examples=150, deadline=None)
 @given(mixed_table_pairs())
-def test_int_entries_compare_and_serialize_as_their_basis_states(tables):
+def test_mixed_tables_compare_by_their_registers_and_read_back_equal(tables):
     first, second = tables
     same_registers = all(
         np.array_equal(a.amplitudes, b.amplitudes) for a, b in zip(first, second)
     )
-    for a in (first, _dense(first)):
-        for b in (second, _dense(second)):
-            assert (a == b) is same_registers
+    assert (first == second) is same_registers
     for table in tables:
         data = serialize_session(_table_session(table))
-        assert serialize_session(_table_session(_dense(table))) == data
         assert deserialize_session(data).registers == table
 
 
@@ -1007,16 +1073,6 @@ def test_session_id_depends_on_the_seed_and_the_size(backend):
 
 
 # --- counting instead of sorting; pad bits ---
-
-
-def test_collapse_equals_the_sorted_distinct_outcomes():
-    outcomes = np.random.default_rng(3).integers(0, 1 << 16, size=5000)
-    outcomes[[0, -1]] = [0, (1 << 16) - 1]
-    table = RegisterTable(16, [0], np.zeros(5000, dtype=np.int64))
-    table.collapse(outcomes)
-    values, index = np.unique(outcomes, return_inverse=True)
-    assert table.states == values.tolist()
-    np.testing.assert_array_equal(table.index, index)
 
 
 @pytest.mark.parametrize("color", [0, 1])
@@ -1076,13 +1132,13 @@ def test_session_with_a_set_pad_bit_is_rejected():
 
 def test_register_index_takes_the_session_file_dtype():
     image = random_image(32, 32, seed=3)
-    session, shares = share_image(image, 12, BACKEND_STATEVECTOR, 4)
+    session, _ = share_image(image, 12, BACKEND_STATEVECTOR, 4)
     assert session.registers.index.dtype == np.uint8
-    recover_image(shares, session, 6)
-    table = session.registers
+    collapsed = _collapsed(session, 6)
+    table = collapsed.registers
     assert len(table.states) > 255
     assert table.index.dtype == np.uint16
-    assert deserialize_session(serialize_session(session)) == session
+    assert deserialize_session(serialize_session(collapsed)) == collapsed
 
 
 @pytest.mark.parametrize("index", [[0, 256], [0, -1], [0, 0.5]])
@@ -1097,56 +1153,39 @@ def test_register_index_that_does_not_fit_is_rejected(index):
     [(255, np.uint8), (256, np.uint8), (257, np.uint16), (65536, np.uint16), (65537, np.uint32)],
 )
 def test_a_257th_entry_widens_the_index(entries, dtype):
-    # Entry numbers run to entries - 1: 255 fits u8, 65535 fits u16.
-    states = (np.arange(entries) % (1 << 16)).tolist()
-    table = RegisterTable(16, states, np.arange(entries))
+    # Entry numbers run to entries - 1: 255 fits u8, 65535 fits u16.  One
+    # state object stands for every entry.
+    states = [prepare_parity_state_direct(ParitySpec(2, 0))] * entries
+    table = RegisterTable(2, states, np.arange(entries))
     assert table.index.dtype == dtype
     assert table.index.tolist() == list(range(entries))
 
 
-def test_recovering_at_n8_leaves_a_u8_index():
+def test_the_outcomes_measured_at_n8_collapse_to_a_u8_index():
     image = random_image(128, 128, seed=5)
     session, shares = share_image(image, 8, BACKEND_STATEVECTOR, 6)
     assert recover_image(shares, session, 7) == image
-    assert len(session.registers.states) == 256
-    assert session.registers.index.dtype == np.uint8
+    table = _collapsed(session, 7).registers
+    assert len(table.states) == 256
+    assert table.index.dtype == np.uint8
 
 
 def test_multi_chunk_recovery_draws_what_one_draw_per_entry_draws(monkeypatch):
     image = random_image(40, 30, seed=4)
     session, shares = share_image(image, 4, BACKEND_STATEVECTOR, 8)
-    recover_image(shares, session, 1)
+    collapsed = _collapsed(session, 1).registers
     # The collapsed entries, then the two parity states over a third of
     # the pixels: each parity group spans several 64-pixel chunks.
     parity = [prepare_parity_state_direct(ParitySpec(4, b)) for b in (0, 1)]
-    index = session.registers.index.astype(np.uint32)
-    index[::3] = len(session.registers.states) + image.pixels[::3]
-    table = RegisterTable(4, [*session.registers.states, *parity], index)
+    index = collapsed.index.astype(np.uint32)
+    index[::3] = len(collapsed.states) + image.pixels[::3]
+    table = RegisterTable(4, [*collapsed.states, *parity], index)
     assert table.counts()[-2:].min() > 2 * 64
-    before = RegisterTable(4, table.states, table.index.copy())
+    session = dataclasses.replace(session, registers=table)
     monkeypatch.setattr(protocol, "_CHUNK", 64)
-    recovered = recover_image(shares, dataclasses.replace(session, registers=table), 77)
-    outcomes = np.array(table.states)[table.index]
-    np.testing.assert_array_equal(outcomes, _outcomes_by_entry_masks(before, 77))
-    assert recovered == image
-
-
-def test_recovering_a_measured_session_builds_no_register(monkeypatch):
-    # A measured entry's outcome is its basis index, so recovering the
-    # session again calls neither sample (a 2^n CDF per entry) nor
-    # basis_state, and every pixel keeps its outcome.
-    image = random_image(64, 64, seed=9)
-    session, shares = share_image(image, 12, BACKEND_STATEVECTOR, 3)
-    recover_image(shares, session, 4)
-    table = session.registers
-    assert len(table.states) > 2000
-    before = RegisterTable(12, table.states, table.index.copy())
-    calls = []
-    monkeypatch.setattr(protocol, "sample", lambda *args: calls.append(args))
-    monkeypatch.setattr(protocol, "basis_state", lambda *args: calls.append(args))
-    assert recover_image(shares, session, 5) == image
-    assert calls == []
-    assert session.registers == before
+    outcomes = _outcomes(measure(session, 77), image.pixel_count)
+    np.testing.assert_array_equal(outcomes, _outcomes_by_entry_masks(table, 77))
+    assert recover_image(shares, session, 77) == image
 
 
 # --- statevector file bytes; the session table cap ---
@@ -1169,17 +1208,21 @@ def test_statevector_file_bytes_are_pinned():
         "b1117a8da31cc91d7423273c2fe70c827348e6f90ac5da432683dfbbf72b2422"
     )
     image = random_image(32, 32, seed=1)
-    session, shares = share_image(image, 6, BACKEND_STATEVECTOR, 1)
-    recover_image(shares, session, 2)
-    assert _sha256(serialize_session(session)) == (
+    session, _ = share_image(image, 6, BACKEND_STATEVECTOR, 1)
+    assert _sha256(serialize_session(_collapsed(session, 2))) == (
         "bdd5d1038983811709e52550f5c83e148c9120b550b20dbb7a357add1ddd7e93"
     )
 
 
 def test_session_table_over_the_cap_raises_before_allocating():
     image = random_image(64, 64, seed=3)
-    session, shares = share_image(image, 14, BACKEND_STATEVECTOR, 4)
-    recover_image(shares, session, 5)
+    session, _ = share_image(image, 14, BACKEND_STATEVECTOR, 4)
+    # One entry per distinct outcome, as a collapsed table holds them, all
+    # one state object: about 3,900 distinct n=14 states would take 1 GiB.
+    outcomes = _outcomes(measure(session, 5), image.pixel_count)
+    values, inverse = np.unique(outcomes, return_inverse=True)
+    table = RegisterTable(14, session.registers.states[:1] * len(values), inverse)
+    session = dataclasses.replace(session, registers=table)
     entries = np.count_nonzero(session.registers.counts())
     needed = entries * (1 + 16 * (1 << 14))
     assert needed > MAX_SESSION_TABLE_BYTES
@@ -1247,9 +1290,9 @@ def test_a_packed_index_with_a_set_pad_bit_is_rejected():
 )
 def test_statevector_session_file_round_trips(width, height, n, seed, recovered):
     image = random_image(width, height, seed)
-    session, shares = share_image(image, n, BACKEND_STATEVECTOR, seed)
+    session, _ = share_image(image, n, BACKEND_STATEVECTOR, seed)
     if recovered:
-        recover_image(shares, session, seed ^ 1)
+        session = _collapsed(session, seed ^ 1)
     entries = int(np.count_nonzero(session.registers.counts()))
     # One bit plane per bit of the last entry's number.
     index_size = (entries - 1).bit_length() * ((image.pixel_count + 7) // 8)
@@ -1268,21 +1311,29 @@ def test_statevector_session_file_round_trips(width, height, n, seed, recovered)
 @pytest.mark.parametrize("backend", [BACKEND_STATEVECTOR, BACKEND_SAMPLED])
 def test_passes_in_chunks_give_the_bytes_of_one_pass(backend, monkeypatch):
     image = random_image(13, 11, seed=2)  # 143 pixels: the last chunk is short
-    session, shares = share_image(image, 5, backend, 6)
-    fresh = serialize_session(session)
-    recover_image(shares, session, 7)
-    recovered = serialize_session(session)
+
+    def passes():
+        """The session's file, that file read back and written again, the
+        recovered image, and a statevector session's planes and collapsed
+        file."""
+        session, shares = share_image(image, 5, backend, 6)
+        fresh = serialize_session(session)
+        out = [
+            fresh,
+            serialize_session(deserialize_session(fresh)),
+            recover_image(shares, session, 7),
+        ]
+        if backend == BACKEND_STATEVECTOR:
+            collapsed = _collapsed(session, 7)
+            table = collapsed.registers
+            assert len(table.states) > 2
+            assert table.counts().tolist() == np.bincount(table.index).tolist()
+            out += [measure(session, 7).tobytes(), serialize_session(collapsed)]
+        return out
+
+    whole = passes()
     monkeypatch.setattr(protocol, "_CHUNK", 16)
-    session, shares = share_image(image, 5, backend, 6)
-    assert serialize_session(session) == fresh
-    assert serialize_session(deserialize_session(fresh)) == fresh
-    recover_image(shares, session, 7)
-    assert serialize_session(session) == recovered
-    if backend == BACKEND_STATEVECTOR:
-        assert len(session.registers.states) > 2
-        assert session.registers.counts().tolist() == np.bincount(
-            session.registers.index
-        ).tolist()
+    assert passes() == whole
 
 
 def _traced_peak(function, *args):
@@ -1307,8 +1358,8 @@ def test_a_fresh_session_at_the_size_cap_is_2_mib_and_serializes_in_6():
 
 def test_a_recovered_session_is_written_without_a_second_copy():
     image = random_image(64, 64, seed=3)
-    session, shares = share_image(image, 10, BACKEND_STATEVECTOR, 4)
-    recover_image(shares, session, 5)
+    session, _ = share_image(image, 10, BACKEND_STATEVECTOR, 4)
+    session = _collapsed(session, 5)
     entries = int(np.count_nonzero(session.registers.counts()))
     assert entries > 256  # a u16 index in memory, 9 or 10 bit planes in the file
     data, peak = _traced_peak(serialize_session, session)
@@ -1387,17 +1438,25 @@ def test_a_fresh_session_at_the_size_cap_reads_back_holding_its_index_once():
     assert peak < 20 << 20
 
 
-def test_recovering_at_the_size_cap_peaks_under_200_mib_with_a_u16_index():
-    # The grouping argsort takes 128 MiB and the outcomes 32 MiB; each
-    # entry is drawn one chunk at a time, and the grouping is freed before
-    # the collapse builds the index.
+def test_recovering_and_measuring_at_the_size_cap_peak_under_200_mib():
+    # The grouping argsort takes 128 MiB and the u16 outcomes 32 MiB; each
+    # entry is drawn one chunk at a time.  The planes take 32 MiB more,
+    # packed one chunk at a time once the grouping is freed.
     image = random_image(4096, 4096, seed=3)
     session, shares = share_image(image, 16, BACKEND_STATEVECTOR, 4)
     recovered, peak = _traced_peak(recover_image, shares, session, 6)
     assert recovered == image
-    assert len(session.registers.states) == 1 << 16
-    assert session.registers.index.dtype == np.uint16
     assert peak < 200 << 20
+    planes, peak = _traced_peak(measure, session, 6)
+    assert peak < 200 << 20
+    np.testing.assert_array_equal(
+        np.bitwise_xor.reduce(planes, axis=0), np.packbits(image.pixels)
+    )
+    # A proper subset's measured bits are uniform: the sampled audit of
+    # the planes sees no information.
+    measured = dataclasses.replace(session, backend=BACKEND_SAMPLED, registers=planes)
+    for k in (2, 8, 15):
+        assert audit_subset(measured, range(1, k + 1)).verdict == "no-information"
 
 
 def test_a_sampled_audit_at_the_size_cap_counts_one_chunk_at_a_time():
@@ -1428,17 +1487,17 @@ INDEX_N = 9
 def _index_session(length: int, collapsed: bool):
     """A 29x11 statevector session (319 pixels, so each index plane ends
     in pad bits) whose table has ``length`` entries, every one used:
-    hand-built from the two parity states and basis-state ints, or
-    collapsed from ``length`` distinct outcomes."""
+    hand-built from the two parity states and basis states, or collapsed
+    from ``length`` distinct outcomes."""
     pixels = 29 * 11
     session, _ = share_image(random_image(29, 11, seed=length), INDEX_N, BACKEND_STATEVECTOR, 1)
     if collapsed:
         values = np.random.default_rng(length).permutation(1 << INDEX_N)[:length]
-        table = RegisterTable(INDEX_N, [0], np.zeros(pixels, dtype=np.uint8))
-        table.collapse(values[np.arange(pixels) % length])
+        table = _collapsed_table(INDEX_N, values[np.arange(pixels) % length])
     else:
         parity = [prepare_parity_state_direct(ParitySpec(INDEX_N, b)) for b in (0, 1)]
-        states = [*parity, *range(2, length)][:length]
+        basis = [basis_state(INDEX_N, v) for v in range(2, length)]
+        states = [*parity, *basis][:length]
         table = RegisterTable(INDEX_N, states, np.arange(pixels)[::-1] % length)
     assert len(table.states) == length
     return dataclasses.replace(session, registers=table)
@@ -1513,7 +1572,7 @@ TABLE_START = HEADER_SIZE + SEED_SIZE + TABLE_LENGTH_SIZE
 
 def _mixed_session(n):
     """A 5x3 statevector session whose table entries have different
-    supports and amplitude forms: a parity state, a collapsed basis state
+    supports and amplitude forms: a parity state, a basis state
     and the uniform superposition of all 2^n strings (one shared amplitude
     each), a state with all 2^n amplitudes different, and the colour-1
     parity state with the sign of |0..010>'s amplitude flipped (-1/2 at
@@ -1525,7 +1584,7 @@ def _mixed_session(n):
     leak[0b010] *= -1
     states = [
         prepare_parity_state_direct(ParitySpec(n, 1)),
-        (1 << n) - 1,
+        basis_state(n, (1 << n) - 1),
         StateVector(n, full / np.linalg.norm(full)),
         StateVector(n, np.full(1 << n, (1 << n) ** -0.5, dtype=np.complex128)),
         StateVector(n, leak),
@@ -1548,9 +1607,9 @@ def test_a_fresh_n8_session_file_is_two_half_supports_and_a_packed_index():
 
 def test_a_collapsed_session_stores_each_entry_as_a_one_bit_support():
     image = random_image(16, 12, seed=6)
-    session, shares = share_image(image, 4, BACKEND_STATEVECTOR, 8)
-    recover_image(shares, session, 1)
-    outcomes = session.registers.states
+    session, _ = share_image(image, 4, BACKEND_STATEVECTOR, 8)
+    outcomes = np.unique(_outcomes(measure(session, 1), image.pixel_count)).tolist()
+    session = _collapsed(session, 1)
     data = serialize_session(session)
     assert struct.unpack_from("<I", data, HEADER_SIZE + SEED_SIZE) == (len(outcomes),)
     for entry, outcome in enumerate(outcomes):
@@ -1579,8 +1638,8 @@ def test_entries_of_every_support_round_trip(n):
     assert restored == session
     for entry in range(5):
         np.testing.assert_array_equal(
-            restored.registers.state(entry).amplitudes,
-            session.registers.state(entry).amplitudes,
+            restored.registers.states[entry].amplitudes,
+            session.registers.states[entry].amplitudes,
         )
     assert serialize_session(restored) == data
 
@@ -1736,7 +1795,7 @@ def test_a_shared_amplitude_whose_norm_is_off_names_its_entry(off):
         deserialize_session(_with_entry_3(_shared_amplitude(amplitude)))
     within = ((1 + off * guard / 4) / 8) ** 0.5
     restored = deserialize_session(_with_entry_3(_shared_amplitude(within)))
-    np.testing.assert_array_equal(restored.registers.state(3).amplitudes, np.full(8, within))
+    np.testing.assert_array_equal(restored.registers.states[3].amplitudes, np.full(8, within))
 
 
 @pytest.mark.parametrize(
@@ -1787,7 +1846,7 @@ def test_amplitudes_equal_but_for_the_sign_of_a_zero_keep_it():
     session = dataclasses.replace(session, registers=table)
     data = serialize_session(session)
     assert [form for _, form in _entry_heads(data, 3)] == [1, 1, 0, 1, 0]
-    restored = deserialize_session(data).registers.state(4).amplitudes
+    restored = deserialize_session(data).registers.states[4].amplitudes
     assert restored.view(np.uint64).tolist() == amplitudes.view(np.uint64).tolist()
 
 
