@@ -270,7 +270,6 @@ def _sort_rows(words: np.ndarray, values: np.ndarray, tie_keys) -> np.ndarray:
     """
     m = words.shape[1]
     low = words.dtype.type((1 << int(values[-1]).bit_length()) - 1)
-    values = values.astype(words.dtype)
     words &= ~low
     words |= values
     words.sort(axis=1)

@@ -7,25 +7,26 @@ Two interchangeable backends:
   cannot be copied).  A pixel is one of only two parity states, so the
   store is a ``RegisterTable``: a few distinct registers plus one table
   index per pixel.  Share files carry no payload (participant j's share is
-  qubit j of every register, fixed by the header).  Measurement draws all
-  pixels of each distinct register in one draw and leaves the session as
-  it was: ``recover_image`` XOR-decodes the outcomes, and ``measure``
-  returns them as the sampled backend's bit planes.
+  qubit j of every register, fixed by the header).  ``measure`` returns
+  the outcomes as bit planes, leaving the session as it was.
 * ``sampled`` pre-measures at share time, drawing each pixel's outcome
   uniformly among the bitstrings of its parity.  Participant j's share is
   bit j of every outcome, a bit plane packed MSB first with zero pad bits,
   and the session holds the n planes as one ``(n, ceil(pixels/8))`` uint8
   array.  Every protocol step is a computational-basis measurement, so
   measuring early changes no observable distribution, and large n / large
-  images become cheap.
+  images become cheap.  ``recover_image`` XORs the planes of either backend.
 
-Sampled randomness is one counter-based stream, ``np.random.Philox`` keyed
-by the seed plus a tag in the key's high 64 bits (Salmon et al., "Parallel
-random numbers: as easy as 1, 2, 3", SC'11): pixel l's bits 1..n-1 are the
-top n-1 bits of raw word l-1, most significant first, and bit n is the one
+Randomness is one counter-based stream, ``np.random.Philox`` keyed by the
+seed plus a tag in the key's high 64 bits (Salmon et al., "Parallel random
+numbers: as easy as 1, 2, 3", SC'11): pixel l's bits 1..n-1 are the top
+n-1 bits of raw word l-1, most significant first, and bit n is the one
 that sets the pixel's parity.  So sharing is deterministic, and each
 pixel's bits depend only on the seed, n, its index and its colour, not on
-the image around it.
+the image around it.  Measuring a statevector session of the two parity
+states ``share_image`` makes is the same draw: at seed s its planes are,
+bit for bit, the sampled share of its image at seed s.  A table with any
+other used entry is drawn per entry from ``np.random.default_rng(s)``.
 
 File formats (all integers little-endian):
 
@@ -122,7 +123,7 @@ _CHUNK = 1 << 20
 
 _MASK64 = (1 << 64) - 1
 
-#: High 64 bits of the sampled backend's Philox key; the low 64 bits are
+#: High 64 bits of the Philox key of ``_draw_planes``; the low 64 bits are
 #: the seed.  Keeps its words apart from the baseline's tie streams, keyed
 #: under ``baseline._TIE_KEY_TAG``; the baseline's share stream is
 #: ``PCG64DXSM(seed)``, another generator.
@@ -427,36 +428,35 @@ def _derive_session_id(image: BinaryImage, n: int, backend: str, seed: int) -> b
     return digest.digest()[:16]
 
 
-def _pack_bit_columns(rows: np.ndarray, first: int, planes: np.ndarray, out: slice) -> None:
-    """Bits ``first``, ``first + 1``, ... of each row of the ``(count,
-    bytes)`` uint8 array ``rows`` (MSB first) packed into ``planes[0, out]``,
-    ``planes[1, out]``, ...; each byte column is made contiguous once."""
-    for j, plane in enumerate(planes):
-        bit = first + j
-        if j == 0 or bit % 8 == 0:
+def _pack_top_bits(words: np.ndarray, planes: np.ndarray, start: int) -> None:
+    """Bits 63, 62, ... of each word of ``words`` (as uint64) packed MSB
+    first into ``planes[0]``, ``planes[1]``, ... from pixel ``start``, a
+    multiple of 8; each byte column is made contiguous once."""
+    # Each little-endian word's bytes, reversed: most significant first.
+    rows = words.astype("<u8", copy=False).view(np.uint8).reshape(-1, 8)[:, ::-1]
+    out = slice(start // 8, start // 8 + (len(rows) + 7) // 8)
+    for bit, plane in enumerate(planes):
+        if bit % 8 == 0:
             column = np.ascontiguousarray(rows[:, bit // 8])
         plane[out] = np.packbits(column & (0x80 >> bit % 8))
 
 
-def _draw_planes(image: BinaryImage, n: int, seed: int) -> np.ndarray:
-    """Every pixel's outcome, uniform over its parity's 2^(n-1) strings,
-    as the session's n bit planes.
+def _draw_planes(colours: np.ndarray, count: int, n: int, seed: int) -> np.ndarray:
+    """The outcomes of ``count`` pixels, each uniform over the 2^(n-1)
+    strings whose XOR is its colour (``colours``: one bit a pixel, packed
+    MSB first), as n bit planes: a sampled session's registers, and
+    ``measure``'s planes of parity states.
 
     Bit j of pixel l (j < n) is bit j of raw word l-1 of the tagged Philox
     stream, most significant first; bit n is the XOR of the others and the
     pixel's colour.  Words come ``_CHUNK`` (a multiple of 8) at a time, so
     each chunk packs into whole bytes of every plane.
     """
-    planes = np.empty((n, (image.pixel_count + 7) // 8), dtype=np.uint8)
+    planes = np.empty((n, len(colours)), dtype=np.uint8)
     philox = np.random.Philox(key=_SAMPLED_KEY_TAG | seed)
-    for part in _chunks(image.pixel_count):
-        count = len(image.pixels[part])
-        # Each little-endian word's bytes, reversed: most significant first.
-        words = philox.random_raw(count).astype("<u8", copy=False)
-        msb_first = words.view(np.uint8).reshape(count, 8)[:, ::-1]
-        out = slice(part.start // 8, part.start // 8 + (count + 7) // 8)
-        _pack_bit_columns(msb_first, 0, planes[:-1], out)
-    planes[-1] = np.bitwise_xor.reduce(planes[:-1], axis=0) ^ np.packbits(image.pixels)
+    for part in _chunks(count):
+        _pack_top_bits(philox.random_raw(len(range(count)[part])), planes[:-1], part.start)
+    planes[-1] = np.bitwise_xor.reduce(planes[:-1], axis=0) ^ colours
     return planes
 
 
@@ -484,7 +484,7 @@ def share_image(
     else:
         # The shares' payloads are views of these planes: read-only, so an
         # edit to a share cannot also edit the session it is checked against.
-        registers = _draw_planes(image, n, seed)
+        registers = _draw_planes(np.packbits(image.pixels), image.pixel_count, n, seed)
         registers.flags.writeable = False
 
     session = SessionStore(master_seed=seed, registers=registers, **header)
@@ -517,17 +517,13 @@ def _check_share_set(shares, session: SessionStore) -> None:
         )
 
 
-def _draw_outcomes(table: RegisterTable, seed: int | None) -> np.ndarray:
-    """Each pixel's measured basis index, in ``np.min_scalar_type(2^n - 1)``.
-
-    One generator seeded with ``seed`` (from entropy if None) draws all
-    pixels of each entry in table order, then pixel order, as one draw per
-    entry would, though ``_CHUNK`` pixels at a time: ``rng.random(a)`` then
-    ``rng.random(b)`` give the doubles of ``rng.random(a + b)``."""
-    rng = np.random.default_rng(entropy_seed() if seed is None else seed)
+def _draw_outcomes(table: RegisterTable, seed: int) -> np.ndarray:
+    """Each pixel's basis index: one ``np.random.default_rng(seed)`` draws
+    each entry's pixels, table order then pixel order (numpy radix sorts
+    the u8 or u16 index that groups them), one ``_CHUNK`` at a time, as
+    ``rng.random(a)`` then ``rng.random(b)`` give ``rng.random(a + b)``."""
+    rng = np.random.default_rng(seed)
     outcomes = np.empty(len(table), dtype=np.min_scalar_type((1 << table.n) - 1))
-    # Pixels grouped by entry, each group in pixel order; numpy radix
-    # sorts the u8 or u16 index.
     by_entry = np.argsort(table.index, kind="stable")
     groups = np.split(by_entry, np.cumsum(table.counts())[:-1])
     for state, pixels in zip(table.states, groups):
@@ -537,59 +533,64 @@ def _draw_outcomes(table: RegisterTable, seed: int | None) -> np.ndarray:
 
 
 def measure(session: SessionStore, seed: int) -> np.ndarray:
-    """A statevector session's registers measured as ``recover_image``
-    measures them with ``seed``, returned in the sampled session's layout:
-    ``(n, ceil(pixels/8))`` uint8 planes, plane j-1 holding qubit j (the
-    top bit of the basis index first).  The session is left as it was; a
-    sampled one raises ``ValueError``, since its registers are its planes.
+    """A statevector session's registers measured with ``seed``, in the
+    sampled session's layout: ``(n, ceil(pixels/8))`` uint8 planes, plane
+    j-1 holding qubit j (the top bit of the basis index first).
+
+    When every entry some pixel points at equals one of ``share_image``'s
+    two parity states, the planes are ``_draw_planes`` of the entries'
+    colours: bit for bit the sampled share of that image at ``seed``.  Any
+    other table is drawn per entry (``_draw_outcomes``).  The session is
+    left as it was; a sampled one raises ``ValueError``, since its
+    registers are its planes.
     """
     if session.backend != BACKEND_STATEVECTOR:
         raise ValueError(f"a {session.backend} session was measured when it was shared")
-    outcomes = _draw_outcomes(session.registers, _check_seed(seed))
-    planes = np.empty((session.n, (len(outcomes) + 7) // 8), dtype=np.uint8)
-    # The low n bits of each outcome's big-endian bytes, one chunk (a
-    # multiple of 8 pixels) at a time.
-    big_endian, first = outcomes.dtype.newbyteorder(">"), 8 * outcomes.itemsize - session.n
-    for part in _chunks(len(outcomes)):
-        chunk = outcomes[part].astype(big_endian, copy=False)
-        out = slice(part.start // 8, part.start // 8 + (len(chunk) + 7) // 8)
-        _pack_bit_columns(chunk.view(np.uint8).reshape(len(chunk), -1), first, planes, out)
+    seed, table, n = _check_seed(seed), session.registers, session.n
+    parity = [prepare_parity_state_direct(ParitySpec(n, b)).amplitudes for b in (0, 1)]
+    colours = [  # each entry's colour, or 2 if it is neither parity state
+        next((b for b in (0, 1) if np.array_equal(entry.amplitudes, parity[b])), 2)
+        for entry in table.states
+    ]
+    if 2 not in colours or not table.counts()[np.equal(colours, 2)].any():
+        lut, packed = np.array(colours, np.uint8), np.empty((len(table) + 7) // 8, np.uint8)
+        for part in _chunks(len(table)):  # ``take`` casts the index to intp
+            packed[part.start // 8 : part.stop // 8] = np.packbits(lut.take(table.index[part]))
+        return _draw_planes(packed, len(table), n, seed)
+    outcomes = _draw_outcomes(table, seed)
+    planes = np.empty((n, (len(table) + 7) // 8), dtype=np.uint8)
+    for part in _chunks(len(table)):
+        _pack_top_bits(outcomes[part].astype(np.uint64) << (64 - n), planes, part.start)
     return planes
 
 
-def recover_image(
-    shares, session: SessionStore, seed: int | None = None
-) -> BinaryImage:
-    """Measure (or collect) every pixel's shares and XOR-decode the image.
+def recover_image(shares, session: SessionStore, seed: int | None = None) -> BinaryImage:
+    """Every pixel's colour as the XOR of its n measured bits.
 
     Requires all n distinct shares bound to the session; anything less
     raises instead of guessing, as does a sampled share whose plane is not
-    the session's.  A statevector session's registers are measured as
-    ``measure`` measures them, with ``seed`` (drawn from entropy if None),
-    and each pixel's colour is the parity of its outcome; the session is
-    left as it was, so one seed gives one image on every call.  A sampled
-    session draws nothing, but a seed given for it is still checked.
+    the session's.  The planes are a sampled session's own, or a
+    statevector session's ``measure`` with ``seed`` (drawn from entropy if
+    None); the session is left as it was, so one seed gives one image on
+    every call.  A sampled session draws nothing, but a seed given for it
+    is still checked.
     """
-    shares = list(shares)  # read twice: checked, then decoded
+    shares = list(shares)  # read twice: checked, then compared
     _check_share_set(shares, session)
     if seed is not None:
         seed = _check_seed(seed)
-
     if session.backend == BACKEND_STATEVECTOR:
-        outcomes = _draw_outcomes(session.registers, seed)
-        colors = index_parities(1 << session.n)[outcomes]
+        planes = measure(session, entropy_seed() if seed is None else seed)
     else:
-        packed = np.zeros_like(session.registers[0])
+        planes = session.registers
         for share in shares:
             j = share.participant
-            differs = np.flatnonzero(share.payload != session.registers[j - 1])
+            differs = np.flatnonzero(share.payload != planes[j - 1])
             if len(differs):
                 raise IntegrityError(
-                    f"share {j} differs from the session's plane {j} at payload "
-                    f"byte {differs[0]}"
+                    f"share {j} differs from the session's plane {j} at payload byte {differs[0]}"
                 )
-            packed ^= share.payload
-        colors = np.unpackbits(packed, count=session.pixel_count)
+    colors = np.unpackbits(np.bitwise_xor.reduce(planes, axis=0), count=session.pixel_count)
     return BinaryImage(session.width, session.height, colors)
 
 

@@ -486,15 +486,15 @@ def test_demo_replays_worked_example(capsys):
     assert [line.split()[-1] for line in lines] == ["white", "black", "black", "white"]
 
 
-# The whole output of ``qvss demo`` on the parent of the change that reads
-# the collapsed outcomes from the register table (2026-10-18).
+# The whole output of ``qvss demo``.  The "collapsed" column is the sampled
+# share of the image at seed 7, since measuring the parity states is that draw.
 DEMO_STDOUT = """\
 (3, 3) demo: 4-pixel image [white, black, black, white], seed 7
 pixel  state                         collapsed  result  color
-1      (|000>+|011>+|101>+|110>)/2   |101>     |0>     white
-2      (|001>+|010>+|100>+|111>)/2   |111>     |1>     black
-3      (|001>+|010>+|100>+|111>)/2   |001>     |1>     black
-4      (|000>+|011>+|101>+|110>)/2   |110>     |0>     white
+1      (|000>+|011>+|101>+|110>)/2   |110>     |0>     white
+2      (|001>+|010>+|100>+|111>)/2   |010>     |1>     black
+3      (|001>+|010>+|100>+|111>)/2   |100>     |1>     black
+4      (|000>+|011>+|101>+|110>)/2   |011>     |0>     white
 recovered image matches original: yes
 """
 
@@ -502,6 +502,14 @@ recovered image matches original: yes
 def test_demo_output_is_pinned(capsys):
     assert main(["demo"]) == 0
     assert capsys.readouterr().out == DEMO_STDOUT
+
+
+def test_demo_collapsed_column_is_the_sampled_share_of_its_image(capsys):
+    main(["demo", "--seed", "12"])
+    rows = [line.split() for line in capsys.readouterr().out.splitlines() if line[:1].isdigit()]
+    session, _ = protocol.share_image(DEMO_IMAGE, 3, protocol.BACKEND_SAMPLED, 12)
+    bits = np.unpackbits(session.registers, axis=1, count=4).T
+    assert [row[2] for row in rows] == [f"|{''.join(map(str, b))}>" for b in bits.tolist()]
 
 
 def test_demo_is_deterministic(capsys):

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import chisquare
 
-from qvss import protocol
+from qvss import protocol, statevector
 from qvss.errors import (
     FormatError,
     IncompleteSharesError,
@@ -731,6 +731,7 @@ def _mixed_table(session):
 def test_measured_planes_are_the_outcomes_of_one_draw_per_entry(n, chunk, monkeypatch):
     image = random_image(30, 21, seed=n)  # 630 pixels: 2 pad bits, a short last chunk
     session, _ = share_image(image, n, BACKEND_STATEVECTOR, n)
+    sampled = share_image(image, n, BACKEND_SAMPLED, 77)[0].registers
     if chunk:
         monkeypatch.setattr(protocol, "_CHUNK", chunk)
     for table in (session.registers, _mixed_table(session)):
@@ -738,8 +739,85 @@ def test_measured_planes_are_the_outcomes_of_one_draw_per_entry(n, chunk, monkey
         planes = measure(measured, 77)
         # As a sampled session's registers: shape, dtype and pad bits checked.
         dataclasses.replace(session, backend=BACKEND_SAMPLED, registers=planes)
-        outcomes = _outcomes(planes, image.pixel_count)
-        np.testing.assert_array_equal(outcomes, _outcomes_by_entry_masks(table, 77))
+        if table is session.registers:  # parity states: the sampled draw
+            np.testing.assert_array_equal(planes, sampled)
+        else:
+            outcomes = _outcomes(planes, image.pixel_count)
+            np.testing.assert_array_equal(outcomes, _outcomes_by_entry_masks(table, 77))
+
+
+@pytest.mark.parametrize("chunk", [None, 64])
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+@pytest.mark.parametrize("n", range(2, 17))
+def test_measuring_parity_states_gives_the_sampled_share_of_the_image(n, seed, chunk, monkeypatch):
+    image = random_image(29, 7, seed=n)  # 203 pixels: 5 pad bits, a short last chunk
+    sampled = share_image(image, n, BACKEND_SAMPLED, seed)[0].registers
+    if chunk:
+        monkeypatch.setattr(protocol, "_CHUNK", chunk)
+    session, _ = share_image(image, n, BACKEND_STATEVECTOR, 3)
+    np.testing.assert_array_equal(measure(session, seed), sampled)
+    # A session file keeps both parity states bit for bit.
+    restored = deserialize_session(serialize_session(session))
+    np.testing.assert_array_equal(measure(restored, seed), sampled)
+
+
+def _refuse_sample(monkeypatch):
+    """Makes the per-entry draw raise, wherever it is looked up."""
+
+    def refuse(*args):
+        raise AssertionError("statevector.sample was called")
+
+    monkeypatch.setattr(protocol, "sample", refuse)
+    monkeypatch.setattr(statevector, "sample", refuse)
+
+
+def test_a_parity_table_with_an_unused_entry_is_measured_as_the_sampled_share(monkeypatch):
+    image = random_image(13, 11, seed=2)
+    session, shares = share_image(image, 5, BACKEND_STATEVECTOR, 1)
+    even, odd = session.registers.states
+    uniform = StateVector(5, np.full(32, 32**-0.5, dtype=np.complex128))
+    # Entries out of colour order, an equal copy of the odd state, and an
+    # unused entry that is neither parity state.
+    index = np.where(image.pixels == 1, 1, 2).astype(np.uint8)
+    index[::3] = np.where(image.pixels[::3] == 1, 3, 2)
+    copy = StateVector(5, odd.amplitudes.copy())
+    table = RegisterTable(5, [uniform, odd, even, copy], index)
+    assert table.counts()[0] == 0 and table.counts()[1:].all()
+    session = dataclasses.replace(session, registers=table)
+    _refuse_sample(monkeypatch)
+    sampled = share_image(image, 5, BACKEND_SAMPLED, 9)[0].registers
+    np.testing.assert_array_equal(measure(session, 9), sampled)
+    assert recover_image(shares, session, 9) == image
+
+
+def test_a_negated_parity_state_is_drawn_per_entry():
+    # -1 times the odd state: the same outcome distribution, other amplitudes.
+    image = random_image(13, 11, seed=2)
+    session, shares = share_image(image, 5, BACKEND_STATEVECTOR, 1)
+    even, odd = session.registers.states
+    table = RegisterTable(5, [even, StateVector(5, -odd.amplitudes)], session.registers.index)
+    session = dataclasses.replace(session, registers=table)
+    planes = measure(session, 9)
+    outcomes = _outcomes(planes, image.pixel_count)
+    np.testing.assert_array_equal(outcomes, _outcomes_by_entry_masks(table, 9))
+    assert not np.array_equal(planes, share_image(image, 5, BACKEND_SAMPLED, 9)[0].registers)
+    assert recover_image(shares, session, 9) == image
+
+
+@pytest.mark.parametrize("seed", [4, None])
+@pytest.mark.parametrize("all_black", [False, True])  # all black: a one-entry table
+def test_recovering_a_fresh_session_never_calls_sample(all_black, seed, monkeypatch):
+    image = random_image(40, 30, seed=5)
+    if all_black:
+        image = BinaryImage(40, 30, np.ones(1200, dtype=np.uint8))
+    session, shares = share_image(image, 8, BACKEND_STATEVECTOR, 2)
+    _refuse_sample(monkeypatch)
+    assert recover_image(shares, session, seed) == image
+    restored = deserialize_session(serialize_session(session))
+    assert recover_image(shares, restored, seed) == image
+    if seed:
+        sampled = share_image(image, 8, BACKEND_SAMPLED, seed)[0].registers
+        np.testing.assert_array_equal(measure(restored, seed), sampled)
 
 
 # --- array-native sampled backend ---
@@ -1209,8 +1287,10 @@ def test_statevector_file_bytes_are_pinned():
     )
     image = random_image(32, 32, seed=1)
     session, _ = share_image(image, 6, BACKEND_STATEVECTOR, 1)
+    # Built from the outcomes of measuring parity states, which are the
+    # sampled share's planes at the same seed.
     assert _sha256(serialize_session(_collapsed(session, 2))) == (
-        "bdd5d1038983811709e52550f5c83e148c9120b550b20dbb7a357add1ddd7e93"
+        "ea3eb4d6c0fd2fc3efbcf0f0f745cec7a2247798df7a2619c6987965828d8b99"
     )
 
 
@@ -1438,17 +1518,18 @@ def test_a_fresh_session_at_the_size_cap_reads_back_holding_its_index_once():
     assert peak < 20 << 20
 
 
-def test_recovering_and_measuring_at_the_size_cap_peak_under_200_mib():
-    # The grouping argsort takes 128 MiB and the u16 outcomes 32 MiB; each
-    # entry is drawn one chunk at a time.  The planes take 32 MiB more,
-    # packed one chunk at a time once the grouping is freed.
+def test_recovering_and_measuring_at_the_size_cap_peak_under_56_mib():
+    # Parity states are measured as the sampled draw: 32 MiB of planes, 2 MiB
+    # of packed colours and one chunk's 8 MiB of Philox words, 46 MiB
+    # measured.  Recovery adds the XOR of the planes and the 16 MiB image,
+    # 50 MiB measured.  The per-entry draw's grouping argsort took 186 MiB.
     image = random_image(4096, 4096, seed=3)
     session, shares = share_image(image, 16, BACKEND_STATEVECTOR, 4)
     recovered, peak = _traced_peak(recover_image, shares, session, 6)
     assert recovered == image
-    assert peak < 200 << 20
+    assert peak < 56 << 20
     planes, peak = _traced_peak(measure, session, 6)
-    assert peak < 200 << 20
+    assert peak < 56 << 20
     np.testing.assert_array_equal(
         np.bitwise_xor.reduce(planes, axis=0), np.packbits(image.pixels)
     )
