@@ -1,10 +1,12 @@
 """Gate-list circuits over named qubits, simulation, and assembly emission.
 
 The assembly dialect is a deterministic OpenQASM 2.0 subset: UTF-8, LF line
-endings, a prologue declaring the qubit and classical-bit registers, then
-one gate per line using the opcodes h/x/z/cx/ccx.  Circuit qubit j maps to
-register slot j-1 (the file is zero-based while the in-memory naming is
-one-based).  Identical circuits always emit byte-identical text.
+endings, a prologue declaring the qubit and classical-bit registers, one
+gate per line using the opcodes h/x/z/cx/ccx, then ``measure q -> c;``
+(q[j] into c[j]).  Circuit qubit j maps to register slot j-1 (the file is
+zero-based while the in-memory naming is one-based), so a Qiskit count
+string, c[n-1] first, reads qubit n to qubit 1.  Identical circuits always
+emit byte-identical text.
 """
 
 from __future__ import annotations
@@ -30,6 +32,8 @@ _GATES = {
 GATE_ARITY = {kind: arity for kind, (_, arity, _) in _GATES.items()}
 _OPCODES = {kind: opcode for kind, (opcode, _, _) in _GATES.items()}
 _KINDS_BY_OPCODE = {v: k for k, v in _OPCODES.items()}
+
+_MEASURE = "measure q -> c;"  # every qubit into its classical bit
 
 
 @dataclass(frozen=True)
@@ -88,7 +92,7 @@ def emit_assembly(circuit: CircuitDescription) -> str:
     for gate in circuit.gates:
         operands = ",".join(f"q[{q - 1}]" for q in gate.qubits)
         lines.append(f"{_OPCODES[gate.kind]} {operands};")
-    return "\n".join(lines) + "\n"
+    return "\n".join([*lines, _MEASURE]) + "\n"
 
 
 _QREG_RE = re.compile(r"^qreg q\[(\d+)\];$")
@@ -104,7 +108,7 @@ def parse_assembly(text: str) -> CircuitDescription:
     gates: list[Gate] = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
-        if not line or line.startswith(("OPENQASM", "include", "creg")):
+        if not line or line == _MEASURE or line.startswith(("OPENQASM", "include", "creg")):
             continue
         # Every check raises ValueError; the line number is added once, below.
         try:

@@ -343,7 +343,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--subset", required=True, help="comma list, e.g. 1,2")
     p.set_defaults(func=cmd_audit)
 
-    p = sub.add_parser("emit-circuit", help="emit a circuit as assembly text")
+    p = sub.add_parser("emit-circuit", help="emit a circuit as assembly text", description=(
+        "The assembly ends with 'measure q -> c;'.  Qiskit prints a count string "
+        "c[n-1] first, qubit n to qubit 1; this command prints qubit 1 first."))
     p.add_argument("--kind", choices=["prepare", "xor"], required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--b", type=int, choices=[0, 1], help="secret bit (prepare; default 0)")

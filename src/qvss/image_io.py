@@ -184,15 +184,18 @@ def read_pbm(data: bytes) -> BinaryImage:
     return BinaryImage(width, height, rows.reshape(-1))
 
 
-def write_pbm(image: BinaryImage, variant: str = "p1") -> bytes:
-    """Serialize to canonical P1 or P4 bytes (lossless inverse of read_pbm)."""
+def write_pbm(image: BinaryImage, variant: str = "p1") -> bytes | bytearray:
+    """Serialize to canonical P1 or P4 bytes (lossless inverse of read_pbm);
+    P1 is held once, as the bytearray it is written into."""
     header = f"{{}}\n{image.width} {image.height}\n"
     if variant == "p1":
         # Rows of "d d ... d\n": digits in even columns, spaces in odd ones.
-        text = np.full((image.height, 2 * image.width), ord(" "), dtype=np.uint8)
+        head = header.format("P1").encode("ascii")
+        data = bytearray(head).ljust(len(head) + 2 * image.pixel_count)  # spaces
+        text = np.frombuffer(data, np.uint8, offset=len(head)).reshape(image.height, -1)
         np.add(image.as_grid(), ord("0"), out=text[:, 0::2])
         text[:, -1] = ord("\n")
-        return header.format("P1").encode("ascii") + text.tobytes()
+        return data
     if variant == "p4":
         packed = np.packbits(image.as_grid(), axis=1)
         return header.format("P4").encode("ascii") + packed.tobytes()

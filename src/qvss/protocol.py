@@ -23,10 +23,10 @@ numbers: as easy as 1, 2, 3", SC'11): pixel l's bits 1..n-1 are the top
 n-1 bits of raw word l-1, most significant first, and bit n is the one
 that sets the pixel's parity.  So sharing is deterministic, and each
 pixel's bits depend only on the seed, n, its index and its colour, not on
-the image around it.  Measuring a statevector session of the two parity
-states ``share_image`` makes is the same draw: at seed s its planes are,
-bit for bit, the sampled share of its image at seed s.  A table with any
-other used entry is drawn per entry from ``np.random.default_rng(s)``.
+the image around it.  ``measure`` reads the same words: at seed s, a pixel
+in one of ``share_image``'s two parity states gets the sampled share's
+bits at seed s, any other the outcome its word picks from its register's
+CDF; a measured pixel depends only on the seed, its index and its register.
 
 File formats (all integers little-endian):
 
@@ -78,9 +78,9 @@ from .statevector import (
     MAX_QUBITS,
     NORM_GUARD,
     StateVector,
+    _checked_probabilities,
     check_subset,
     marginal_distribution,
-    sample,
 )
 
 BACKEND_STATEVECTOR = "statevector"
@@ -128,6 +128,10 @@ _MASK64 = (1 << 64) - 1
 #: under ``baseline._TIE_KEY_TAG``; the baseline's share stream is
 #: ``PCG64DXSM(seed)``, another generator.
 _SAMPLED_KEY_TAG = 1 << 64
+
+#: Top bits of a Philox word that ``measure`` searches a CDF with; an entry
+#: number takes a search key's other 24 bits.
+_CDF_BITS = 40
 
 
 # ``pixel_rng`` and ``_splitmix64`` no longer serve the protocol.  They stay
@@ -214,14 +218,6 @@ def _fold(planes, count: int) -> np.ndarray:
     return folded
 
 
-def _bincount(values: np.ndarray, minlength: int) -> np.ndarray:
-    """``np.bincount`` of values below ``minlength``, one chunk at a time."""
-    counts = np.zeros(minlength, dtype=np.intp)
-    for part in _chunks(len(values)):
-        counts += np.bincount(values[part], minlength=minlength)
-    return counts
-
-
 class RegisterTable:
     """Every pixel's n-qubit register, as distinct registers plus an index.
 
@@ -276,8 +272,12 @@ class RegisterTable:
             yield self.states[entry]
 
     def counts(self) -> np.ndarray:
-        """Number of pixels pointing at each table entry."""
-        return _bincount(self.index, len(self.states))
+        """Number of pixels pointing at each table entry, counted one chunk
+        at a time."""
+        counts = np.zeros(len(self.states), dtype=np.intp)
+        for part in _chunks(len(self.index)):
+            counts += np.bincount(self.index[part], minlength=len(self.states))
+        return counts
 
     def __eq__(self, other) -> bool:
         """Whether every pixel holds the same register in both tables.
@@ -517,19 +517,20 @@ def _check_share_set(shares, session: SessionStore) -> None:
         )
 
 
-def _draw_outcomes(table: RegisterTable, seed: int) -> np.ndarray:
-    """Each pixel's basis index: one ``np.random.default_rng(seed)`` draws
-    each entry's pixels, table order then pixel order (numpy radix sorts
-    the u8 or u16 index that groups them), one ``_CHUNK`` at a time, as
-    ``rng.random(a)`` then ``rng.random(b)`` give ``rng.random(a + b)``."""
-    rng = np.random.default_rng(seed)
-    outcomes = np.empty(len(table), dtype=np.min_scalar_type((1 << table.n) - 1))
-    by_entry = np.argsort(table.index, kind="stable")
-    groups = np.split(by_entry, np.cumsum(table.counts())[:-1])
-    for state, pixels in zip(table.states, groups):
-        for part in _chunks(len(pixels)):
-            outcomes[pixels[part]] = sample(state, rng, len(pixels[part]))
-    return outcomes
+def _cdf_keys(table: RegisterTable, entries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending search keys of the CDFs of the given entries (ascending), and
+    the basis index each stands for: entry e's key for its k-th support index
+    is ``(e << 40) + rint(cdf[k] * 2^40)``, so a search for ``(e << 40) | u``,
+    u < 2^40, lands in e's keys.  A bad norm raises ``StateCorruptionError``."""
+    keys, supports = [], []
+    for entry in entries.tolist():
+        probs = _checked_probabilities(table.states[entry])
+        support = np.flatnonzero(probs)
+        cdf = probs[support].cumsum()
+        key = np.rint(cdf / cdf[-1] * 2.0**_CDF_BITS).astype(np.uint64)  # ends at 2^40
+        keys.append(key + np.uint64(entry << _CDF_BITS))
+        supports.append(support)
+    return np.concatenate(keys), np.concatenate(supports).astype(np.uint64)
 
 
 def measure(session: SessionStore, seed: int) -> np.ndarray:
@@ -537,30 +538,51 @@ def measure(session: SessionStore, seed: int) -> np.ndarray:
     sampled session's layout: ``(n, ceil(pixels/8))`` uint8 planes, plane
     j-1 holding qubit j (the top bit of the basis index first).
 
-    When every entry some pixel points at equals one of ``share_image``'s
-    two parity states, the planes are ``_draw_planes`` of the entries'
-    colours: bit for bit the sampled share of that image at ``seed``.  Any
-    other table is drawn per entry (``_draw_outcomes``).  The session is
-    left as it was; a sampled one raises ``ValueError``, since its
-    registers are its planes.
+    Pixel l's outcome depends only on the seed, l and its entry, through
+    word l-1 of ``_draw_planes``' stream: in one of ``share_image``'s two
+    parity states it is ``_draw_planes``' bits for that colour (so parity
+    states measure to the sampled share of their image at ``seed``), in
+    any other entry its CDF searched with the word's top 40 bits.  The
+    session is left as it was.  A sampled session, whose registers are its
+    planes, and a table of 2^24 or more entries raise ``ValueError``.
     """
     if session.backend != BACKEND_STATEVECTOR:
         raise ValueError(f"a {session.backend} session was measured when it was shared")
     seed, table, n = _check_seed(seed), session.registers, session.n
+    if len(table.states) >> (64 - _CDF_BITS):
+        raise ValueError(f"measure takes under 2^24 table entries, got {len(table.states)}")
     parity = [prepare_parity_state_direct(ParitySpec(n, b)).amplitudes for b in (0, 1)]
-    colours = [  # each entry's colour, or 2 if it is neither parity state
+    colours = np.array([  # each entry's colour, or 2 if it is neither parity state
         next((b for b in (0, 1) if np.array_equal(entry.amplitudes, parity[b])), 2)
         for entry in table.states
-    ]
-    if 2 not in colours or not table.counts()[np.equal(colours, 2)].any():
-        lut, packed = np.array(colours, np.uint8), np.empty((len(table) + 7) // 8, np.uint8)
-        for part in _chunks(len(table)):  # ``take`` casts the index to intp
-            packed[part.start // 8 : part.stop // 8] = np.packbits(lut.take(table.index[part]))
-        return _draw_planes(packed, len(table), n, seed)
-    outcomes = _draw_outcomes(table, seed)
-    planes = np.empty((n, (len(table) + 7) // 8), dtype=np.uint8)
+    ], np.uint8)
+    packed = np.empty((len(table) + 7) // 8, np.uint8)
+    for part in _chunks(len(table)):  # ``take`` casts the index to intp
+        packed[part.start // 8 : part.stop // 8] = np.packbits(colours.take(table.index[part]))
+    planes = _draw_planes(packed, len(table), n, seed)
+    searched = colours == 2
+    if searched.any():  # an entry no pixel points at is not searched
+        searched &= table.counts() > 0
+    if not searched.any():
+        return planes
+    keys, supports = _cdf_keys(table, np.flatnonzero(searched))
     for part in _chunks(len(table)):
-        _pack_top_bits(outcomes[part].astype(np.uint64) << (64 - n), planes, part.start)
+        index, span = table.index[part], slice(part.start // 8, part.stop // 8)
+        pixels = np.flatnonzero(searched.take(index))
+        if not len(pixels):
+            continue
+        # Planes 1..n-1 are repacked from the words with each searched pixel's
+        # outcome in its word's top bits; the last plane changes only there.
+        philox = np.random.Philox(key=_SAMPLED_KEY_TAG | seed, counter=part.start // 4)
+        words = philox.random_raw(len(index))
+        query = words[pixels] >> (64 - _CDF_BITS)
+        query |= index[pixels].astype(np.uint64) << _CDF_BITS
+        outcomes = supports[keys.searchsorted(query, side="right")]
+        words[pixels] = outcomes << (64 - n)
+        _pack_top_bits(words, planes[:-1], part.start)
+        last = np.unpackbits(planes[-1, span], count=len(index))
+        last[pixels] = outcomes & 1
+        planes[-1, span] = np.packbits(last)
     return planes
 
 

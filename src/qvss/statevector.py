@@ -160,46 +160,14 @@ def _checked_probabilities(state: StateVector) -> np.ndarray:
     return probs / total
 
 
-#: Forward steps from a guide-table start before the draws still short of
-#: their outcome are binary-searched.
-_GUIDE_STEPS = 4
-
-
 def sample(state: StateVector, rng: np.random.Generator, size: int | None = None):
-    """Basis index drawn with probability |amplitude|^2, or ``size`` of them.
-
-    The outcomes, and the generator state left behind, are those of
-    ``rng.choice(state.dim, size=size, p=...)``: the same ``cdf`` and the
-    same ``u = rng.random(size)``, and each outcome is
-    ``cdf.searchsorted(u, side="right")``.  The search starts from a
-    guide table (Chen and Asau, 1974; Devroye, *Non-Uniform Random Variate
-    Generation*, 1986, ch. III): ``guide[j]`` is the outcome of
-    ``u = j / G``, a lower bound for every ``u`` in ``[j/G, (j+1)/G)``.
-    Each draw steps forward from ``guide[floor(u * G)]`` while
-    ``cdf[idx] <= u``, a few vectorised passes, and the draws still short
-    are binary-searched.  G is the power of two nearest to the smaller of
-    the draw count and 2^n, so it never exceeds 2^n and a single draw
-    (or none) builds a one-entry table.
-    """
+    """Basis index drawn with probability |amplitude|^2, or ``size`` of them:
+    ``rng.choice``'s outcomes and generator state, by its CDF search
+    ``cdf.searchsorted(rng.random(size), side="right")``."""
     cdf = _checked_probabilities(state).cumsum()
     cdf /= cdf[-1]
-    u = np.atleast_1d(rng.random(size))
-    buckets = 1 << round(math.log2(min(len(u), state.dim) or 1))
-    guide = cdf.searchsorted(np.arange(buckets) / buckets, side="right")
-    idx = np.empty(len(u), dtype=np.intp)
-    np.multiply(u, buckets, out=idx, casting="unsafe")  # floor(u * G)
-    idx = guide[idx]
-    short = np.flatnonzero(cdf[idx] <= u)
-    for _ in range(_GUIDE_STEPS):
-        if not len(short):
-            break
-        idx[short] += 1
-        short = short[cdf[idx[short]] <= u[short]]
-    if len(short):
-        idx[short] = cdf.searchsorted(u[short], side="right")
-    if size is None:
-        return int(idx[0])
-    return idx.astype(np.int64, copy=False)
+    idx = cdf.searchsorted(rng.random(size), side="right")
+    return int(idx) if size is None else idx.astype(np.int64, copy=False)
 
 
 def measure_all(

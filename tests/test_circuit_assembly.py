@@ -62,6 +62,7 @@ def test_emit_single_h():
         "qreg q[1];\n"
         "creg c[1];\n"
         "h q[0];\n"
+        "measure q -> c;\n"
     )
 
 
@@ -80,7 +81,8 @@ def test_emit_xor_circuit_lines():
 def test_emit_parity_circuit_gate_counts():
     # Construction for (6, 1): H on 1..5, fan-in CNOTs, one X.
     lines = emit_assembly(build_parity_circuit(ParitySpec(6, 1))).splitlines()
-    opcodes = [line.split()[0] for line in lines[4:]]
+    assert lines[-1] == "measure q -> c;"
+    opcodes = [line.split()[0] for line in lines[4:-1]]
     assert opcodes.count("h") == 5
     assert opcodes.count("cx") == 5
     assert opcodes.count("x") == 1
@@ -108,6 +110,15 @@ def test_emit_uses_zero_based_registers():
 )
 def test_parse_round_trip(circuit):
     assert parse_assembly(emit_assembly(circuit)) == circuit
+
+
+def test_parse_skips_the_closing_measurement_and_nothing_like_it():
+    text = "qreg q[2];\nh q[0];\nmeasure q -> c;\n"
+    assert parse_assembly(text) == CircuitDescription(2, (Gate("H", (1,)),))
+    for line in ("measure q[0] -> c[0];", "measure q -> c", "measure q->c;"):
+        with pytest.raises(FormatError) as err:
+            parse_assembly(f"qreg q[2];\nh q[0];\n{line}\n")
+        assert str(err.value) == f"line 3: unrecognized statement {line!r}"
 
 
 def test_parse_rejects_unknown_statement():

@@ -403,6 +403,28 @@ def test_p1_write_matches_the_joined_strings(width):
     assert write_pbm(image, "p1") == reference_write_p1(image)
 
 
+@pytest.mark.parametrize("height", [1, 2, 3])
+@pytest.mark.parametrize("width", range(1, 18))
+def test_p1_write_of_every_small_width_matches_the_joined_strings(width, height):
+    image = random_image(width, height, seed=width * 4 + height)
+    assert write_pbm(image, "p1") == reference_write_p1(image)
+
+
+def test_p1_write_at_the_size_cap_holds_the_file_once():
+    # The header and raster are written into one buffer: 32 MiB for a
+    # 4096x4096 image, 32 MiB measured.  A raster joined to its header
+    # after ``tobytes`` peaked at 96 MiB.
+    image = random_image(MAX_DIMENSION, MAX_DIMENSION, seed=8)
+    tracemalloc.start()
+    try:
+        data = write_pbm(image, "p1")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(data) == len(b"P1\n4096 4096\n") + 2 * MAX_DIMENSION**2
+    assert peak < len(data) + (1 << 20)
+
+
 # --- values are checked before the cast to uint8 ---
 
 

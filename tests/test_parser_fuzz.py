@@ -241,7 +241,10 @@ def test_oversized_pbm_sides_are_rejected(magic, side, which):
 ASSEMBLY_LINES = st.one_of(
     st.from_regex(r"\Aqreg q\[[0-9]{1,3}\];\Z"),
     st.from_regex(r"\A(h|x|z|cx|ccx|swap) q\[[0-9]{1,2}\](,q\[[0-9]{1,2}\]){0,3};\Z"),
-    st.sampled_from(["OPENQASM 2.0;", 'include "qelib1.inc";', "creg c[2];", ""]),
+    st.from_regex(r"\Ameasure q(\[[0-9]\])? ?-> ?c(\[[0-9]\])?;?\Z"),
+    st.sampled_from(
+        ["OPENQASM 2.0;", 'include "qelib1.inc";', "creg c[2];", "measure q -> c;", ""]
+    ),
     st.text(max_size=12),
 )
 

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import chisquare
 
-from qvss import protocol, statevector
+from qvss import protocol
 from qvss.errors import (
     FormatError,
     IncompleteSharesError,
@@ -45,8 +45,10 @@ from qvss.statevector import (
     StateVector,
     _checked_probabilities,
     basis_state,
+    index_to_bits,
     marginal_distribution,
     measure_all,
+    probability_of,
 )
 
 DEMO_IMAGE = from_pixel_list(4, 1, [0, 1, 1, 0])
@@ -679,16 +681,25 @@ def test_audit_rejects_subsets_over_the_register_cap(k):
         audit_subset(session, range(1, k + 1))
 
 
-def _outcomes_by_entry_masks(table, seed):
-    """Reference draw: one mask per table entry, table order then pixel order."""
-    rng = np.random.default_rng(seed)
+def _outcomes_by_pixel(table, seed):
+    """Reference measurement, one pixel at a time from raw word l-1 of the
+    tagged Philox stream.  In a parity state of colour b, pixel l's outcome
+    is the word's top n-1 bits and the bit that makes its parity b; in any
+    other entry, the first basis index whose CDF, scaled to 2^40 and
+    rounded, exceeds the word's top 40 bits."""
+    n = table.n
+    words = np.random.Philox(key=(1 << 64) | seed).random_raw(len(table)).tolist()
+    parity = [prepare_parity_state_direct(ParitySpec(n, b)).amplitudes for b in (0, 1)]
     outcomes = np.empty(len(table), dtype=np.int64)
-    for entry, count in enumerate(table.counts()):
-        if count:
-            state = table.states[entry]
-            outcomes[table.index == entry] = rng.choice(
-                state.dim, size=count, p=_checked_probabilities(state)
-            )
+    for l, (entry, word) in enumerate(zip(table.index.tolist(), words)):
+        state = table.states[entry]
+        colour = [b for b in (0, 1) if np.array_equal(state.amplitudes, parity[b])]
+        if colour:
+            top = word >> (65 - n)
+            outcomes[l] = top << 1 | ((bin(top).count("1") + colour[0]) & 1)
+        else:
+            cdf = _checked_probabilities(state).cumsum()
+            outcomes[l] = np.argmax(np.rint(cdf / cdf[-1] * 2.0**40) > word >> 24)
     return outcomes
 
 
@@ -696,8 +707,7 @@ def test_recover_of_a_collapsed_session_matches_per_entry_masks():
     image = random_image(16, 12, seed=6)
     session, shares = share_image(image, 4, BACKEND_STATEVECTOR, 8)
     collapsed = _collapsed(session, 1).registers
-    # Up to 16 basis-state entries, plus superpositions scattered among them
-    # so that the draw order changes the outcomes.
+    # Up to 16 basis-state entries, plus superpositions scattered among them.
     amplitudes = np.random.default_rng(2).normal(size=16) + 0j
     scattered = StateVector(4, amplitudes / np.linalg.norm(amplitudes))
     parity = [prepare_parity_state_direct(ParitySpec(4, b)) for b in (0, 1)]
@@ -709,7 +719,7 @@ def test_recover_of_a_collapsed_session_matches_per_entry_masks():
     assert len(table.states) > 10
 
     outcomes = _outcomes(measure(session, 77), image.pixel_count)
-    np.testing.assert_array_equal(outcomes, _outcomes_by_entry_masks(table, 77))
+    np.testing.assert_array_equal(outcomes, _outcomes_by_pixel(table, 77))
     parities = [bin(int(o)).count("1") & 1 for o in outcomes]
     np.testing.assert_array_equal(recover_image(shares, session, 77).pixels, parities)
 
@@ -717,7 +727,7 @@ def test_recover_of_a_collapsed_session_matches_per_entry_masks():
 def _mixed_table(session):
     """``session``'s fresh table plus a random superposition at every 5th
     pixel and the last basis state at every 7th from the 4th: entries whose
-    pixels interleave, so the draw order changes the outcomes."""
+    pixels interleave."""
     n = session.n
     rng = np.random.default_rng(n)
     amplitudes = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
@@ -743,7 +753,7 @@ def test_measured_planes_are_the_outcomes_of_one_draw_per_entry(n, chunk, monkey
             np.testing.assert_array_equal(planes, sampled)
         else:
             outcomes = _outcomes(planes, image.pixel_count)
-            np.testing.assert_array_equal(outcomes, _outcomes_by_entry_masks(table, 77))
+            np.testing.assert_array_equal(outcomes, _outcomes_by_pixel(table, 77))
 
 
 @pytest.mark.parametrize("chunk", [None, 64])
@@ -761,14 +771,13 @@ def test_measuring_parity_states_gives_the_sampled_share_of_the_image(n, seed, c
     np.testing.assert_array_equal(measure(restored, seed), sampled)
 
 
-def _refuse_sample(monkeypatch):
-    """Makes the per-entry draw raise, wherever it is looked up."""
+def _refuse_search(monkeypatch):
+    """Makes the CDF search of entries that are not parity states raise."""
 
     def refuse(*args):
-        raise AssertionError("statevector.sample was called")
+        raise AssertionError("protocol._cdf_keys was called")
 
-    monkeypatch.setattr(protocol, "sample", refuse)
-    monkeypatch.setattr(statevector, "sample", refuse)
+    monkeypatch.setattr(protocol, "_cdf_keys", refuse)
 
 
 def test_a_parity_table_with_an_unused_entry_is_measured_as_the_sampled_share(monkeypatch):
@@ -784,14 +793,16 @@ def test_a_parity_table_with_an_unused_entry_is_measured_as_the_sampled_share(mo
     table = RegisterTable(5, [uniform, odd, even, copy], index)
     assert table.counts()[0] == 0 and table.counts()[1:].all()
     session = dataclasses.replace(session, registers=table)
-    _refuse_sample(monkeypatch)
+    _refuse_search(monkeypatch)
     sampled = share_image(image, 5, BACKEND_SAMPLED, 9)[0].registers
     np.testing.assert_array_equal(measure(session, 9), sampled)
     assert recover_image(shares, session, 9) == image
 
 
 def test_a_negated_parity_state_is_drawn_per_entry():
-    # -1 times the odd state: the same outcome distribution, other amplitudes.
+    # -1 times the odd state: the same outcome distribution, other amplitudes,
+    # so its CDF is searched.  At n=5 that CDF is exact in 40 bits, and the
+    # search picks the bits the sampled share holds.
     image = random_image(13, 11, seed=2)
     session, shares = share_image(image, 5, BACKEND_STATEVECTOR, 1)
     even, odd = session.registers.states
@@ -799,8 +810,8 @@ def test_a_negated_parity_state_is_drawn_per_entry():
     session = dataclasses.replace(session, registers=table)
     planes = measure(session, 9)
     outcomes = _outcomes(planes, image.pixel_count)
-    np.testing.assert_array_equal(outcomes, _outcomes_by_entry_masks(table, 9))
-    assert not np.array_equal(planes, share_image(image, 5, BACKEND_SAMPLED, 9)[0].registers)
+    np.testing.assert_array_equal(outcomes, _outcomes_by_pixel(table, 9))
+    np.testing.assert_array_equal(planes, share_image(image, 5, BACKEND_SAMPLED, 9)[0].registers)
     assert recover_image(shares, session, 9) == image
 
 
@@ -811,13 +822,90 @@ def test_recovering_a_fresh_session_never_calls_sample(all_black, seed, monkeypa
     if all_black:
         image = BinaryImage(40, 30, np.ones(1200, dtype=np.uint8))
     session, shares = share_image(image, 8, BACKEND_STATEVECTOR, 2)
-    _refuse_sample(monkeypatch)
+    _refuse_search(monkeypatch)
     assert recover_image(shares, session, seed) == image
     restored = deserialize_session(serialize_session(session))
     assert recover_image(shares, restored, seed) == image
     if seed:
         sampled = share_image(image, 8, BACKEND_SAMPLED, seed)[0].registers
         np.testing.assert_array_equal(measure(restored, seed), sampled)
+
+
+def _measured_bits(table, session, seed):
+    """``measure`` of ``session`` holding ``table``, as a (n, pixels) bit
+    matrix: row j-1 is qubit j."""
+    planes = measure(dataclasses.replace(session, registers=table), seed)
+    return np.unpackbits(planes, axis=1, count=len(table))
+
+
+@pytest.mark.parametrize("n", [2, 5, 16])
+def test_reordering_a_mixed_tables_entries_leaves_its_planes_unchanged(n):
+    session, _ = share_image(random_image(30, 21, seed=n), n, BACKEND_STATEVECTOR, n)
+    table = _mixed_table(session)
+    last = len(table.states) - 1
+    reversed_table = RegisterTable(n, table.states[::-1], last - table.index.astype(np.int64))
+    np.testing.assert_array_equal(
+        _measured_bits(reversed_table, session, 77), _measured_bits(table, session, 77)
+    )
+
+
+@pytest.mark.parametrize("chunk", [None, 64])
+@pytest.mark.parametrize("rows", [1, 7, 20])
+def test_a_crop_of_the_top_rows_measures_to_the_crop_of_the_planes(rows, chunk, monkeypatch):
+    session, _ = share_image(random_image(30, 21, seed=3), 6, BACKEND_STATEVECTOR, 3)
+    table = _mixed_table(session)
+    if chunk:
+        monkeypatch.setattr(protocol, "_CHUNK", chunk)
+    full = _measured_bits(table, session, 77)
+    crop = RegisterTable(6, table.states, table.index[: 30 * rows])
+    top = dataclasses.replace(session, height=rows, registers=crop)
+    np.testing.assert_array_equal(_measured_bits(crop, top, 77), full[:, : 30 * rows])
+
+
+@pytest.mark.parametrize("n", range(2, 17))
+def test_parity_pixels_of_a_mixed_table_get_the_sampled_shares_bits(n):
+    image = random_image(30, 21, seed=n)
+    session, _ = share_image(image, n, BACKEND_STATEVECTOR, n)
+    table = _mixed_table(session)
+    fresh = table.index < len(session.registers.states)
+    assert 0 < fresh.sum() < len(table)
+    sampled = share_image(image, n, BACKEND_SAMPLED, 77)[0].registers
+    np.testing.assert_array_equal(
+        _measured_bits(table, session, 77)[:, fresh],
+        np.unpackbits(sampled, axis=1, count=image.pixel_count)[:, fresh],
+    )
+
+
+@pytest.mark.parametrize("seed", [1, 2**64 - 1])
+def test_a_searched_entrys_outcomes_follow_its_probabilities(seed):
+    # 2^16 pixels of one superposition with unequal weights and two zero
+    # amplitudes: the zeros never come up, and the rest pass a chi-square.
+    n = 4
+    amplitudes = np.sqrt(np.arange(1, 17, dtype=float)) * np.exp(1j * np.arange(16))
+    amplitudes[[3, 12]] = 0
+    state = StateVector(n, amplitudes / np.linalg.norm(amplitudes))
+    session, _ = share_image(random_image(256, 256, seed=1), n, BACKEND_STATEVECTOR, 1)
+    table = RegisterTable(n, [state], np.zeros(256 * 256, dtype=np.uint8))
+    planes = measure(dataclasses.replace(session, registers=table), seed)
+    counts = np.bincount(_outcomes(planes, len(table)), minlength=16)
+    expected = np.array([probability_of(state, index_to_bits(k, n)) for k in range(16)])
+    assert counts[[3, 12]].tolist() == [0, 0]
+    support = expected > 0
+    assert chisquare(counts[support], expected[support] * len(table)).pvalue > 0.001
+
+
+def test_a_table_of_2_24_entries_is_refused_before_any_entry_is_read():
+    class ManyEntries:
+        def __len__(self):
+            return 1 << 24
+
+        def __getitem__(self, entry):
+            raise AssertionError("an entry was read")
+
+    session, _ = share_image(DEMO_IMAGE, 3, BACKEND_STATEVECTOR, 1)
+    session.registers.states = ManyEntries()
+    with pytest.raises(ValueError, match="under 2\\^24 table entries, got 16777216"):
+        measure(session, 5)
 
 
 # --- array-native sampled backend ---
@@ -1262,7 +1350,7 @@ def test_multi_chunk_recovery_draws_what_one_draw_per_entry_draws(monkeypatch):
     session = dataclasses.replace(session, registers=table)
     monkeypatch.setattr(protocol, "_CHUNK", 64)
     outcomes = _outcomes(measure(session, 77), image.pixel_count)
-    np.testing.assert_array_equal(outcomes, _outcomes_by_entry_masks(table, 77))
+    np.testing.assert_array_equal(outcomes, _outcomes_by_pixel(table, 77))
     assert recover_image(shares, session, 77) == image
 
 
@@ -1538,6 +1626,24 @@ def test_recovering_and_measuring_at_the_size_cap_peak_under_56_mib():
     measured = dataclasses.replace(session, backend=BACKEND_SAMPLED, registers=planes)
     for k in (2, 8, 15):
         assert audit_subset(measured, range(1, k + 1)).verdict == "no-information"
+
+
+def test_measuring_a_searched_entry_at_the_size_cap_peaks_under_64_mib():
+    # A random superposition at every 5th pixel of a fresh n=16 session:
+    # the parity draw's 46 MiB, plus one chunk's words and searches, 60 MiB
+    # measured.  Drawing per entry after a grouping argsort took 188 MiB.
+    image = random_image(4096, 4096, seed=3)
+    session, _ = share_image(image, 16, BACKEND_STATEVECTOR, 4)
+    rng = np.random.default_rng(5)
+    amplitudes = rng.normal(size=1 << 16) + 1j * rng.normal(size=1 << 16)
+    scattered = StateVector(16, amplitudes / np.linalg.norm(amplitudes))
+    table = _with_register(session.registers, slice(None, None, 5), scattered)
+    planes, peak = _traced_peak(measure, dataclasses.replace(session, registers=table), 6)
+    assert peak < 64 << 20
+    # The other pixels' bits still XOR to their colours.
+    colours = np.unpackbits(np.bitwise_xor.reduce(planes, axis=0))
+    fresh = np.arange(image.pixel_count) % 5 != 0
+    np.testing.assert_array_equal(colours[fresh], image.pixels[fresh])
 
 
 def test_a_sampled_audit_at_the_size_cap_counts_one_chunk_at_a_time():
