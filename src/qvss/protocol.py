@@ -23,10 +23,10 @@ numbers: as easy as 1, 2, 3", SC'11): pixel l's bits 1..n-1 are the top
 n-1 bits of raw word l-1, most significant first, and bit n is the one
 that sets the pixel's parity.  So sharing is deterministic, and each
 pixel's bits depend only on the seed, n, its index and its colour, not on
-the image around it.  ``measure`` reads the same words: at seed s, a pixel
-in one of ``share_image``'s two parity states gets the sampled share's
-bits at seed s, any other the outcome its word picks from its register's
-CDF; a measured pixel depends only on the seed, its index and its register.
+the image around it.  ``measure`` searches pixel l's register's CDF with
+the top 40 bits of word l-1; in either of ``share_image``'s parity states
+that gives exactly the sampled share's bits at the same seed.  A measured
+pixel depends only on the seed, its index and its register.
 
 File formats (all integers little-endian):
 
@@ -428,35 +428,32 @@ def _derive_session_id(image: BinaryImage, n: int, backend: str, seed: int) -> b
     return digest.digest()[:16]
 
 
-def _pack_top_bits(words: np.ndarray, planes: np.ndarray, start: int) -> None:
-    """Bits 63, 62, ... of each word of ``words`` (as uint64) packed MSB
-    first into ``planes[0]``, ``planes[1]``, ... from pixel ``start``, a
-    multiple of 8; each byte column is made contiguous once."""
-    # Each little-endian word's bytes, reversed: most significant first.
-    rows = words.astype("<u8", copy=False).view(np.uint8).reshape(-1, 8)[:, ::-1]
-    out = slice(start // 8, start // 8 + (len(rows) + 7) // 8)
-    for bit, plane in enumerate(planes):
-        if bit % 8 == 0:
-            column = np.ascontiguousarray(rows[:, bit // 8])
-        plane[out] = np.packbits(column & (0x80 >> bit % 8))
-
-
-def _draw_planes(colours: np.ndarray, count: int, n: int, seed: int) -> np.ndarray:
-    """The outcomes of ``count`` pixels, each uniform over the 2^(n-1)
-    strings whose XOR is its colour (``colours``: one bit a pixel, packed
-    MSB first), as n bit planes: a sampled session's registers, and
-    ``measure``'s planes of parity states.
-
-    Bit j of pixel l (j < n) is bit j of raw word l-1 of the tagged Philox
-    stream, most significant first; bit n is the XOR of the others and the
-    pixel's colour.  Words come ``_CHUNK`` (a multiple of 8) at a time, so
-    each chunk packs into whole bytes of every plane.
+def _draw_planes(colour_bits, count: int, n: int, seed: int) -> np.ndarray:
+    """``count`` pixels' outcomes as n bit planes, drawing each word of the
+    tagged Philox stream once: a sampled session's registers, and
+    ``measure``'s planes.  Pixel l's bits 1..n-1 are bits 63, 62, ... of
+    word l-1, and bit n is their XOR with its colour.  For each ``_CHUNK``
+    of pixels (a multiple of 8: whole bytes of every plane),
+    ``colour_bits(part, words)`` returns one 0/1 colour byte a pixel, after
+    rewriting any words in place.  A word left as drawn makes its pixel
+    uniform over the strings whose XOR is its colour; a word holding an
+    outcome in its top n bits, with the outcome's parity as the colour,
+    makes that outcome.
     """
-    planes = np.empty((n, len(colours)), dtype=np.uint8)
+    planes = np.empty((n, (count + 7) // 8), dtype=np.uint8)
     philox = np.random.Philox(key=_SAMPLED_KEY_TAG | seed)
     for part in _chunks(count):
-        _pack_top_bits(philox.random_raw(len(range(count)[part])), planes[:-1], part.start)
-    planes[-1] = np.bitwise_xor.reduce(planes[:-1], axis=0) ^ colours
+        words = philox.random_raw(len(range(count)[part]))
+        colours = np.packbits(colour_bits(part, words))
+        # Each word's bytes, most significant first; a byte column is copied once.
+        rows = words.astype("<u8", copy=False).view(np.uint8).reshape(-1, 8)[:, ::-1]
+        out = slice(part.start // 8, part.start // 8 + len(colours))
+        for bit, plane in enumerate(planes[:-1]):
+            if bit % 8 == 0:
+                column = np.ascontiguousarray(rows[:, bit // 8])
+            plane[out] = np.packbits(column & (0x80 >> bit % 8))
+        del words, rows, column  # before the next chunk's words are drawn
+        planes[-1, out] = np.bitwise_xor.reduce(planes[:-1, out], axis=0) ^ colours
     return planes
 
 
@@ -484,7 +481,7 @@ def share_image(
     else:
         # The shares' payloads are views of these planes: read-only, so an
         # edit to a share cannot also edit the session it is checked against.
-        registers = _draw_planes(np.packbits(image.pixels), image.pixel_count, n, seed)
+        registers = _draw_planes(lambda part, _: image.pixels[part], image.pixel_count, n, seed)
         registers.flags.writeable = False
 
     session = SessionStore(master_seed=seed, registers=registers, **header)
@@ -538,13 +535,17 @@ def measure(session: SessionStore, seed: int) -> np.ndarray:
     sampled session's layout: ``(n, ceil(pixels/8))`` uint8 planes, plane
     j-1 holding qubit j (the top bit of the basis index first).
 
-    Pixel l's outcome depends only on the seed, l and its entry, through
-    word l-1 of ``_draw_planes``' stream: in one of ``share_image``'s two
-    parity states it is ``_draw_planes``' bits for that colour (so parity
-    states measure to the sampled share of their image at ``seed``), in
-    any other entry its CDF searched with the word's top 40 bits.  The
-    session is left as it was.  A sampled session, whose registers are its
-    planes, and a table of 2^24 or more entries raise ``ValueError``.
+    One rule measures every pixel: pixel l's outcome is the first basis
+    index at which its entry's CDF, scaled to 2^40 and rounded, exceeds
+    the top 40 bits of word l-1 of ``_draw_planes``' stream, written into
+    that word's top n bits with its parity as the colour.  In either of
+    ``share_image``'s parity states the search gives exactly the word's
+    top n-1 bits and the bit that sets the parity, ``_draw_planes``' own
+    bits, so those pixels skip it and measure to the sampled share of
+    their image at ``seed``.  A pixel's outcome depends only on the seed, l
+    and its entry.  The session is left as it was.  A sampled session,
+    whose registers are its planes, and a table of 2^24 or more entries
+    raise ``ValueError``.
     """
     if session.backend != BACKEND_STATEVECTOR:
         raise ValueError(f"a {session.backend} session was measured when it was shared")
@@ -556,34 +557,28 @@ def measure(session: SessionStore, seed: int) -> np.ndarray:
         next((b for b in (0, 1) if np.array_equal(entry.amplitudes, parity[b])), 2)
         for entry in table.states
     ], np.uint8)
-    packed = np.empty((len(table) + 7) // 8, np.uint8)
-    for part in _chunks(len(table)):  # ``take`` casts the index to intp
-        packed[part.start // 8 : part.stop // 8] = np.packbits(colours.take(table.index[part]))
-    planes = _draw_planes(packed, len(table), n, seed)
     searched = colours == 2
     if searched.any():  # an entry no pixel points at is not searched
         searched &= table.counts() > 0
+    # ``colours[index]``, not ``take``: that casts a chunk's index to intp,
+    # 8 B a pixel, while the chunk's words are held.
     if not searched.any():
-        return planes
+        return _draw_planes(lambda part, words: colours[table.index[part]], len(table), n, seed)
     keys, supports = _cdf_keys(table, np.flatnonzero(searched))
-    for part in _chunks(len(table)):
-        index, span = table.index[part], slice(part.start // 8, part.stop // 8)
-        pixels = np.flatnonzero(searched.take(index))
-        if not len(pixels):
-            continue
-        # Planes 1..n-1 are repacked from the words with each searched pixel's
-        # outcome in its word's top bits; the last plane changes only there.
-        philox = np.random.Philox(key=_SAMPLED_KEY_TAG | seed, counter=part.start // 4)
-        words = philox.random_raw(len(index))
+    parities = index_parities(1 << n)
+
+    def colour_bits(part, words):
+        index = table.index[part]
+        bits = colours[index]
+        pixels = np.flatnonzero(bits == 2)
         query = words[pixels] >> (64 - _CDF_BITS)
         query |= index[pixels].astype(np.uint64) << _CDF_BITS
         outcomes = supports[keys.searchsorted(query, side="right")]
         words[pixels] = outcomes << (64 - n)
-        _pack_top_bits(words, planes[:-1], part.start)
-        last = np.unpackbits(planes[-1, span], count=len(index))
-        last[pixels] = outcomes & 1
-        planes[-1, span] = np.packbits(last)
-    return planes
+        bits[pixels] = parities[outcomes]
+        return bits
+
+    return _draw_planes(colour_bits, len(table), n, seed)
 
 
 def recover_image(shares, session: SessionStore, seed: int | None = None) -> BinaryImage:

@@ -703,7 +703,7 @@ def _outcomes_by_pixel(table, seed):
     return outcomes
 
 
-def test_recover_of_a_collapsed_session_matches_per_entry_masks():
+def test_recover_of_a_collapsed_session_matches_the_per_pixel_reference():
     image = random_image(16, 12, seed=6)
     session, shares = share_image(image, 4, BACKEND_STATEVECTOR, 8)
     collapsed = _collapsed(session, 1).registers
@@ -738,7 +738,7 @@ def _mixed_table(session):
 
 @pytest.mark.parametrize("chunk", [None, 64])
 @pytest.mark.parametrize("n", range(2, 17))
-def test_measured_planes_are_the_outcomes_of_one_draw_per_entry(n, chunk, monkeypatch):
+def test_measured_planes_are_the_outcomes_of_each_pixels_own_word(n, chunk, monkeypatch):
     image = random_image(30, 21, seed=n)  # 630 pixels: 2 pad bits, a short last chunk
     session, _ = share_image(image, n, BACKEND_STATEVECTOR, n)
     sampled = share_image(image, n, BACKEND_SAMPLED, 77)[0].registers
@@ -799,25 +799,28 @@ def test_a_parity_table_with_an_unused_entry_is_measured_as_the_sampled_share(mo
     assert recover_image(shares, session, 9) == image
 
 
-def test_a_negated_parity_state_is_drawn_per_entry():
-    # -1 times the odd state: the same outcome distribution, other amplitudes,
-    # so its CDF is searched.  At n=5 that CDF is exact in 40 bits, and the
-    # search picks the bits the sampled share holds.
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+@pytest.mark.parametrize("n", range(2, 17))
+def test_a_searched_negated_parity_state_gets_the_sampled_shares_bits(n, seed):
+    # -1 times a parity state: the same outcome distribution, other
+    # amplitudes, so every pixel's CDF is searched.  The search returns
+    # the word's top n-1 bits and the bit that sets the parity: the
+    # sampled share's bits, which parity states take without a search.
     image = random_image(13, 11, seed=2)
-    session, shares = share_image(image, 5, BACKEND_STATEVECTOR, 1)
-    even, odd = session.registers.states
-    table = RegisterTable(5, [even, StateVector(5, -odd.amplitudes)], session.registers.index)
+    session, shares = share_image(image, n, BACKEND_STATEVECTOR, 1)
+    negated = [StateVector(n, -state.amplitudes) for state in session.registers.states]
+    table = RegisterTable(n, negated, session.registers.index)
     session = dataclasses.replace(session, registers=table)
-    planes = measure(session, 9)
+    planes = measure(session, seed)
     outcomes = _outcomes(planes, image.pixel_count)
-    np.testing.assert_array_equal(outcomes, _outcomes_by_pixel(table, 9))
-    np.testing.assert_array_equal(planes, share_image(image, 5, BACKEND_SAMPLED, 9)[0].registers)
-    assert recover_image(shares, session, 9) == image
+    np.testing.assert_array_equal(outcomes, _outcomes_by_pixel(table, seed))
+    np.testing.assert_array_equal(planes, share_image(image, n, BACKEND_SAMPLED, seed)[0].registers)
+    assert recover_image(shares, session, seed) == image
 
 
 @pytest.mark.parametrize("seed", [4, None])
 @pytest.mark.parametrize("all_black", [False, True])  # all black: a one-entry table
-def test_recovering_a_fresh_session_never_calls_sample(all_black, seed, monkeypatch):
+def test_recovering_a_fresh_session_never_searches_a_cdf(all_black, seed, monkeypatch):
     image = random_image(40, 30, seed=5)
     if all_black:
         image = BinaryImage(40, 30, np.ones(1200, dtype=np.uint8))
@@ -1336,7 +1339,7 @@ def test_the_outcomes_measured_at_n8_collapse_to_a_u8_index():
     assert table.index.dtype == np.uint8
 
 
-def test_multi_chunk_recovery_draws_what_one_draw_per_entry_draws(monkeypatch):
+def test_multi_chunk_recovery_draws_what_the_per_pixel_reference_draws(monkeypatch):
     image = random_image(40, 30, seed=4)
     session, shares = share_image(image, 4, BACKEND_STATEVECTOR, 8)
     collapsed = _collapsed(session, 1).registers
@@ -1352,6 +1355,30 @@ def test_multi_chunk_recovery_draws_what_one_draw_per_entry_draws(monkeypatch):
     outcomes = _outcomes(measure(session, 77), image.pixel_count)
     np.testing.assert_array_equal(outcomes, _outcomes_by_pixel(table, 77))
     assert recover_image(shares, session, 77) == image
+
+
+def test_measure_draws_each_philox_word_once(monkeypatch):
+    image = random_image(30, 21, seed=4)  # 630 pixels: 10 chunks of 64
+    session, _ = share_image(image, 6, BACKEND_STATEVECTOR, 6)
+    session = dataclasses.replace(session, registers=_mixed_table(session))
+    expected = _outcomes_by_pixel(session.registers, 77)
+    streams, draws = [], []
+
+    class RecordingPhilox(np.random.Philox):
+        def __init__(self, *args, **kwargs):
+            streams.append(kwargs)
+            super().__init__(*args, **kwargs)
+
+        def random_raw(self, size=None, output=True):
+            draws.append(size)
+            return super().random_raw(size, output)
+
+    monkeypatch.setattr(protocol, "_CHUNK", 64)
+    monkeypatch.setattr(np.random, "Philox", RecordingPhilox)
+    planes = measure(session, 77)
+    assert len(streams) == 1 and "counter" not in streams[0]
+    assert sum(draws) == image.pixel_count
+    np.testing.assert_array_equal(_outcomes(planes, image.pixel_count), expected)
 
 
 # --- statevector file bytes; the session table cap ---
@@ -1607,10 +1634,9 @@ def test_a_fresh_session_at_the_size_cap_reads_back_holding_its_index_once():
 
 
 def test_recovering_and_measuring_at_the_size_cap_peak_under_56_mib():
-    # Parity states are measured as the sampled draw: 32 MiB of planes, 2 MiB
-    # of packed colours and one chunk's 8 MiB of Philox words, 46 MiB
-    # measured.  Recovery adds the XOR of the planes and the 16 MiB image,
-    # 50 MiB measured.  The per-entry draw's grouping argsort took 186 MiB.
+    # Parity states are measured as the sampled draw: 32 MiB of planes and
+    # one chunk's 8 MiB of Philox words, 44 MiB measured.  Recovery adds the
+    # XOR of the planes and the 16 MiB image, 50 MiB measured.
     image = random_image(4096, 4096, seed=3)
     session, shares = share_image(image, 16, BACKEND_STATEVECTOR, 4)
     recovered, peak = _traced_peak(recover_image, shares, session, 6)
@@ -1628,10 +1654,10 @@ def test_recovering_and_measuring_at_the_size_cap_peak_under_56_mib():
         assert audit_subset(measured, range(1, k + 1)).verdict == "no-information"
 
 
-def test_measuring_a_searched_entry_at_the_size_cap_peaks_under_64_mib():
+def test_measuring_a_searched_entry_at_the_size_cap_peaks_under_54_mib():
     # A random superposition at every 5th pixel of a fresh n=16 session:
-    # the parity draw's 46 MiB, plus one chunk's words and searches, 60 MiB
-    # measured.  Drawing per entry after a grouping argsort took 188 MiB.
+    # 32 MiB of planes, one chunk's 8 MiB of Philox words and its searches,
+    # 50.6 MiB measured.
     image = random_image(4096, 4096, seed=3)
     session, _ = share_image(image, 16, BACKEND_STATEVECTOR, 4)
     rng = np.random.default_rng(5)
@@ -1639,7 +1665,7 @@ def test_measuring_a_searched_entry_at_the_size_cap_peaks_under_64_mib():
     scattered = StateVector(16, amplitudes / np.linalg.norm(amplitudes))
     table = _with_register(session.registers, slice(None, None, 5), scattered)
     planes, peak = _traced_peak(measure, dataclasses.replace(session, registers=table), 6)
-    assert peak < 64 << 20
+    assert peak < 54 << 20
     # The other pixels' bits still XOR to their colours.
     colours = np.unpackbits(np.bitwise_xor.reduce(planes, axis=0))
     fresh = np.arange(image.pixel_count) % 5 != 0
