@@ -50,7 +50,6 @@ from .protocol import (
     share_image,
 )
 from .statevector import (
-    MarginalDistribution,
     StateVector,
     apply_cnot,
     apply_h,

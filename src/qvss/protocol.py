@@ -647,7 +647,7 @@ def audit_subset(session: SessionStore, subset) -> AuditReport:
         for entry, count in enumerate(table.counts()):
             if not count:
                 continue
-            marg = marginal_distribution(table.states[entry], subset).probabilities
+            marg = marginal_distribution(table.states[entry], subset)
             total += count * marg
             max_dev = max(max_dev, float(np.abs(marg - uniform).max()))
             if is_full:

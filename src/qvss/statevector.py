@@ -52,14 +52,6 @@ class StateVector:
         return 1 << self.num_qubits
 
 
-@dataclass
-class MarginalDistribution:
-    """Exact probabilities of the bit patterns on an ordered qubit subset."""
-
-    subset: tuple[int, ...]
-    probabilities: np.ndarray
-
-
 def basis_state(n: int, index: int) -> StateVector:
     """Return the basis state |index> on n qubits.  n must lie in 1..MAX_QUBITS."""
     n = int_in_range(n, 1, MAX_QUBITS, f"register size must be in 1..{MAX_QUBITS}, got {{!r}}")
@@ -161,13 +153,9 @@ def _checked_probabilities(state: StateVector) -> np.ndarray:
 
 
 def sample(state: StateVector, rng: np.random.Generator, size: int | None = None):
-    """Basis index drawn with probability |amplitude|^2, or ``size`` of them:
-    ``rng.choice``'s outcomes and generator state, by its CDF search
-    ``cdf.searchsorted(rng.random(size), side="right")``."""
-    cdf = _checked_probabilities(state).cumsum()
-    cdf /= cdf[-1]
-    idx = cdf.searchsorted(rng.random(size), side="right")
-    return int(idx) if size is None else idx.astype(np.int64, copy=False)
+    """Basis index drawn with probability |amplitude|^2 (a Python int), or an
+    int64 array of ``size`` of them."""
+    return rng.choice(state.dim, size, p=_checked_probabilities(state))
 
 
 def measure_all(
@@ -178,7 +166,7 @@ def measure_all(
     The outcome index is sampled with probability |amplitude|^2; the
     returned state is the matching basis state.
     """
-    index = int(sample(state, rng))
+    index = sample(state, rng)
     n = state.num_qubits
     return index_to_bits(index, n), basis_state(n, index)
 
@@ -218,8 +206,9 @@ def check_subset(n: int, subset) -> tuple[int, ...]:
     return subset
 
 
-def marginal_distribution(state: StateVector, subset) -> MarginalDistribution:
-    """Exact distribution over the subset's bit patterns.
+def marginal_distribution(state: StateVector, subset) -> np.ndarray:
+    """Exact distribution over the subset's bit patterns, as 2^k float64
+    probabilities.
 
     Sums squared amplitude moduli over all traced-out qubits.  Pattern
     indices follow the subset's own order: the first listed qubit is the
@@ -232,5 +221,4 @@ def marginal_distribution(state: StateVector, subset) -> MarginalDistribution:
     for q in subset:
         pattern = (pattern << 1) | ((idx >> (n - q)) & 1)
     probs = np.abs(state.amplitudes) ** 2
-    marg = np.bincount(pattern, weights=probs, minlength=1 << len(subset))
-    return MarginalDistribution(subset, marg)
+    return np.bincount(pattern, weights=probs, minlength=1 << len(subset))

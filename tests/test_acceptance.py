@@ -152,8 +152,8 @@ def test_criterion_5_theorem_2_exact_uniform_marginals():
             for k in range(1, n):
                 uniform = 1.0 / (1 << k)
                 for subset in combinations(range(1, n + 1), k):
-                    marg0 = marginal_distribution(states[0], subset).probabilities
-                    marg1 = marginal_distribution(states[1], subset).probabilities
+                    marg0 = marginal_distribution(states[0], subset)
+                    marg1 = marginal_distribution(states[1], subset)
                     assert np.abs(marg0 - uniform).max() < 1e-12
                     assert np.abs(marg1 - uniform).max() < 1e-12
                     assert np.abs(marg0 - marg1).max() < 1e-12
@@ -219,7 +219,7 @@ def test_criterion_8_backend_equivalence_chi_square():
         subset = (1, 2, 3)
         exact = marginal_distribution(
             prepare_parity_state_direct(ParitySpec(4, 0)), subset
-        ).probabilities
+        )
         counts = np.zeros(8, dtype=np.int64)
         rows = np.unpackbits(session.registers, axis=1, count=image.pixel_count).T
         for outcome in rows:

@@ -98,8 +98,8 @@ def test_six_qubit_subset_marginal_matches_amplitude_oracle(b):
         expected[pattern] += (1 / np.sqrt(32)) ** 2
     state = prepare_parity_state_direct(ParitySpec(6, b))
     dist = marginal_distribution(state, (1, 2, 3))
-    np.testing.assert_allclose(dist.probabilities, expected, atol=1e-12)
-    np.testing.assert_allclose(dist.probabilities, 1 / 8, atol=1e-12)
+    np.testing.assert_allclose(dist, expected, atol=1e-12)
+    np.testing.assert_allclose(dist, 1 / 8, atol=1e-12)
 
 
 def test_measure_never_yields_wrong_parity():

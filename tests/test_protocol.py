@@ -264,7 +264,7 @@ def test_proper_subset_marginals_uniform_and_color_blind(n):
         for subset in combinations(range(1, n + 1), k):
             uniform = 1.0 / (1 << k)
             margs = {
-                b: marginal_distribution(states[b], subset).probabilities
+                b: marginal_distribution(states[b], subset)
                 for b in (0, 1)
             }
             for b in (0, 1):
@@ -291,7 +291,7 @@ def test_audit_full_subset_reports_recovery():
     # black pixels every pattern appears, but each pixel's marginal is
     # confined to its own parity class
     table = session.registers
-    per_pixel = marginal_distribution(table.states[table.index[0]], (1, 2, 3)).probabilities
+    per_pixel = marginal_distribution(table.states[table.index[0]], (1, 2, 3))
     assert np.count_nonzero(per_pixel > 1e-15) == 4
 
 
@@ -382,7 +382,7 @@ def test_sampled_bits_match_exact_marginal():
     subset = (1, 2, 3)
     exact = marginal_distribution(
         prepare_parity_state_direct(ParitySpec(4, 0)), subset
-    ).probabilities
+    )
     np.testing.assert_allclose(exact, 1 / 8, atol=1e-15)
     counts = np.zeros(8, dtype=int)
     for outcome in _rows(session):
@@ -597,7 +597,7 @@ def test_audit_matches_per_pixel_marginals(tamper, subset):
     else:
         session, _ = share_image(DEMO_IMAGE, 3, BACKEND_STATEVECTOR, 42)
     margs = [
-        marginal_distribution(register, subset).probabilities
+        marginal_distribution(register, subset)
         for register in session.registers
     ]
     uniform = 1.0 / (1 << len(subset))

@@ -304,7 +304,7 @@ def assert_sample_is_generator_choice(state: StateVector, seed: int, size) -> No
     if size is not None:
         assert got.dtype == expected.dtype
     np.testing.assert_array_equal(got, expected)
-    assert ours.random() == theirs.random()
+    assert ours.bit_generator.state == theirs.bit_generator.state
 
 
 SAMPLE_STATES = {
@@ -326,14 +326,16 @@ def test_sample_draws_what_generator_choice_draws(n, kind):
             assert_sample_is_generator_choice(state, seed, size)
 
 
-class _FixedUniforms:
-    """Stands in for a Generator whose ``random`` returns the given values."""
+class _FixedUniforms(np.random.Generator):
+    """A Generator whose ``random`` returns the given values."""
 
     def __init__(self, values):
+        super().__init__(np.random.PCG64(0))
         self.values = np.asarray(values, dtype=np.float64)
 
     def random(self, size=None):
-        assert size == (None if self.values.ndim == 0 else len(self.values))
+        # Generator.choice asks for shape () when drawing a single outcome.
+        assert size == (() if self.values.ndim == 0 else len(self.values))
         return self.values.copy()
 
 
@@ -367,6 +369,31 @@ def test_sample_binary_searches_draws_far_past_their_guide_entry(seed):
     assert_sample_is_generator_choice(state, seed, size)
 
 
+@st.composite
+def sampled_states(draw):
+    """A random state on 1..MAX_QUBITS qubits, dense or with most of its
+    amplitudes zero."""
+    n = draw(st.integers(1, MAX_QUBITS))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    amplitudes = (rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)) * (
+        rng.random(1 << n) < draw(st.sampled_from([0.05, 0.3, 1.0]))
+    )
+    amplitudes[rng.integers(1 << n)] += 1
+    return StateVector(n, amplitudes / np.linalg.norm(amplitudes))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    state=sampled_states(),
+    seed=st.integers(0, 2**64 - 1),
+    size=st.none() | st.just(1) | st.integers(200, 500),
+)
+def test_sample_is_generator_choice_on_dense_and_sparse_states(state, seed, size):
+    # The README's promise: sample(state, rng, size) is
+    # rng.choice(2^n, size, p=|a|^2 / sum |a|^2).
+    assert_sample_is_generator_choice(state, seed, size)
+
+
 # --- probability_of ---
 
 
@@ -385,24 +412,24 @@ def test_probability_checks_bit_values():
 
 def test_marginal_of_basis_state():
     dist = marginal_distribution(new_zero_state(3), [2, 3])
-    np.testing.assert_allclose(dist.probabilities, [1, 0, 0, 0])
+    np.testing.assert_allclose(dist, [1, 0, 0, 0])
 
 
 def test_marginal_over_full_register_matches_probabilities():
     state = random_state(4, 77)
     dist = marginal_distribution(state, [1, 2, 3, 4])
     np.testing.assert_allclose(
-        dist.probabilities, np.abs(state.amplitudes) ** 2, atol=1e-15
+        dist, np.abs(state.amplitudes) ** 2, atol=1e-15
     )
 
 
 def test_marginal_respects_subset_order():
     state = basis_state((1, 0))
     np.testing.assert_allclose(
-        marginal_distribution(state, [1, 2]).probabilities, [0, 0, 1, 0]
+        marginal_distribution(state, [1, 2]), [0, 0, 1, 0]
     )
     np.testing.assert_allclose(
-        marginal_distribution(state, [2, 1]).probabilities, [0, 1, 0, 0]
+        marginal_distribution(state, [2, 1]), [0, 1, 0, 0]
     )
 
 
@@ -418,7 +445,7 @@ def test_marginal_against_bruteforce_oracle():
             pattern = (pattern << 1) | ((index >> (5 - q)) & 1)
         expected[pattern] += abs(amp) ** 2
     dist = marginal_distribution(state, subset)
-    np.testing.assert_allclose(dist.probabilities, expected, atol=1e-12)
+    np.testing.assert_allclose(dist, expected, atol=1e-12)
 
 
 @pytest.mark.parametrize("subset", [[], [1, 1], [0], [4]])
