@@ -36,7 +36,7 @@ from .errors import (
     StateCorruptionError,
     int_in_range,
 )
-from .image_io import BinaryImage, from_pixel_list, read_pbm, write_pbm
+from .image_io import from_pixel_list, read_pbm, write_pbm
 from .parity import ParitySpec, build_parity_circuit, build_xor_circuit
 from .statevector import (
     StateVector,
@@ -58,14 +58,17 @@ _DEMO_SEED = 7
 _AUDIT_TABLE_MAX_K = 8
 
 
-def _write_atomic(path: Path, data: bytes) -> None:
+def _write_atomic(path: Path, data) -> int:
+    """Write ``data``, bytes or a function that streams them through the
+    ``write`` it is given, to a temp file renamed to ``path``; returns the size."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as handle:
-            handle.write(data)
+            size = data(handle.write) if callable(data) else handle.write(data)
         os.replace(tmp, path)
+        return size
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
@@ -110,12 +113,16 @@ def _format_state(state: StateVector) -> str:
     return f"({terms})/{denom}" if len(nonzero) > 1 else terms
 
 
-def _load_image(path: str) -> BinaryImage:
-    return read_pbm(Path(path).read_bytes())
+def _read(path: str, parse):
+    """``parse`` of the file at ``path``; a ``FormatError`` names the file."""
+    try:
+        return parse(Path(path).read_bytes())
+    except FormatError as exc:
+        raise FormatError(f"{path}: {exc}") from None
 
 
 def cmd_share(args) -> int:
-    image = _load_image(args.input)
+    image = _read(args.input, read_pbm)
     seed = _resolve_seed(args.seed)
     session, shares = protocol.share_image(image, args.n, args.backend, seed)
     out_dir = Path(args.out_dir)
@@ -123,24 +130,19 @@ def cmd_share(args) -> int:
         f"shared {image.pixel_count} pixels ({image.width}x{image.height}) "
         f"at n={args.n}, backend={args.backend}"
     )
-    for share in shares:
-        data = protocol.serialize_share(share)
-        path = out_dir / f"share_{share.participant}.qvs"
-        _write_atomic(path, data)
-        print(f"wrote {path} ({len(data)} bytes)")
-    data = protocol.serialize_session(session)
-    path = out_dir / "session.qvse"
-    _write_atomic(path, data)
-    print(f"wrote {path} ({len(data)} bytes)")
+    # Each file is streamed to disk as it is written, never held whole.
+    files = [(f"share_{share.participant}.qvs", protocol.write_share, share) for share in shares]
+    for name, write, item in [*files, ("session.qvse", protocol.write_session, session)]:
+        path = out_dir / name
+        size = _write_atomic(path, lambda sink: write(item, sink))
+        print(f"wrote {path} ({size} bytes)")
     print("expansion factor: 1 (one share unit per pixel)")
     return EXIT_OK
 
 
 def cmd_recover(args) -> int:
-    session = protocol.deserialize_session(Path(args.session).read_bytes())
-    shares = [
-        protocol.deserialize_share(Path(path).read_bytes()) for path in args.shares
-    ]
+    session = _read(args.session, protocol.deserialize_session)
+    shares = [_read(path, protocol.deserialize_share) for path in args.shares]
     # A sampled session was measured when it was shared: it takes no seed.
     seed = args.seed
     if session.backend == protocol.BACKEND_STATEVECTOR:
@@ -151,7 +153,7 @@ def cmd_recover(args) -> int:
     _write_atomic(Path(args.out), write_pbm(image, args.format))
     print(f"recovered {image.pixel_count} pixels to {args.out}")
     if args.reference:
-        reference = _load_image(args.reference)
+        reference = _read(args.reference, read_pbm)
         match = image == reference
         print(f"reference match: {'yes' if match else 'no'}")
         if not match:
@@ -160,7 +162,7 @@ def cmd_recover(args) -> int:
 
 
 def cmd_audit(args) -> int:
-    session = protocol.deserialize_session(Path(args.session).read_bytes())
+    session = _read(args.session, protocol.deserialize_session)
     subset = _parse_subset(args.subset)
     report = protocol.audit_subset(session, subset)
     print(
@@ -245,7 +247,7 @@ def cmd_emit_circuit(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    image = _load_image(args.input)
+    image = _read(args.input, read_pbm)
     seed = _resolve_seed(args.seed)
     report = baseline.comparison_report(args.n, image, seed)
     print(f"comparison at n={args.n}:")

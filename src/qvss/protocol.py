@@ -28,35 +28,10 @@ the top 40 bits of word l-1; in either of ``share_image``'s parity states
 that gives exactly the sampled share's bits at the same seed.  A measured
 pixel depends only on the seed, its index and its register.
 
-File formats (all integers little-endian):
-
-* Share (.qvs), version 7: magic ``QVSS``, version u8, backend id u8
-  (1=statevector, 2=sampled), n u16, participant u16, width u32, height
-  u32, session id (16 bytes); payload: nothing (statevector) or the
-  share's bit plane (sampled); CRC32 trailer.
-* Session (.qvse), version 7: magic ``QVSE``, the same header fields with
-  the participant slot zero, then the master seed as u64, then
-  - statevector: the register table as it is held, unused entries
-    included (``share_image`` makes one per colour present): its length
-    u32, then each entry as its amplitude form u8, its support (a 2^n-bit
-    map of the non-zero amplitudes, packed MSB first with zero pad bits)
-    and little-endian complex128 amplitudes (the same bytes as re/im
-    float64 pairs): form 1 stores one amplitude that every support bit
-    shares (a parity state, a basis state), form 0 one per set bit in
-    index order, used only when the amplitudes' bytes are not all equal;
-    then each pixel's table index as b = bit_length(length - 1) bit
-    planes, most significant first (none for one entry, one for a fresh
-    two-colour session); writers and readers cap the table's dense states
-    at ``MAX_SESSION_TABLE_BYTES`` (256 MiB);
-  - sampled: the n bit planes in participant order, share j's body being
-    bytes ``[(j-1)*P, j*P)`` of them;
-  then a CRC32 trailer.  A bit plane is one bit per pixel, packed MSB
-  first with zero pad bits: P = ceil(width*height/8) bytes.
-
-Files of any other version are rejected.  One check, ``_check_header``,
-bounds the backend, n, the image sides and the session id, both in a
-file's header and in a share or session built in memory, so anything that
-can be written can be read back.
+Each backend's file body is written and read here, inside ``container``'s
+header and CRC32.  One check, ``_check_header``, bounds the backend, n, the
+image sides and the session id, in a file's header and in a share or
+session built in memory, so anything that can be written can be read back.
 """
 
 from __future__ import annotations
@@ -65,12 +40,13 @@ import hashlib
 import math
 import operator
 import struct
-import zlib
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.stats import chisquare
 
+from . import container
+from .container import SESSION_MAGIC, SHARE_MAGIC
 from .errors import FormatError, IncompleteSharesError, IntegrityError, int_in_range
 from .image_io import BinaryImage, check_sides
 from .parity import ParitySpec, index_parities, prepare_parity_state_direct
@@ -103,15 +79,9 @@ AUDIT_P_THRESHOLD = 0.001
 _BACKEND_IDS = {BACKEND_STATEVECTOR: 1, BACKEND_SAMPLED: 2}
 _BACKEND_NAMES = {v: k for k, v in _BACKEND_IDS.items()}
 
-_FORMAT_VERSION = 7
-_SHARE_MAGIC = b"QVSS"
-_SESSION_MAGIC = b"QVSE"
-
-_HEADER = struct.Struct("<4sBBHHII16s")
 _SEED_FIELD = struct.Struct("<Q")
 _TABLE_LENGTH = struct.Struct("<I")
 _ENTRY_FORM = struct.Struct("<B")
-_CRC = struct.Struct("<I")
 
 #: A table entry's amplitude forms: one amplitude per support bit, or one
 #: that every support bit shares.
@@ -676,80 +646,46 @@ def audit_subset(session: SessionStore, subset) -> AuditReport:
     return AuditReport(subset, distribution, max_dev, verdict, p_value)
 
 
-def _write_file(magic: bytes, item, participant: int, size: int, parts) -> bytearray:
-    """One container: header, the ``size`` body bytes that the iterable
-    ``parts`` yields (bytes-like, C-contiguous), then the CRC32.
-
-    Each part is copied into one preallocated buffer as it comes, so a part
-    built on demand is freed before the next is made, and the buffer is
-    returned as it is: the file is never held twice.
-    """
-    data = bytearray(_HEADER.size + size + _CRC.size)
-    _HEADER.pack_into(
-        data, 0, magic, _FORMAT_VERSION, _BACKEND_IDS[item.backend], item.n, participant,
-        item.width, item.height, item.session_id,
-    )
-    end = len(data) - _CRC.size
-    offset = _HEADER.size
-    with memoryview(data) as view:
-        for part in parts:
-            with memoryview(part) as raw, raw.cast("B") as part_bytes:
-                view[offset : offset + len(part_bytes)] = part_bytes
-                offset += len(part_bytes)
-        assert offset == end, f"container body is {offset - _HEADER.size} bytes, not {size}"
-        _CRC.pack_into(data, end, zlib.crc32(view[:end]))
-    return data
+def _fields(item, participant: int) -> tuple:
+    """The container header fields of a share or session file."""
+    n, backend, width, height, session_id = _header(item)
+    return _BACKEND_IDS[backend], n, participant, width, height, session_id
 
 
-def _read_file(data: bytes, magic: bytes, what: str):
-    """Check one container's size, CRC32 and header, in that order.
-
-    Returns the participant slot, the pixel count, the body between header
-    and trailer as a view of ``data``, and the header fields that
-    ``ShareFile`` and ``SessionStore`` share, as keyword arguments.  Header
-    fields out of bounds raise ``ValueError``, as a bad body does: the
-    callers turn both into a ``FormatError`` that names the file.
-    """
-    if len(data) < _HEADER.size + _CRC.size:
-        raise FormatError(f"truncated {what}: {len(data)} bytes")
-    view = memoryview(data)
-    body, (crc,) = view[: -_CRC.size], _CRC.unpack_from(view, len(view) - _CRC.size)
-    if zlib.crc32(body) != crc:
-        raise FormatError(f"{what} checksum mismatch")
-    found, version, backend_id, n, participant, width, height, sid = _HEADER.unpack_from(view)
-    if found != magic:
-        raise FormatError(f"bad magic {found!r} in {what}, expected {magic!r}")
-    if version != _FORMAT_VERSION:
-        raise FormatError(f"unsupported {what} format version {version}")
+def _read_header(data, magic: bytes, what: str):
+    """``container.read``'s participant slot, pixel count, body cursor and
+    other header fields, as keywords; out of bounds they raise ``ValueError``."""
+    (backend_id, n, slot, width, height, sid), body = container.read(data, magic, what)
     # An unknown backend id is passed on as its number, which fails.
     fields = _check_header(n, _BACKEND_NAMES.get(backend_id, backend_id), width, height, sid)
-    header = dict(zip(_HEADER_FIELDS, fields))
-    return participant, width * height, body[_HEADER.size :], header
+    return slot, width * height, body, dict(zip(_HEADER_FIELDS, fields))
+
+
+def write_share(share: ShareFile, sink) -> int:
+    """Stream the share file through ``sink`` (see ``container.write``) and
+    return its size; a sampled share's body is its payload as it is."""
+    sampled = share.backend == BACKEND_SAMPLED
+    parts = (np.ascontiguousarray(share.payload),) if sampled else ()
+    return container.write(sink, SHARE_MAGIC, _fields(share, share.participant), parts)
 
 
 def serialize_share(share: ShareFile) -> bytearray:
-    """The share file; a sampled share's body is its payload as it is."""
-    if share.backend == BACKEND_STATEVECTOR:
-        return _write_file(_SHARE_MAGIC, share, share.participant, 0, ())
-    plane = np.ascontiguousarray(share.payload)
-    return _write_file(_SHARE_MAGIC, share, share.participant, plane.size, (plane,))
+    """The share file's bytes."""
+    data = bytearray()
+    write_share(share, data.extend)
+    return data
 
 
 def deserialize_share(data: bytes) -> ShareFile:
     try:
-        participant, pixel_count, body, header = _read_file(data, _SHARE_MAGIC, "share file")
+        participant, pixel_count, body, header = _read_header(data, SHARE_MAGIC, "share file")
         # A statevector body must be empty: ShareFile rejects any other.
+        rest = body.take(body.left, "share payload")
         sampled = header["backend"] == BACKEND_SAMPLED
-        payload = _bit_planes(body, pixel_count, "share payload") if sampled else body or ()
+        payload = _bit_planes(rest, pixel_count, "share payload") if sampled else rest or ()
         return ShareFile(participant=participant, payload=payload, **header)
     except ValueError as exc:
         raise FormatError(f"{exc} in share file") from None
-
-
-def _entry_head_size(n: int) -> int:
-    """Bytes of a register table entry before its amplitudes: the amplitude
-    form and the 2^n-bit support."""
-    return _ENTRY_FORM.size + ((1 << n) + 7) // 8
 
 
 def _dense_table_size(length: int, n: int) -> int:
@@ -768,18 +704,16 @@ def _stored_amplitudes(amplitudes: np.ndarray) -> tuple[int, np.ndarray]:
     return _FORM_PER_BIT, amplitudes
 
 
-def serialize_session(session: SessionStore) -> bytearray:
-    """The session file; a statevector table whose dense states exceed
-    ``MAX_SESSION_TABLE_BYTES`` raises ``ValueError`` before any of it is
-    built.
-
-    Sampled planes, and a statevector table and its index, are written as
-    the session holds them: every entry in table order, used or not.
-    """
+def write_session(session: SessionStore, sink) -> int:
+    """Stream the session file through ``sink`` (see ``container.write``) and
+    return its size: the registers as the session holds them, every table
+    entry in order, used or not.  A table whose dense states exceed
+    ``MAX_SESSION_TABLE_BYTES`` raises ``ValueError`` before any byte."""
     seed = _SEED_FIELD.pack(session.master_seed)
+    fields = _fields(session, 0)
     if session.backend == BACKEND_SAMPLED:
         planes = np.ascontiguousarray(session.registers)
-        return _write_file(_SESSION_MAGIC, session, 0, len(seed) + planes.size, (seed, planes))
+        return container.write(sink, SESSION_MAGIC, fields, (seed, planes))
     table = session.registers
     length = len(table.states)
     dense_bytes = _dense_table_size(length, table.n)
@@ -788,16 +722,11 @@ def serialize_session(session: SessionStore) -> bytearray:
             f"register table of {length} entries needs {dense_bytes} bytes, "
             f"over the {MAX_SESSION_TABLE_BYTES}-byte session table cap"
         )
-    # Each entry's sparse view is built where it is needed and dropped.
-    amplitude_count = sum(
-        len(_stored_amplitudes(table._sparse(entry)[1])[1]) for entry in range(length)
-    )
-    table_bytes = length * _entry_head_size(table.n) + 16 * amplitude_count
-    planes = (length - 1).bit_length()  # the bits of the last entry's number
 
     def parts():
         yield seed
         yield _TABLE_LENGTH.pack(length)
+        # Each entry's sparse view is built where it is needed and dropped.
         for entry in range(length):
             support, amplitudes = table._sparse(entry)
             form, stored = _stored_amplitudes(amplitudes)
@@ -806,29 +735,32 @@ def serialize_session(session: SessionStore) -> bytearray:
             yield _ENTRY_FORM.pack(form)
             yield np.packbits(bits)
             yield np.ascontiguousarray(stored, "<c16")
-        # Index bit s of each pixel, top plane first, one chunk at a time.
-        for s in reversed(range(planes)):
+        # Index bit s of each pixel, top plane first, one chunk at a time:
+        # as many planes as the last entry's number has bits.
+        for s in reversed(range((length - 1).bit_length())):
             for part in _chunks(len(table)):
                 yield np.packbits(table.index[part] & (1 << s))
 
-    size = len(seed) + _TABLE_LENGTH.size + table_bytes + planes * ((len(table) + 7) // 8)
-    return _write_file(_SESSION_MAGIC, session, 0, size, parts())
+    return container.write(sink, SESSION_MAGIC, fields, parts())
 
 
-def _read_register_table(body, n: int, pixel_count: int) -> RegisterTable:
+def serialize_session(session: SessionStore) -> bytearray:
+    """The session file's bytes; raises as ``write_session`` does."""
+    data = bytearray()
+    write_session(session, data.extend)
+    return data
+
+
+def _read_register_table(body: container.Cursor, n: int, pixel_count: int) -> RegisterTable:
     """Parse a register table plus index, checking every size first: the
     table length against the bytes left and the cap, then each entry's
     amplitude form and stored amplitude count, then the index planes."""
-    if len(body) < _TABLE_LENGTH.size:
-        raise FormatError("truncated session file: missing register table length")
-    (length,) = _TABLE_LENGTH.unpack_from(body)
-    offset = _TABLE_LENGTH.size
-    head = _entry_head_size(n)
-    heads_size, remaining = length * head, len(body) - offset
-    if heads_size > remaining:
+    (length,) = _TABLE_LENGTH.unpack(body.take(_TABLE_LENGTH.size, "register table length"))
+    head = _ENTRY_FORM.size + ((1 << n) + 7) // 8  # an entry's form and support bytes
+    if length * head > body.left:
         raise FormatError(
-            f"register table length {length} needs at least {heads_size} bytes, "
-            f"only {remaining} remain"
+            f"register table length {length} needs at least {length * head} bytes, "
+            f"only {body.left} remain"
         )
     dense_bytes = _dense_table_size(length, n)
     if dense_bytes > MAX_SESSION_TABLE_BYTES:
@@ -838,34 +770,34 @@ def _read_register_table(body, n: int, pixel_count: int) -> RegisterTable:
         )
 
     dim = 1 << n
-    entries = []  # (support, form, support bits, amplitude offset) per entry
+    entries = []  # (support, form, support bits, stored amplitudes) per entry
     for entry in range(length):
-        (form,) = _ENTRY_FORM.unpack_from(body, offset)
+        name = f"register table entry {entry}"
+        (form,) = _ENTRY_FORM.unpack(body.take(_ENTRY_FORM.size, f"{name} amplitude form"))
         if form not in (_FORM_PER_BIT, _FORM_SHARED):
             raise FormatError(
-                f"register table entry {entry} has amplitude form {form}, expected "
-                f"{_FORM_PER_BIT} or {_FORM_SHARED}"
+                f"{name} has amplitude form {form}, expected {_FORM_PER_BIT} or {_FORM_SHARED}"
             )
-        start = offset + _ENTRY_FORM.size
-        offset += head
-        support = _bit_planes(body[start:offset], dim, f"register table entry {entry} support")
+        support = body.take(head - _ENTRY_FORM.size, f"{name} support")
+        support = _bit_planes(support, dim, f"{name} support")
         count = int(np.count_nonzero(np.unpackbits(support)))
         amplitude_bytes = 16 if form == _FORM_SHARED else 16 * count
         # The heads of the entries after this one are already counted.
-        left = len(body) - offset - (length - entry - 1) * head
+        left = body.left - (length - entry - 1) * head
         if amplitude_bytes > left:
             raise FormatError(
-                f"register table entry {entry} support needs {amplitude_bytes} bytes "
-                f"of amplitudes, only {left} remain"
+                f"{name} support needs {amplitude_bytes} bytes of amplitudes, "
+                f"only {left} remain"
             )
-        entries.append((support, form, count, offset))
-        offset += amplitude_bytes
-    planes = _bit_planes(body[offset:], pixel_count, "register index", (length - 1).bit_length())
+        stored = np.frombuffer(body.take(amplitude_bytes, f"{name} amplitudes"), "<c16")
+        entries.append((support, form, count, stored))
+    rows = (length - 1).bit_length()
+    index = body.take(body.left, "register index")
+    planes = _bit_planes(index, pixel_count, "register index", rows)
 
     states = []
-    for entry, (support, form, count, start) in enumerate(entries):
+    for entry, (support, form, count, stored) in enumerate(entries):
         shared = form == _FORM_SHARED
-        stored = np.frombuffer(body, dtype="<c16", count=1 if shared else count, offset=start)
         # Bounding every component first keeps the squares finite, and
         # also rejects NaN, which the norm comparison below would pass.
         peak = float(np.abs(stored.view("<f8")).max(initial=0.0))
@@ -901,17 +833,15 @@ def _read_register_table(body, n: int, pixel_count: int) -> RegisterTable:
 
 def deserialize_session(data: bytes) -> SessionStore:
     try:
-        slot, pixel_count, body, header = _read_file(data, _SESSION_MAGIC, "session file")
+        slot, pixel_count, body, header = _read_header(data, SESSION_MAGIC, "session file")
         if slot:
             raise FormatError(f"session file participant slot is {slot}, expected 0")
-        if len(body) < _SEED_FIELD.size:
-            raise FormatError("truncated session file: missing master seed")
-        (master_seed,) = _SEED_FIELD.unpack_from(body)
-        body, n = body[_SEED_FIELD.size :], header["n"]
+        (master_seed,) = _SEED_FIELD.unpack(body.take(_SEED_FIELD.size, "master seed"))
         if header["backend"] == BACKEND_STATEVECTOR:
-            registers = _read_register_table(body, n, pixel_count)
+            registers = _read_register_table(body, header["n"], pixel_count)
         else:
-            registers = _bit_planes(body, pixel_count, "session outcome payload", n)
+            payload = body.take(body.left, "session outcome payload")
+            registers = _bit_planes(payload, pixel_count, "session outcome payload", header["n"])
         return SessionStore(master_seed=master_seed, registers=registers, **header)
     except ValueError as exc:
         raise FormatError(f"{exc} in session file") from None

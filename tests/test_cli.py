@@ -708,3 +708,105 @@ def test_audit_of_ten_participants_leaves_out_its_pattern_table(secret, tmp_path
     assert lines[4:] == [
         "pattern table of 1024 rows left out (printed for subsets of at most 8 participants)"
     ]
+
+
+# --- files streamed through the container writer, and errors that name them ---
+
+
+def _random_pbm(path: Path, width: int, height: int, seed: int) -> BinaryImage:
+    image = BinaryImage(width, height, np.random.default_rng(seed).integers(0, 2, width * height))
+    path.write_bytes(write_pbm(image, "p4"))
+    return image
+
+
+@pytest.mark.parametrize(
+    "backend,n", [("sampled", 3), ("sampled", 64), ("statevector", 3), ("statevector", 16)]
+)
+def test_share_streams_the_bytes_that_serialize_returns(tmp_path, capsys, backend, n):
+    # 37x23 pixels: each plane ends in pad bits.
+    image = _random_pbm(tmp_path / "secret.pbm", 37, 23, seed=n)
+    out = tmp_path / "shares"
+    assert main(share_args(tmp_path / "secret.pbm", out, n=n, seed=11, backend=backend)) == 0
+    session, shares = protocol.share_image(image, n, backend, 11)
+    expected = {f"share_{s.participant}.qvs": protocol.serialize_share(s) for s in shares}
+    expected["session.qvse"] = protocol.serialize_session(session)
+    assert sorted(p.name for p in out.iterdir()) == sorted(expected)
+    for name, data in expected.items():
+        assert (out / name).read_bytes() == data
+    # Each "wrote" line gives the size of the file it names.
+    wrote = [line for line in capsys.readouterr().out.splitlines() if line.startswith("wrote ")]
+    assert wrote == [f"wrote {out / name} ({len(expected[name])} bytes)" for name in expected]
+
+
+def test_sharing_2048_squared_at_n64_never_holds_a_file(tmp_path, capsys):
+    # 32 MiB of planes; a session held whole to be written would add 32 MiB.
+    secret = tmp_path / "secret.pbm"
+    _random_pbm(secret, 2048, 2048, seed=4)
+    argv = share_args(secret, tmp_path / "shares", n=64, seed=5, backend="sampled")
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (tmp_path / "shares" / "session.qvse").stat().st_size == 34 + 8 + 64 * (1 << 19) + 4
+    assert peak < 52 << 20
+
+
+def test_a_write_that_fails_after_the_header_leaves_no_session(
+    secret, tmp_path, capsys, monkeypatch
+):
+    write_session = protocol.write_session
+    pieces = []
+
+    def disk_full_after_the_header(session, sink):
+        def write(piece):
+            if pieces:
+                raise OSError(28, "No space left on device")
+            pieces.append(sink(piece))
+
+        return write_session(session, write)
+
+    monkeypatch.setattr(protocol, "write_session", disk_full_after_the_header)
+    out = tmp_path / "shares"
+    assert main(share_args(secret, out, backend="sampled")) == 3
+    assert pieces == [34]  # the header reached the temp file
+    assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
+    assert sorted(p.name for p in out.iterdir()) == ["share_1.qvs", "share_2.qvs", "share_3.qvs"]
+
+
+def test_a_corrupt_share_is_named_on_the_one_error_line(secret, tmp_path, capsys):
+    out = tmp_path / "shares"
+    main(share_args(secret, out))
+    share = out / "share_2.qvs"
+    data = bytearray(share.read_bytes())
+    data[20] ^= 0xFF
+    share.write_bytes(bytes(data))
+    capsys.readouterr()
+    recovered = tmp_path / "rec.pbm"
+    assert main(_recover_args(out, recovered, "--seed", "9")) == 3
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {share}: share file checksum mismatch"
+    ]
+    assert not recovered.exists()
+
+
+def test_a_format_error_names_the_session_secret_or_reference(secret, tmp_path, capsys):
+    out = tmp_path / "shares"
+    main(share_args(secret, out))
+    bad = tmp_path / "bad.pbm"
+    bad.write_bytes(b"P2 1 1\n0\n")
+    session = out / "session.qvse"
+    audit = ["audit", "--session", str(session), "--subset", "1"]
+    recover = _recover_args(out, tmp_path / "rec.pbm", "--seed", "9", "--reference", str(bad))
+    capsys.readouterr()
+    assert main(recover) == 3
+    assert main(["share", str(bad), "--n", "3", "--out-dir", str(tmp_path / "other")]) == 3
+    session.write_bytes(session.read_bytes()[:-1])
+    assert main(audit) == 3
+    lines = capsys.readouterr().err.splitlines()
+    assert [line.split(": ")[:2] for line in lines] == [
+        ["error", str(bad)], ["error", str(bad)], ["error", str(session)]
+    ]
+    assert lines[2] == f"error: {session}: session file checksum mismatch"
+    assert not (tmp_path / "other").exists()

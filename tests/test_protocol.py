@@ -2105,3 +2105,47 @@ def test_recover_reads_shares_passed_as_a_generator(backend):
     image = random_image(64, 64, seed=9)
     session, shares = share_image(image, 5, backend, 9)
     assert recover_image((share for share in shares), session, 1) == image
+
+
+# --- the container: streamed writes, and short reads named by field and offset ---
+
+
+@pytest.mark.parametrize("backend", [BACKEND_STATEVECTOR, BACKEND_SAMPLED])
+def test_a_file_is_streamed_piece_by_piece_with_its_crc_last(backend):
+    session, shares = share_image(random_image(13, 7, seed=2), 4, backend, 3)
+    for write, serialize, item in (
+        (protocol.write_share, serialize_share, shares[2]),
+        (protocol.write_session, serialize_session, session),
+    ):
+        pieces = []
+        size = write(item, lambda piece: pieces.append(bytes(piece)))
+        data = serialize(item)
+        assert size == len(data) == sum(map(len, pieces))
+        assert b"".join(pieces) == data
+        assert pieces[0] == data[:HEADER_SIZE]
+        assert pieces[-1] == zlib.crc32(data[:-CRC_SIZE]).to_bytes(CRC_SIZE, "little")
+
+
+@pytest.mark.parametrize(
+    "backend,keep,message",
+    [
+        (BACKEND_SAMPLED, 3, "master seed needs 8 bytes at byte 34, only 3 remain"),
+        (BACKEND_STATEVECTOR, 0, "master seed needs 8 bytes at byte 34, only 0 remain"),
+        (BACKEND_STATEVECTOR, 10, "register table length needs 4 bytes at byte 42, only 2 remain"),
+    ],
+)
+def test_a_truncated_session_names_the_field_and_offset_of_the_short_read(backend, keep, message):
+    session, _ = share_image(DEMO_IMAGE, 3, backend, 42)
+    data = bytes(serialize_session(session))
+    cut = recrc(data[: HEADER_SIZE + keep] + bytes(CRC_SIZE))
+    with pytest.raises(FormatError) as err:
+        deserialize_session(cut)
+    assert str(err.value) == f"truncated session file: {message}"
+
+
+def test_a_session_body_is_read_as_views_of_the_file():
+    session, _ = share_image(random_image(64, 64, seed=1), 8, BACKEND_SAMPLED, 2)
+    data = bytes(serialize_session(session))
+    restored = deserialize_session(data)
+    assert np.shares_memory(restored.registers, np.frombuffer(data, np.uint8))
+    assert restored == session
